@@ -5,7 +5,9 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
 * text: a header line ``#levy-sid-pairs v1 n=<n> M=<M> h=<h>`` followed by
   M CSV rows of 2n shortest-round-trip decimal floats, z before x;
 * binary: magic ``LSID``, a version byte (1), little-endian u32 n, u64 M,
-  f64 h, then the same M x 2n row-major float64 payload.
+  f64 h, then the same M x 2n row-major float64 payload. A file is exactly
+  the 25-byte header plus M*2n*8 payload bytes; a short file and trailing
+  bytes are both rejected.
 
 Reports are JSON with sorted keys and two-space indentation, so a report
 read back and re-serialized is byte-identical.
@@ -14,16 +16,19 @@ read back and re-serialized is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 
 import numpy as np
 
 from .errors import DataFormatError, DomainError
-from .simulate import DatasetPair
+from .simulate import CHUNK_ROWS, DatasetPair
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
+_BINARY_HEADER = struct.Struct("<BIQd")
+_BINARY_HEADER_BYTES = len(MAGIC) + _BINARY_HEADER.size
 _HEADER_RE = re.compile(
     r"#levy-sid-pairs v1 n=(\d+) M=(\d+) h=([^\s]+)\s*$")
 
@@ -39,40 +44,59 @@ def _header_line(data):
     return f"#levy-sid-pairs v1 n={data.n} M={data.M} h={data.h!r}\n"
 
 
+def _csv_block(block):
+    # float.__repr__ is the shortest round-trip text, the same as repr(v)
+    columns = [map(float.__repr__, block[:, k].tolist())
+               for k in range(block.shape[1])]
+    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode("ascii")
+
+
+def _binary_block(block):
+    return block.astype("<f8", copy=False)
+
+
 def write_dataset(data, path, fmt="csv"):
-    """Write a DatasetPair to ``path`` as 'csv' or 'bin'."""
+    """Write a DatasetPair to ``path`` as 'csv' or 'bin'.
+
+    Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer
+    holds one block of the payload at a time, never a copy of all of it.
+    """
     if fmt == "csv":
-        payload = np.hstack([data.Z, data.X])
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_header_line(data))
-            for row in payload.tolist():
-                fh.write(",".join(repr(v) for v in row))
-                fh.write("\n")
+        header = _header_line(data).encode("ascii")
+        encode = _csv_block
     elif fmt == "bin":
-        head = MAGIC + struct.pack("<BIQd", BINARY_VERSION, data.n, data.M, data.h)
-        payload = np.hstack([data.Z, data.X]).astype("<f8")
-        with open(path, "wb") as fh:
-            fh.write(head)
-            fh.write(payload.tobytes())
+        header = MAGIC + _BINARY_HEADER.pack(BINARY_VERSION, data.n, data.M, data.h)
+        encode = _binary_block
     else:
         raise DomainError(f"unknown dataset format {fmt!r}; use 'csv' or 'bin'")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for start in range(0, data.M, CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            fh.write(encode(np.hstack([data.Z[start:stop], data.X[start:stop]])))
 
 
 def _read_binary(path):
     with open(path, "rb") as fh:
-        head = fh.read(4 + 1 + 4 + 8 + 8)
-        if len(head) < 25 or head[:4] != MAGIC:
+        head = fh.read(_BINARY_HEADER_BYTES)
+        if len(head) < _BINARY_HEADER_BYTES or head[:4] != MAGIC:
             raise DataFormatError(f"{path}: truncated or invalid binary header")
-        version, n, M, h = struct.unpack("<BIQd", head[4:])
+        version, n, M, h = _BINARY_HEADER.unpack(head[4:])
         if version != BINARY_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported binary version {version}")
         if n < 1 or M < 1:
             raise DataFormatError(f"{path}: invalid dimensions n={n}, M={M}")
-        payload = np.fromfile(fh, dtype="<f8", count=M * 2 * n)
-    if payload.size != M * 2 * n:
-        raise DataFormatError(
-            f"{path}: expected {M * 2 * n} values, found {payload.size}")
+        count = M * 2 * n
+        size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER_BYTES
+        if size < count * 8:
+            raise DataFormatError(
+                f"{path}: expected {count} values, found {size // 8}")
+        if size > count * 8:
+            raise DataFormatError(
+                f"{path}: found {size - count * 8} trailing bytes after "
+                f"the {count} payload values")
+        payload = np.fromfile(fh, dtype="<f8", count=count)
     rows = payload.reshape(M, 2 * n)
     try:
         return DatasetPair.from_arrays(rows[:, :n], rows[:, n:], h)

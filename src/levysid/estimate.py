@@ -348,13 +348,21 @@ def regression_tables(data, fraction, dictionary, levy, config):
 
 
 def drift_regression(data, fraction, dictionary, levy, config):
-    """Least-squares drift coefficients; returns an (n, K) array of c_i rows."""
+    """Least-squares drift coefficients; returns an (n, K) array of c_i rows.
+
+    Runs the full joint regression of ``regression_tables``; call that once
+    when both the drift and the diffusion tables are wanted.
+    """
     return regression_tables(data, fraction, dictionary, levy, config).drift
 
 
 def diffusion_regression(data, fraction, dictionary, levy, config):
     """Least-squares diffusion coefficients for i <= j; returns a dict keyed
-    by 1-based (i, j)."""
+    by 1-based (i, j).
+
+    Runs the full joint regression of ``regression_tables``; call that once
+    when both the drift and the diffusion tables are wanted.
+    """
     return regression_tables(data, fraction, dictionary, levy, config).diffusion
 
 

@@ -1,17 +1,23 @@
 """Dataset and report serialization."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from levysid import (
     DataFormatError,
     DatasetPair,
+    DomainError,
     read_dataset,
     read_report,
     write_dataset,
     write_report,
 )
 from levysid.dataio import canonical_json, default_format
+from levysid.simulate import CHUNK_ROWS
 
 
 def _sample_pair(M=50, n=3, seed=0):
@@ -90,6 +96,14 @@ class TestBinaryFormat:
         with pytest.raises(DataFormatError):
             read_dataset(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "pairs.bin"
+        write_dataset(_sample_pair(M=10, n=2), path, "bin")
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(DataFormatError, match="trailing"):
+            read_dataset(path)
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "pairs.bin"
         write_dataset(_sample_pair(M=2, n=1), path, "bin")
@@ -104,6 +118,63 @@ class TestBinaryFormat:
             read_dataset(tmp_path / "nope.bin")
 
 
+def _reference_bytes(data, fmt):
+    """The whole-payload encodings the chunked writer must reproduce."""
+    payload = np.hstack([data.Z, data.X])
+    if fmt == "csv":
+        lines = [f"#levy-sid-pairs v1 n={data.n} M={data.M} h={data.h!r}"]
+        lines += [",".join(repr(v) for v in row) for row in payload.tolist()]
+        return ("\n".join(lines) + "\n").encode("ascii")
+    head = b"LSID" + struct.pack("<BIQd", 1, data.n, data.M, data.h)
+    return head + payload.astype("<f8").tobytes()
+
+
+class TestChunkedWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_across_chunk_boundary(self, tmp_path, fmt):
+        data = _sample_pair(M=CHUNK_ROWS + 5, n=2, seed=4)
+        path = tmp_path / f"pairs.{fmt}"
+        write_dataset(data, path, fmt)
+        assert path.read_bytes() == _reference_bytes(data, fmt)
+        back = read_dataset(path)
+        assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
+        np.testing.assert_array_equal(back.Z, data.Z)
+        np.testing.assert_array_equal(back.X, data.X)
+
+
+# -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches
+# between positional and exponent notation
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e16,
+                9999999999999998.0, 1.0000000000000002e16, 1e-4,
+                9.999999999999999e-05, 0.00010000000000000002]
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    flat = draw(st.lists(value, min_size=2 * n * M, max_size=2 * n * M))
+    rows = np.array(flat, dtype=np.float64).reshape(M, 2 * n)
+    return DatasetPair.from_arrays(rows[:, :n], rows[:, n:], 0.001)
+
+
+class TestRoundTripProperty:
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_datasets())
+    def test_bitwise_round_trip(self, tmp_path, fmt, data):
+        path = tmp_path / f"pairs.{fmt}"
+        write_dataset(data, path, fmt)
+        assert path.read_bytes() == _reference_bytes(data, fmt)
+        back = read_dataset(path)
+        assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
+        np.testing.assert_array_equal(back.Z.view(np.uint64), data.Z.view(np.uint64))
+        np.testing.assert_array_equal(back.X.view(np.uint64), data.X.view(np.uint64))
+
+
 class TestDefaultFormat:
     def test_threshold(self):
         assert default_format(1000) == "csv"
@@ -111,8 +182,9 @@ class TestDefaultFormat:
         assert default_format(10_000_000) == "bin"
 
     def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError):
             write_dataset(_sample_pair(M=2, n=1), tmp_path / "x", "xml")
+        assert not (tmp_path / "x").exists()
 
 
 class TestReports:
