@@ -10,7 +10,6 @@ triple (alpha, beta, sigma), the drift vector b, and the diffusion matrix
 a = Lambda Lambda^T, via nonlocal Kramers-Moyal estimators.
 """
 
-from .backend import backend_name
 from .basis import BasisDictionary, design_matrix, example2_dictionary, polynomial_dictionary
 from .errors import (
     ConditioningWarning,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import backend_name
 from .basis import (
     BasisDictionary,
     design_matrix,
@@ -43,7 +43,7 @@ from .errors import (
 from .estimate import EstimationConfig, cube_filter, estimate_levy, regression_tables
 from .expr import evaluate_block, parse_expression
 from .models import model_from_config, resolve_config
-from .simulate import generate_grid, simulate_pairs
+from .simulate import GRID_ROW_CAP, generate_grid, simulate_pairs
 
 
 def _load_json(path, what):
@@ -138,7 +138,6 @@ def build_report(data, est_doc, config, dict_spec, dictionary, levy, fraction,
                  table, warning_messages, seed=None):
     report = {
         "format": "levy-sid-report v1",
-        "backend": backend_name(),
         "dataset": {"n": data.n, "M": data.M, "h": data.h},
         "estimation": {
             "epsilon": config.epsilon,
@@ -242,21 +241,57 @@ def parse_range(spec):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"range {spec!r}: {exc}", field="range") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"range needs finite start, stop and step, got {spec!r}",
+                          field="range")
     if step <= 0 or stop <= start:
         raise ConfigError(
             f"range needs stop > start and step > 0, got {spec!r}", field="range")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step + 1e-9
+    if not steps < GRID_ROW_CAP:
+        raise ConfigError(f"range {spec!r} has more than {GRID_ROW_CAP} points",
+                          field="range")
+    return start + step * np.arange(int(np.floor(steps)) + 1)
 
 
 def _report_dictionary(report):
-    doc = report.get("dictionary")
+    doc = report.get("dictionary") if isinstance(report, dict) else None
     if not isinstance(doc, dict):
         raise DataFormatError("report carries no dictionary section")
-    n = int(doc["n"])
-    names = tuple(doc["names"])
+    n, names = doc.get("n"), doc.get("names")
+    if type(n) is not int or n < 1:
+        raise DataFormatError(
+            f"report dictionary.n must be a positive integer, got {n!r}")
+    if not isinstance(names, list) or not all(isinstance(t, str) for t in names):
+        raise DataFormatError("report dictionary.names must be a list of strings")
     funcs = tuple(parse_expression(text, n) for text in names)
-    return BasisDictionary(n, names, funcs)
+    return BasisDictionary(n, tuple(names), funcs)
+
+
+def _report_coefficients(report, parsed, K):
+    """Coefficient vector of one parsed drift or diffusion component."""
+    if parsed[0] == "drift":
+        i = parsed[1]
+        rows = report.get("drift", [])
+        if not 1 <= i <= len(rows):
+            raise ConfigError(f"report has no drift component b{i}",
+                              field="component")
+        values = rows[i - 1]
+    else:
+        i, j = sorted(parsed[1:])
+        entries = report.get("diffusion", [])
+        if not all(isinstance(d, dict) and "i" in d and "j" in d for d in entries):
+            raise DataFormatError("report diffusion entries need i and j")
+        match = [d for d in entries if d["i"] == i and d["j"] == j]
+        if not match:
+            raise ConfigError(f"report has no diffusion entry a{i}{j}",
+                              field="component")
+        values = match[0].get("coefficients")
+    if not (isinstance(values, list) and len(values) == K
+            and all(isinstance(v, (int, float)) for v in values)):
+        raise DataFormatError(
+            f"report {parsed[0]} coefficients must be a list of {K} numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _true_values(cfg, kind, indices, pts):
@@ -277,9 +312,12 @@ def cmd_plot_data(args):
 
     at = [0.0] * n
     if args.at:
-        at = [float(v) for v in args.at.split(",")]
-        if len(at) != n:
-            raise ConfigError(f"--at needs {n} comma-separated values",
+        try:
+            at = [float(v) for v in args.at.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--at: {exc}", field="at") from exc
+        if len(at) != n or not all(math.isfinite(v) for v in at):
+            raise ConfigError(f"--at needs {n} comma-separated finite values",
                               field="at")
     axis = args.axis if args.axis is not None else parsed[1]
     if not 1 <= axis <= n:
@@ -287,24 +325,8 @@ def cmd_plot_data(args):
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
 
-    A = design_matrix(dictionary, pts)
-    if parsed[0] == "drift":
-        i = parsed[1]
-        rows = report.get("drift", [])
-        if not 1 <= i <= len(rows):
-            raise ConfigError(f"report has no drift component b{i}",
-                              field="component")
-        learned = A @ np.asarray(rows[i - 1], dtype=np.float64)
-    else:
-        i, j = parsed[1], parsed[2]
-        if i > j:
-            i, j = j, i
-        match = [d for d in report.get("diffusion", [])
-                 if d["i"] == i and d["j"] == j]
-        if not match:
-            raise ConfigError(f"report has no diffusion entry a{i}{j}",
-                              field="component")
-        learned = A @ np.asarray(match[0]["coefficients"], dtype=np.float64)
+    coefs = _report_coefficients(report, parsed, dictionary.K)
+    learned = design_matrix(dictionary, pts) @ coefs
 
     columns = [xs, learned]
     if args.config:

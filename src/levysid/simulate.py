@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cms_block, sim_noise_block
 from .errors import DomainError, EvaluationDomainError, GridSizeError, SimulationError
-from .rng import RandomStream, split_key, stream_key
+from .rng import RandomStream, row_noise, sim_noise_block, split_key, stream_key
 from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
@@ -98,12 +97,23 @@ def generate_grid(bounds, mesh):
 
 
 def _model_noise_arrays(model):
+    """alphas, betas, sigmas of the stable components; without Levy noise,
+    sigmas is None and placeholder (1.5, 0) draws are made but go unused."""
     if model.levy is None:
-        return None, None, None
+        return np.full(model.n, 1.5), np.zeros(model.n), None
     alphas = np.array([p.alpha for p in model.levy])
     betas = np.array([p.beta for p in model.levy])
     sigmas = np.array([p.sigma for p in model.levy])
     return alphas, betas, sigmas
+
+
+def _jump_term(jumps, alphas, betas, sigmas, h):
+    """sigma_i h^(1/alpha_i)-scaled stable increments from standard draws."""
+    out = np.empty_like(jumps)
+    for i in range(jumps.shape[1]):
+        scale = h ** (1.0 / alphas[i])
+        out[:, i] = sigmas[i] * scale_stable(jumps[:, i], alphas[i], betas[i], scale)
+    return out
 
 
 def _step_block(model, Z_block, h, base_key, row0, out):
@@ -118,18 +128,8 @@ def _step_block(model, Z_block, h, base_key, row0, out):
             row=row0) from exc
 
     alphas, betas, sigmas = _model_noise_arrays(model)
-    if alphas is None:
-        # Levy disabled: only the normals part of each row stream is consumed
-        gauss, _ = sim_noise_block(base_key, row0, m,
-                                   np.full(n, 1.5), np.zeros(n))
-        jump_term = 0.0
-    else:
-        gauss, jumps = sim_noise_block(base_key, row0, m, alphas, betas)
-        jump_term = np.empty_like(Z_block)
-        for i in range(n):
-            scale = h ** (1.0 / alphas[i])
-            jump_term[:, i] = sigmas[i] * scale_stable(
-                jumps[:, i], alphas[i], betas[i], scale)
+    gauss, jumps = sim_noise_block(base_key, row0, m, alphas, betas)
+    jump_term = 0.0 if sigmas is None else _jump_term(jumps, alphas, betas, sigmas, h)
 
     if n == 1:
         gpart = lam[:, 0, 0] * gauss[:, 0]
@@ -144,15 +144,13 @@ def euler_pair_step(model, z, h, stream):
     """Single Euler step from one point using an explicit row stream.
 
     Equivalent to the row's result inside simulate_pairs when given that
-    row's substream; counters 0..2n-1 feed the normals and 2n..4n-1 the
-    stable draws.
+    row's substream: both read it through the same per-row counter layout.
     """
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if z.shape[1] != model.n:
         raise DomainError(f"z must have length {model.n}, got {z.shape[1]}")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    n = model.n
     try:
         drift = model.drift_at(z)[0]
         lam = model.gaussian_at(z)[0]
@@ -161,13 +159,11 @@ def euler_pair_step(model, z, h, stream):
 
     if not isinstance(stream, RandomStream):
         raise DomainError("stream must be a RandomStream")
-    gauss = stream.normals(n)
-    x = z[0] + drift * h + np.sqrt(h) * (lam @ gauss)
-    if model.levy is not None:
-        for i, p in enumerate(model.levy):
-            std = cms_block(stream.key, 2 * n + 2 * i, 1, p.alpha, p.beta)
-            scale = h ** (1.0 / p.alpha)
-            x[i] += p.sigma * scale_stable(std, p.alpha, p.beta, scale)[0]
+    alphas, betas, sigmas = _model_noise_arrays(model)
+    gauss, jumps = row_noise(np.array([stream.key], dtype=np.uint64), alphas, betas)
+    x = z[0] + drift * h + np.sqrt(h) * (lam @ gauss[0])
+    if sigmas is not None:
+        x += _jump_term(jumps, alphas, betas, sigmas, h)[0]
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise SimulationError(

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cms_block
 from .errors import DomainError
-from .rng import RandomStream
+from .rng import RandomStream, cms_block
 
 
 @dataclass(frozen=True)

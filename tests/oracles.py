@@ -4,7 +4,11 @@ Everything here is deliberately implemented from scratch on top of scipy:
 scipy.special.gamma for the kernel constant and QUADPACK adaptive quadrature
 for the truncated-moment integrals. No levysid code is imported, so closed
 forms in the package and integrals here are two genuinely separate routes.
+The noise-kernel reference at the end is scalar Python: 64-bit integers as
+masked Python ints and transcendentals from ``math``.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
@@ -73,3 +77,54 @@ def ks_two_sample(x, y):
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size
     return float(np.abs(fx - fy).max())
+
+
+_U64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    z &= _U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def row_key_oracle(base_key, row):
+    """Key of the stream that drives simulation row ``row``."""
+    return _splitmix64(base_key + _splitmix64((row + 1) * 0xD1B54A32D192ED03))
+
+
+def uniform_oracle(key, j):
+    """Counter j of stream ``key`` as a double in (0,1): 53 bits, grid-centred."""
+    raw = _splitmix64(key + (j + 1) * 0x9E3779B97F4A7C15)
+    return ((raw >> 11) + 0.5) * 2.0**-53
+
+
+def cms_oracle(ua, ue, alpha, beta):
+    """Chambers-Mallows-Stuck standard S_alpha(1, beta, 0) draw, one at a time."""
+    phi = math.pi * (ua - 0.5)
+    w = -math.log(ue)
+    if alpha == 1.0:
+        t = math.pi / 2 + beta * phi
+        return (t * math.tan(phi)
+                - beta * math.log(math.pi / 2 * w * math.cos(phi) / t)) / (math.pi / 2)
+    zeta = beta * math.tan(math.pi * alpha / 2)
+    b = math.atan(zeta) / alpha
+    s = (1 + zeta * zeta) ** (1 / (2 * alpha))
+    return (s * math.sin(alpha * (phi + b)) / math.cos(phi) ** (1 / alpha)
+            * (math.cos(phi - alpha * (phi + b)) / w) ** ((1 - alpha) / alpha))
+
+
+def row_noise_oracle(base_key, row, alphas, betas):
+    """(uniforms, normals, stable draws) of one simulation row.
+
+    Counters 0..2n-1 feed n Box-Muller normals, 2n..4n-1 n stable draws.
+    """
+    n = len(alphas)
+    key = row_key_oracle(base_key, row)
+    u = [uniform_oracle(key, j) for j in range(4 * n)]
+    normals = [math.sqrt(-2 * math.log(u[2 * i])) * math.cos(2 * math.pi * u[2 * i + 1])
+               for i in range(n)]
+    stables = [cms_oracle(u[2 * n + 2 * i], u[2 * n + 2 * i + 1], alphas[i], betas[i])
+               for i in range(n)]
+    return u, normals, stables

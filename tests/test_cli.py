@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from levysid import (
+    ConfigError,
     DatasetPair,
     RandomStream,
     read_dataset,
@@ -66,8 +67,9 @@ class TestParsePieces:
         assert xs[-1] == pytest.approx(5.0, abs=1e-12)
 
     def test_range_rejects(self):
-        for bad in ("0:5", "5:0:0.1", "0:5:-1", "a:b:c"):
-            with pytest.raises(Exception):
+        for bad in ("0:5", "5:0:0.1", "0:5:-1", "a:b:c", "nan:1:0.1",
+                    "0:inf:0.1", "0:1:nan", "0:1:1e-300"):
+            with pytest.raises(ConfigError):
                 parse_range(bad)
 
 
@@ -246,11 +248,37 @@ class TestPlotDataCommand:
                      "--range", "0:1:0.5",
                      "--out", str(tmp_path / "c.csv")]) == 2
 
-    def test_bad_range_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        ["--range", "5:0:0.5"],
+        ["--range", "nan:1:0.1"],
+        ["--range", "0:inf:0.1"],
+        ["--range", "0:1:nan"],
+        ["--range", "0:1:1e-300"],
+        ["--range", "0:1:0.5", "--at", "x"],
+        ["--range", "0:1:0.5", "--at", "inf"],
+    ], ids=["reversed", "nan-start", "inf-stop", "nan-step", "too-many-points",
+            "at-not-a-number", "at-not-finite"])
+    def test_bad_range_exits_2(self, tmp_path, capsys, extra):
         report = self._handmade_report(tmp_path)
         assert main(["plot-data", "--report", report, "--component", "b1",
-                     "--range", "5:0:0.5",
-                     "--out", str(tmp_path / "c.csv")]) == 2
+                     "--out", str(tmp_path / "c.csv")] + extra) == 2
+        assert "error category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("component,corrupt", [
+        ("b1", lambda r: r["dictionary"].pop("n")),
+        ("b1", lambda r: r["dictionary"].update(names="x1")),
+        ("b1", lambda r: r["drift"][0].pop()),
+        ("a11", lambda r: r["diffusion"][0].pop("i")),
+    ], ids=["no-dictionary-n", "names-not-a-list", "short-drift-row",
+            "diffusion-without-i"])
+    def test_malformed_report_exits_3(self, tmp_path, capsys, component, corrupt):
+        path = self._handmade_report(tmp_path)
+        report = read_report(path)
+        corrupt(report)
+        write_report(report, path)
+        assert main(["plot-data", "--report", path, "--component", component,
+                     "--range", "0:1:0.5", "--out", str(tmp_path / "c.csv")]) == 3
+        assert "error category=data" in capsys.readouterr().err
 
 
 class TestPipelineCommand:

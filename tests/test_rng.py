@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from levysid import _kernels, backend
-from levysid.rng import RandomStream, mix64, raw_block, split_key, stream_key, uniform_block
+from levysid.rng import (
+    RandomStream,
+    mix64,
+    raw_block,
+    row_keys,
+    sim_noise_block,
+    split_key,
+    stream_key,
+    uniform_block,
+)
 
-from oracles import ks_one_sample
+from oracles import ks_one_sample, row_noise_oracle, row_key_oracle
 
 
 class TestMixing:
@@ -88,31 +96,32 @@ class TestRandomStream:
         assert len({s, RandomStream.from_seed(1)}) == 1
 
 
-class TestKernelBackendAgreement:
-    """The jit loops and the vectorized numpy fallback must produce the same bits."""
+class TestNoiseKernelOracle:
+    """The vectorized kernel against a scalar reference of the counter layout."""
 
-    def test_normals_paths_agree(self):
-        k = stream_key(77, 0)
-        want = _kernels._normals_np(k, 0, 4096)
-        got = _kernels.normals_block(k, 0, 4096)
-        assert_allclose(got, want, rtol=1e-15, atol=0)
+    ALPHAS = (0.5, 1.0, 1.5, 1.9)
+    BETAS = (0.5, -0.3, 0.0, 1.0)
+    BLOCKS = ((0, 3), (2**40 - 1, 3))
 
-    def test_cms_paths_agree(self):
-        k = stream_key(78, 0)
-        for alpha, beta in [(0.5, 0.5), (1.0, -0.3), (1.5, 0.0), (1.9, 1.0)]:
-            want = _kernels._cms_block_np(k, 0, 4096, alpha, beta)
-            got = _kernels.cms_block(k, 0, 4096, alpha, beta)
-            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_sim_noise_paths_agree(self):
-        alphas = np.array([0.5, 1.0, 1.5])
-        betas = np.array([0.5, 0.0, -0.5])
+    def test_row_keys_and_uniforms_bitwise(self):
         base = stream_key(2024, 3)
-        g1, j1 = _kernels._sim_noise_np(base, 10, 200, alphas, betas)
-        g2, j2 = _kernels.sim_noise_block(base, 10, 200, alphas, betas)
-        assert_allclose(g2, g1, rtol=1e-12, atol=1e-12)
-        assert_allclose(j2, j1, rtol=1e-12, atol=1e-12)
+        n = len(self.ALPHAS)
+        for row0, nrows in self.BLOCKS:
+            keys = row_keys(base, row0, nrows)
+            u = uniform_block(keys, 0, 4 * n)
+            for r in range(nrows):
+                assert int(keys[r]) == row_key_oracle(base, row0 + r)
+                assert int(keys[r]) == split_key(base, row0 + r)
+                want, _, _ = row_noise_oracle(base, row0 + r, self.ALPHAS, self.BETAS)
+                assert u[r].tolist() == want
 
-    def test_backend_name_reports(self):
-        assert backend.backend_name() in ("numba", "numpy")
-        assert backend.backend_name() == ("numba" if backend.NUMBA_AVAILABLE else "numpy")
+    def test_sim_noise_block_matches_oracle(self):
+        base = stream_key(2024, 3)
+        for row0, nrows in self.BLOCKS:
+            gauss, jumps = sim_noise_block(base, row0, nrows,
+                                           np.array(self.ALPHAS), np.array(self.BETAS))
+            for r in range(nrows):
+                _, normals, stables = row_noise_oracle(base, row0 + r,
+                                                       self.ALPHAS, self.BETAS)
+                assert_allclose(gauss[r], normals, rtol=1e-12, atol=0)
+                assert_allclose(jumps[r], stables, rtol=1e-12, atol=0)
