@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-import numpy as np
-
-from .errors import DomainError, EvaluationDomainError
-from .expr import evaluate_block, parse_expression
+from .errors import DomainError
+from .expr import evaluate_trees, parse_expression
 
 _SIZE_CAP = 10_000
 
@@ -101,17 +99,4 @@ def example2_dictionary():
 def design_matrix(dictionary, points):
     """Evaluate every dictionary function at every point: entry (j,k) is
     psi_k(point_j)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != dictionary.n:
-        raise DomainError(
-            f"points must be (M, {dictionary.n}), got shape {pts.shape}")
-    out = np.empty((pts.shape[0], dictionary.K), dtype=np.float64)
-    for k, tree in enumerate(dictionary.functions):
-        try:
-            out[:, k] = evaluate_block(tree, pts)
-        except EvaluationDomainError as exc:
-            raise EvaluationDomainError(
-                f"dictionary entry {dictionary.names[k]!r} failed: {exc}") from exc
-    return out
+    return evaluate_trees(dictionary.functions, points, dictionary.names)

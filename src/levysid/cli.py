@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     DataFormatError,
     DomainError,
+    EvaluationDomainError,
     ExpressionError,
     InsufficientDataError,
     LevysidError,
@@ -294,13 +295,20 @@ def _report_coefficients(report, parsed, K):
     return np.asarray(values, dtype=np.float64)
 
 
-def _true_values(cfg, kind, indices, pts):
-    model = model_from_config(cfg)
+def _true_values(model, kind, indices, pts):
     if kind == "drift":
         return evaluate_block(model.drift[indices[0] - 1], pts)
     lam = model.gaussian_at(pts)
     i, j = indices
     return np.einsum("rk,rk->r", lam[:, i - 1, :], lam[:, j - 1, :])
+
+
+def _write_curve(path, columns):
+    """One CSV row per point: the columns' values as shortest round-trip floats."""
+    with open(path, "w", encoding="ascii") as fh:
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
 
 
 def cmd_plot_data(args):
@@ -330,13 +338,9 @@ def cmd_plot_data(args):
 
     columns = [xs, learned]
     if args.config:
-        cfg = resolve_config(_load_json(args.config, "model config"))
-        columns.append(_true_values(cfg, parsed[0], parsed[1:], pts))
-
-    with open(args.out, "w", encoding="ascii") as fh:
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        model = model_from_config(_load_json(args.config, "model config"))
+        columns.append(_true_values(model, parsed[0], parsed[1:], pts))
+    _write_curve(args.out, columns)
     print(f"wrote {xs.size} rows to {args.out}")
     return 0
 
@@ -375,17 +379,11 @@ def cmd_pipeline(args):
         pts = np.zeros((xs.size, model.n))
         pts[:, i - 1] = xs
         A = design_matrix(dictionary, pts)
-        lam_i = model.gaussian_at(pts)[:, i - 1, :]
-        curves = (
-            (f"plot_b{i}.csv", A @ table.drift[i - 1],
-             evaluate_block(model.drift[i - 1], pts)),
-            (f"plot_a{i}{i}.csv", A @ table.diffusion[(i, i)],
-             np.einsum("rk,rk->r", lam_i, lam_i)),
-        )
-        for name, learned, true in curves:
-            with open(workdir / name, "w", encoding="ascii") as fh:
-                for x, lv, tv in zip(xs, learned, true):
-                    fh.write(f"{x!r},{lv!r},{tv!r}\n")
+        _write_curve(workdir / f"plot_b{i}.csv", (
+            xs, A @ table.drift[i - 1], _true_values(model, "drift", (i,), pts)))
+        _write_curve(workdir / f"plot_a{i}{i}.csv", (
+            xs, A @ table.diffusion[(i, i)],
+            _true_values(model, "diffusion", (i, i), pts)))
 
     for e in levy:
         print(f"component {e.component}: alpha={e.alpha:.4f} "
@@ -396,7 +394,7 @@ def cmd_pipeline(args):
 
 
 _CATEGORIES = (
-    ((ConfigError, ExpressionError, DomainError), "config", 2),
+    ((ConfigError, ExpressionError, DomainError, EvaluationDomainError), "config", 2),
     ((DataFormatError, OSError), "data", 3),
     ((InsufficientDataError,), "insufficient-data", 4),
     ((NumericError,), "numeric", 5),

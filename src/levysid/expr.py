@@ -13,11 +13,26 @@ Variables are x1..xn for the declared dimension n. Trees are immutable
 tuples wrapped in :class:`ExpressionTree`; evaluation is pure and total
 except for explicit domain faults (1/0, sqrt(-1), ln(0), 0^-1, (-2)^0.5),
 which raise instead of propagating NaN or infinities.
+
+One tree walker evaluates both a single point and a block of points; the
+operations differ only in their functions and ``^``. Each operation reports
+its own fault, and all of them become :class:`EvaluationDomainError`:
+
+- blocks run under ``np.errstate(divide="raise", invalid="raise")``, so the
+  IEEE divide-by-zero and invalid flags raise ``FloatingPointError`` at the
+  faulty ufunc (overflow is left to the final check);
+- scalars use ``math``, which raises ``ValueError`` or ``OverflowError``, and
+  Python float division, which raises ``ZeroDivisionError``.
+
+A final finite check on the result rejects what no flag marks, such as an
+overflow to infinity. That check alone would not do: exp(-1/0) and
+tanh(1/0) are finite.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -32,15 +47,6 @@ from .errors import (
 )
 
 FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "ln", "sqrt", "abs")
-
-_SCALAR_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "tanh": math.tanh,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
-}
-_VECTOR_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "tanh": np.tanh,
-    "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs,
-}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -154,7 +160,7 @@ class _Parser:
             return node
         if kind == "ident":
             self.advance()
-            if text in _SCALAR_FUNCS:
+            if text in FUNCTIONS:
                 if self.peek()[0] != "lp":
                     self.fail(frozenset({"("}))
                 self.advance()
@@ -234,46 +240,36 @@ def print_expression(tree):
     return _print(tree.root)[0]
 
 
-def _eval_scalar(node, point):
+# + - * / are the same Python operators in both modes; only the eight
+# functions and ^ differ: math on floats, numpy ufuncs on blocks
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+_SCALAR_OPS = {**_ARITHMETIC, "^": math.pow, **dict(zip(FUNCTIONS, (
+    math.sin, math.cos, math.tan, math.tanh, math.exp, math.log, math.sqrt,
+    math.fabs)))}
+_BLOCK_OPS = {**_ARITHMETIC, "^": np.power, **dict(zip(FUNCTIONS, (
+    np.sin, np.cos, np.tan, np.tanh, np.exp, np.log, np.sqrt, np.abs)))}
+
+
+def _walk(node, leaves, ops):
     kind = node[0]
     if kind == "c":
         return node[1]
     if kind == "v":
-        return float(point[node[1]])
+        return leaves[node[1]]
     if kind == "u-":
-        return -_eval_scalar(node[1], point)
+        return -_walk(node[1], leaves, ops)
     if kind == "f":
-        arg = _eval_scalar(node[2], point)
-        name = node[1]
-        if name == "ln" and arg <= 0.0:
-            raise EvaluationDomainError(f"ln of non-positive value {arg}")
-        if name == "sqrt" and arg < 0.0:
-            raise EvaluationDomainError(f"sqrt of negative value {arg}")
-        try:
-            return _SCALAR_FUNCS[name](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationDomainError(f"{name}({arg}) failed: {exc}") from exc
-    a = _eval_scalar(node[1], point)
-    b = _eval_scalar(node[2], point)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        if b == 0.0:
-            raise EvaluationDomainError("division by zero")
-        return a / b
-    # kind == "^"
-    if a < 0.0 and b != math.floor(b):
-        raise EvaluationDomainError(f"negative base {a} to non-integer power {b}")
-    if a == 0.0 and b < 0.0:
-        raise EvaluationDomainError(f"zero base to negative power {b}")
+        return ops[node[1]](_walk(node[2], leaves, ops))
+    return ops[kind](_walk(node[1], leaves, ops), _walk(node[2], leaves, ops))
+
+
+def _run(tree, leaves, ops):
+    """Walk ``tree``, turning the fault an operation raises into ours."""
     try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise EvaluationDomainError(f"{a}^{b} failed: {exc}") from exc
+        return _walk(tree.root, leaves, ops)
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationDomainError(str(exc)) from exc
 
 
 def evaluate(tree, point):
@@ -281,49 +277,42 @@ def evaluate(tree, point):
     if len(point) != tree.dimension:
         raise DomainError(
             f"point has length {len(point)}, tree dimension is {tree.dimension}")
-    out = _eval_scalar(tree.root, point)
+    out = _run(tree, [float(v) for v in point], _SCALAR_OPS)
     if not math.isfinite(out):
         raise EvaluationDomainError(f"expression evaluated to non-finite {out}")
     return out
 
 
-def _eval_np(node, cols):
-    kind = node[0]
-    if kind == "c":
-        return node[1]
-    if kind == "v":
-        return cols[node[1]]
-    if kind == "u-":
-        return -_eval_np(node[1], cols)
-    if kind == "f":
-        arg = _eval_np(node[2], cols)
-        name = node[1]
-        if name == "ln" and np.any(np.asarray(arg) <= 0.0):
-            raise EvaluationDomainError("ln of non-positive value")
-        if name == "sqrt" and np.any(np.asarray(arg) < 0.0):
-            raise EvaluationDomainError("sqrt of negative value")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _VECTOR_FUNCS[name](arg)
-    a = _eval_np(node[1], cols)
-    b = _eval_np(node[2], cols)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        if np.any(np.asarray(b) == 0.0):
-            raise EvaluationDomainError("division by zero")
-        return a / b
-    an = np.asarray(a)
-    bn = np.asarray(b)
-    if np.any((an < 0.0) & (bn != np.floor(bn))):
-        raise EvaluationDomainError("negative base to non-integer power")
-    if np.any((an == 0.0) & (bn < 0.0)):
-        raise EvaluationDomainError("zero base to negative power")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.power(a, b)
+def evaluate_trees(trees, points, names=None):
+    """Evaluate trees of one shared dimension n over an (M, n) block.
+
+    Returns an (M, T) float array whose column k holds ``trees[k]``. The
+    points are checked and split into columns once for all trees. A domain
+    fault or non-finite output of tree k raises EvaluationDomainError,
+    naming ``names[k]`` when names are given.
+    """
+    n = trees[0].dimension
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1 and n == 1:
+        pts = pts[:, np.newaxis]
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise DomainError(f"points must be (M, {n}), got shape {pts.shape}")
+    cols = [np.ascontiguousarray(pts[:, k]) for k in range(n)]
+    out = np.empty((pts.shape[0], len(trees)), dtype=np.float64)
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        for k, tree in enumerate(trees):
+            try:
+                value = _run(tree, cols, _BLOCK_OPS)
+                if not np.all(np.isfinite(value)):
+                    raise EvaluationDomainError(
+                        "expression evaluated to non-finite values")
+            except EvaluationDomainError as exc:
+                if names is None:
+                    raise
+                raise EvaluationDomainError(
+                    f"dictionary entry {names[k]!r} failed: {exc}") from exc
+            out[:, k] = value
+    return out
 
 
 def evaluate_block(tree, points):
@@ -332,15 +321,4 @@ def evaluate_block(tree, points):
     Domain faults raise the same errors as :func:`evaluate`; any non-finite
     output (overflow included) is rejected rather than returned.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1 and tree.dimension == 1:
-        pts = pts[:, np.newaxis]
-    if pts.ndim != 2 or pts.shape[1] != tree.dimension:
-        raise DomainError(
-            f"points must be (M, {tree.dimension}), got shape {pts.shape}")
-    cols = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
-    out = _eval_np(tree.root, cols)
-    out = np.broadcast_to(np.asarray(out, dtype=np.float64), (pts.shape[0],)).copy()
-    if not np.all(np.isfinite(out)):
-        raise EvaluationDomainError("expression evaluated to non-finite values")
-    return out
+    return evaluate_trees((tree,), points)[:, 0]

@@ -11,10 +11,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, ExpressionError
-from .expr import ExpressionTree, evaluate_block, parse_expression
+from .expr import ExpressionTree, evaluate_trees, parse_expression
 from .stable import StableParams
 
 
@@ -59,20 +57,12 @@ class SdeModel:
 
     def drift_at(self, points):
         """Evaluate b at an (M, n) block; returns (M, n)."""
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.empty_like(pts)
-        for i, tree in enumerate(self.drift):
-            out[:, i] = evaluate_block(tree, pts)
-        return out
+        return evaluate_trees(self.drift, points)
 
     def gaussian_at(self, points):
         """Evaluate Lambda at an (M, n) block; returns (M, n, n)."""
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.empty((pts.shape[0], self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[:, i, j] = evaluate_block(self.gaussian[i][j], pts)
-        return out
+        flat = evaluate_trees([t for row in self.gaussian for t in row], points)
+        return flat.reshape(-1, self.n, self.n)
 
 
 # built-in benchmark configs; deep-copied on access so callers can edit freely

@@ -117,15 +117,18 @@ def cms_block(key: int, start: int, count: int, alpha: float, beta: float) -> np
     return _cms(u[0::2], u[1::2], alpha, beta)
 
 
-def row_noise(keys: np.ndarray, alphas, betas):
+def row_noise(keys: np.ndarray, n: int, alphas=None, betas=None):
     """Noise of the rows whose streams have the given uint64 keys.
 
     Returns (gauss, jumps): rows x n standard normals from counters 0..2n-1
-    and rows x n standard stable draws from counters 2n..4n-1, n = len(alphas).
+    and rows x n standard stable draws from counters 2n..4n-1. Without
+    alphas no stable draws are made, the stable counters go unread and
+    jumps is None.
     """
-    n = len(alphas)
-    u = uniform_block(keys, 0, 4 * n)
+    u = uniform_block(keys, 0, 2 * n if alphas is None else 4 * n)
     gauss = _box_muller(u[:, 0:2 * n:2], u[:, 1:2 * n:2])
+    if alphas is None:
+        return gauss, None
     jumps = np.empty_like(gauss)
     for i in range(n):
         jumps[:, i] = _cms(u[:, 2 * n + 2 * i], u[:, 2 * n + 2 * i + 1],
@@ -139,7 +142,7 @@ def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):
     Each row reads its own (seed, row)-derived stream, so the result is
     independent of how rows are batched across workers.
     """
-    return row_noise(row_keys(base_key, row0, nrows), alphas, betas)
+    return row_noise(row_keys(base_key, row0, nrows), len(alphas), alphas, betas)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationDomainError, GridSizeError, SimulationError
-from .rng import RandomStream, row_noise, sim_noise_block, split_key, stream_key
+from .rng import RandomStream, row_keys, row_noise, split_key, stream_key
 from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
@@ -96,24 +96,20 @@ def generate_grid(bounds, mesh):
         np.stack([g.reshape(-1) for g in grids], axis=1))
 
 
-def _model_noise_arrays(model):
-    """alphas, betas, sigmas of the stable components; without Levy noise,
-    sigmas is None and placeholder (1.5, 0) draws are made but go unused."""
+def _noise(model, keys, h):
+    """Standard normals and the scaled jump term of the rows whose streams
+    have the given keys. Without Levy noise no stable draws are made and the
+    jump term is 0.0; otherwise component i of the standard draws is scaled
+    by sigma_i h^(1/alpha_i)."""
     if model.levy is None:
-        return np.full(model.n, 1.5), np.zeros(model.n), None
+        return row_noise(keys, model.n)[0], 0.0
     alphas = np.array([p.alpha for p in model.levy])
     betas = np.array([p.beta for p in model.levy])
-    sigmas = np.array([p.sigma for p in model.levy])
-    return alphas, betas, sigmas
-
-
-def _jump_term(jumps, alphas, betas, sigmas, h):
-    """sigma_i h^(1/alpha_i)-scaled stable increments from standard draws."""
-    out = np.empty_like(jumps)
-    for i in range(jumps.shape[1]):
+    gauss, jumps = row_noise(keys, model.n, alphas, betas)
+    for i, p in enumerate(model.levy):
         scale = h ** (1.0 / alphas[i])
-        out[:, i] = sigmas[i] * scale_stable(jumps[:, i], alphas[i], betas[i], scale)
-    return out
+        jumps[:, i] = p.sigma * scale_stable(jumps[:, i], alphas[i], betas[i], scale)
+    return gauss, jumps
 
 
 def _step_block(model, Z_block, h, base_key, row0, out):
@@ -127,9 +123,7 @@ def _step_block(model, Z_block, h, base_key, row0, out):
             f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: {exc}",
             row=row0) from exc
 
-    alphas, betas, sigmas = _model_noise_arrays(model)
-    gauss, jumps = sim_noise_block(base_key, row0, m, alphas, betas)
-    jump_term = 0.0 if sigmas is None else _jump_term(jumps, alphas, betas, sigmas, h)
+    gauss, jump_term = _noise(model, row_keys(base_key, row0, m), h)
 
     if n == 1:
         gpart = lam[:, 0, 0] * gauss[:, 0]
@@ -159,11 +153,10 @@ def euler_pair_step(model, z, h, stream):
 
     if not isinstance(stream, RandomStream):
         raise DomainError("stream must be a RandomStream")
-    alphas, betas, sigmas = _model_noise_arrays(model)
-    gauss, jumps = row_noise(np.array([stream.key], dtype=np.uint64), alphas, betas)
+    gauss, jump_term = _noise(model, np.array([stream.key], dtype=np.uint64), h)
     x = z[0] + drift * h + np.sqrt(h) * (lam @ gauss[0])
-    if sigmas is not None:
-        x += _jump_term(jumps, alphas, betas, sigmas, h)[0]
+    if model.levy is not None:
+        x += jump_term[0]
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise SimulationError(

@@ -8,6 +8,7 @@ import pytest
 from levysid import (
     BasisDictionary,
     DomainError,
+    EvaluationDomainError,
     design_matrix,
     evaluate_block,
     example2_dictionary,
@@ -135,3 +136,9 @@ class TestDesignMatrix:
         d = polynomial_dictionary(2, 1)
         with pytest.raises(DomainError):
             design_matrix(d, np.zeros((4, 3)))
+
+    def test_domain_fault_names_entry(self):
+        d = BasisDictionary(1, ("1", "ln(x1)"),
+                            (parse_expression("1", 1), parse_expression("ln(x1)", 1)))
+        with pytest.raises(EvaluationDomainError, match=r"'ln\(x1\)'"):
+            design_matrix(d, np.array([[1.0], [0.0]]))

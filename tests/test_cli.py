@@ -264,6 +264,18 @@ class TestPlotDataCommand:
                      "--out", str(tmp_path / "c.csv")] + extra) == 2
         assert "error category=config" in capsys.readouterr().err
 
+    def test_range_outside_dictionary_domain_exits_2(self, tmp_path, capsys):
+        path = self._handmade_report(tmp_path)
+        report = read_report(path)
+        report["dictionary"]["names"] = ["1", "ln(x1)"]
+        report["drift"] = [[2.0, 1.0]]
+        report["diffusion"][0]["coefficients"] = [1.0, 0.0]
+        write_report(report, path)
+        assert main(["plot-data", "--report", path, "--component", "b1",
+                     "--range", "0:1:0.5", "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err and "'ln(x1)'" in err
+
     @pytest.mark.parametrize("component,corrupt", [
         ("b1", lambda r: r["dictionary"].pop("n")),
         ("b1", lambda r: r["dictionary"].update(names="x1")),
@@ -302,10 +314,12 @@ class TestPipelineCommand:
         assert report["seed"] == 5
         assert len(report["levy"]) == 1
         assert len(report["drift"][0]) == 19
-        curve = (workdir / "plot_b1.csv").read_text().splitlines()
-        assert len(curve) == 501
-        assert len(curve[0].split(",")) == 3
-        assert (workdir / "plot_a11.csv").exists()
+        for name in ("plot_b1.csv", "plot_a11.csv"):
+            curve = (workdir / name).read_text().splitlines()
+            assert len(curve) == 501
+            # the plot-data format: three plain floats per row
+            values = [[float(v) for v in row.split(",")] for row in curve]
+            assert all(len(row) == 3 for row in values)
         assert "component 1:" in capsys.readouterr().out
 
     def test_fixed_seed_reproducible(self, tmp_path):

@@ -150,6 +150,9 @@ class TestEvaluationDomainErrors:
         ("sqrt(x1)", [-1.0]),
         ("x1^0.5", [-2.0]),
         ("x1^(-1)", [0.0]),
+        # finite results of a faulty step: only a per-operation check sees them
+        ("exp(-1/x1)", [0.0]),
+        ("tanh(1/x1)", [0.0]),
     ])
     def test_scalar(self, text, point):
         tree = parse_expression(text, 1)
@@ -160,6 +163,11 @@ class TestEvaluationDomainErrors:
         ("1/x1", 0.0),
         ("ln(x1)", -2.0),
         ("sqrt(x1)", -0.5),
+        ("exp(-1/x1)", 0.0),
+        ("tanh(1/x1)", 0.0),
+        ("ln(x1)", 0.0),
+        ("x1^0.5", -2.0),
+        ("x1^(-1)", 0.0),
     ])
     def test_block(self, text, bad):
         tree = parse_expression(text, 1)

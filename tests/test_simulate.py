@@ -16,9 +16,11 @@ from levysid import (
     sample_stable,
     simulate_pairs,
 )
+import levysid.rng
+from levysid.rng import stream_key
 from levysid.simulate import row_stream_key
 
-from oracles import ks_two_sample
+from oracles import ks_two_sample, row_noise_oracle
 
 
 def _model(dimension, drift, gaussian, levy):
@@ -197,6 +199,36 @@ class TestNoiseDistributions:
                                 RandomStream.from_seed(1000 + i))
             ks = ks_two_sample(data.X[:, i] - data.Z[:, i], ref)
             assert ks < 0.003, f"component {i + 1}: KS={ks:.5f}"
+
+
+class TestGaussianOnlyNoise:
+    DRIFT = ["-x1", "x1*x2"]
+    GAUSSIAN = [["1 + x2", "0.5"], ["0", "x1"]]
+
+    def test_rows_match_oracle_normals(self):
+        model = _model(2, self.DRIFT, self.GAUSSIAN, None)
+        Z = np.array([[0.3, -1.2], [1.5, 0.25], [-0.7, 2.0], [0.0, 0.0]])
+        h, seed = 0.01, 41
+        data = simulate_pairs(model, Z, h, seed)
+        base = stream_key(seed, 0)
+        for r, (z1, z2) in enumerate(Z):
+            # the stable parameters only feed the oracle's unused stable draws
+            _, g, _ = row_noise_oracle(base, r, (1.5, 1.5), (0.0, 0.0))
+            b = np.array([-z1, z1 * z2])
+            lam = np.array([[1.0 + z2, 0.5], [0.0, z1]])
+            want = Z[r] + h * b + np.sqrt(h) * (lam @ np.array(g))
+            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
+
+    def test_no_stable_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("stable draws made without Levy noise")
+
+        monkeypatch.setattr(levysid.rng, "_cms", fail)
+        model = _model(2, self.DRIFT, self.GAUSSIAN, None)
+        data = simulate_pairs(model, np.ones((10, 2)), 0.001, seed=3)
+        x = euler_pair_step(model, [1.0, 1.0], 0.001,
+                            RandomStream(row_stream_key(3, 0)))
+        np.testing.assert_array_equal(x, data.X[0])
 
 
 class TestErrors:
