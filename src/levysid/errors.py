@@ -101,4 +101,5 @@ class EstimationWarning(UserWarning):
 
 
 class ConditioningWarning(UserWarning):
-    """Normal equations near-singular; a fallback path was taken."""
+    """Least-squares system ill-conditioned: cond(A) above COND_THRESHOLD,
+    or a Gram solve fell back to the eigendecomposition pseudo-inverse."""

@@ -25,6 +25,7 @@ from .errors import (
     EstimationWarning,
     InsufficientDataError,
     NotPositiveSemidefiniteError,
+    NumericError,
 )
 from .numeric import solve_gram, sym_eigen
 from .simulate import CHUNK_ROWS, DatasetPair, worker_count
@@ -331,6 +332,11 @@ def regression_tables(data, fraction, dictionary, levy, config):
     G = np.sum(np.stack([p[0] for p in parts]), axis=0)
     C = np.sum(np.stack([p[1] for p in parts]), axis=0)
     bsq = np.sum(np.stack([p[2] for p in parts]), axis=0)
+    if not (np.isfinite(G).all() and np.isfinite(C).all()
+            and np.isfinite(bsq).all()):
+        raise NumericError(
+            "regression sums overflowed to inf or NaN: the basis values or "
+            "the increments scaled by 1/h are too large for float64")
 
     coef = solve_gram(G, C)                       # (K, n + P)
     fit = np.einsum("kt,kl,lt->t", coef, G, coef)

@@ -1,9 +1,19 @@
 """Dense numeric kernels: least squares and symmetric eigendecomposition.
 
-Problem sizes here are tiny (K and n at most a few dozen), so the solvers
-favor determinism and robustness over speed: normal equations through a
-Cholesky factorization with an explicit condition estimate, a QR fallback
-past cond(A) = 1e10, and a cyclic Jacobi iteration for eigenpairs.
+Every factorization is LAPACK through numpy. ``sym_eigen`` is ``eigh`` with a
+fixed order and sign convention. ``solve_least_squares`` factors A itself by
+Householder QR, so its accuracy follows cond(A). ``solve_gram`` serves the
+chunked regressions, where A is never materialized and only G = AᵀA and
+C = AᵀB are accumulated: it solves by Cholesky of G, which loses cond(A)²
+digits, and one eigendecomposition of G gives its rank check and its
+condition estimate.
+
+ConditioningWarning from ``solve_least_squares`` means cond(A) exceeds
+COND_THRESHOLD; the QR solution is still returned. From ``solve_gram`` it
+means the estimated cond(A) exceeds COND_THRESHOLD, or Cholesky broke down on
+rounding, and the solve took the eigendecomposition pseudo-inverse instead.
+Numerically singular systems raise RankDeficiencyError; empty or non-finite
+input raises DomainError.
 """
 
 from __future__ import annotations
@@ -25,95 +35,53 @@ COND_THRESHOLD = 1e10
 _SINGULAR_RATIO = 1e-30
 
 
-def sym_eigen(a, max_sweeps=60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _check_finite(X, what):
+    if X.size == 0:
+        raise DomainError(f"{what} is empty, shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DomainError(f"{what} has non-finite entries")
+
+
+def sym_eigen(a):
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (Q, w): orthogonal Q and eigenvalues w in descending order with
     a = Q diag(w) Q^T. Sign convention: the first entry of each eigenvector
     whose magnitude exceeds 1e-12 is made positive.
     """
-    A = np.array(a, dtype=np.float64)
+    A = np.asarray(a, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
+    _check_finite(A, "matrix")
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-10 * scale:
         raise NonSymmetricError(
             "matrix is not symmetric within 1e-10 relative tolerance")
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-    if n == 1:
-        return V, A[0, 0:1].copy()
-
-    fro = float(np.sqrt((A * A).sum()))
-    stop = 1e-15 * max(fro, 1e-300)
-    for _ in range(max_sweeps):
-        # summed directly: fro^2 - diag^2 cancels catastrophically near convergence
-        offdiag = A - np.diag(np.diag(A))
-        off = float(np.sqrt((offdiag * offdiag).sum()))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-36:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                # smaller-angle root, stable against theta overflow
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-
-    w = np.diag(A).copy()
+    w, V = np.linalg.eigh((A + A.T) / 2.0)
+    # stable on the negated values: tied eigenvalues keep LAPACK's order
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    for k in range(n):
-        col = V[:, k]
-        lead = np.flatnonzero(np.abs(col) > 1e-12)
-
-        if lead.size and col[lead[0]] < 0.0:
-            V[:, k] = -col
+    cols = np.arange(V.shape[1])
+    lead = np.argmax(np.abs(V) > 1e-12, axis=0)
+    V[:, V[lead, cols] < 0.0] *= -1.0
     return V, w
+
+
+def _back_substitute(U, Y):
+    """Solve U X = Y for upper-triangular U, bottom row first."""
+    X = np.empty_like(Y, dtype=np.float64)
+    for i in range(U.shape[0] - 1, -1, -1):
+        X[i] = (Y[i] - U[i, i + 1:] @ X[i + 1:]) / U[i, i]
+    return X
 
 
 def _cholesky_solve(G, C):
     L = np.linalg.cholesky(G)
-    K = G.shape[0]
     Y = np.empty_like(C, dtype=np.float64)
-    for i in range(K):
+    for i in range(G.shape[0]):
         Y[i] = (C[i] - L[i, :i] @ Y[:i]) / L[i, i]
-    X = np.empty_like(Y)
-    for i in range(K - 1, -1, -1):
-        X[i] = (Y[i] - L[i + 1:, i] @ X[i + 1:]) / L[i, i]
-    return X
-
-
-def _gram_cond(G):
-    _, w = sym_eigen(G)
-    wmax = float(w[0])
-    wmin = float(w[-1])
-    if wmax <= 0.0:
-        return np.inf, wmax, wmin
-    if wmin <= wmax * _SINGULAR_RATIO:
-        return np.inf, wmax, wmin
-    return float(np.sqrt(wmax / wmin)), wmax, wmin
+    return _back_substitute(L.T, Y)
 
 
 def solve_gram(G, C):
@@ -124,10 +92,14 @@ def solve_gram(G, C):
     """
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
-    cond, wmax, wmin = _gram_cond(G)
-    if not np.isfinite(cond):
+    _check_finite(C, "right-hand side")
+    Q, w = sym_eigen(G)
+    wmax = float(w[0])
+    wmin = float(w[-1])
+    if wmax <= 0.0 or wmin <= wmax * _SINGULAR_RATIO:
         raise RankDeficiencyError(
-            "normal equations are numerically singular", cond=cond)
+            "normal equations are numerically singular", cond=np.inf)
+    cond = float(np.sqrt(wmax / wmin))
     if cond <= COND_THRESHOLD:
         try:
             return _cholesky_solve(G, C)
@@ -137,31 +109,15 @@ def solve_gram(G, C):
         f"normal equations ill-conditioned (cond ~ {cond:.3e}); "
         "using eigendecomposition pseudo-inverse",
         ConditioningWarning, stacklevel=2)
-    Q, w = sym_eigen(G)
     return Q @ ((Q.T @ C).T / w).T
-
-
-def _qr_solve(A, B):
-    Q, R = np.linalg.qr(A, mode="reduced")
-    rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= rdiag.max() * 1e-13:
-        raise RankDeficiencyError(
-            "design matrix is rank deficient",
-            cond=np.inf if rdiag.min() == 0.0 else rdiag.max() / rdiag.min())
-    Y = Q.T @ B
-    K = R.shape[0]
-    X = np.empty_like(Y, dtype=np.float64)
-    for i in range(K - 1, -1, -1):
-        X[i] = (Y[i] - R[i, i + 1:] @ X[i + 1:]) / R[i, i]
-    return X
 
 
 def solve_least_squares(A, B):
     """Least-squares solution of A x = B for tall A (M >= K).
 
-    Solves the normal equations through Cholesky while cond(A) stays below
-    1e10; beyond that a ConditioningWarning is issued and a Householder QR
-    path takes over. Rank-deficient systems raise RankDeficiencyError with
+    Solves through a Householder QR of A, so accuracy follows cond(A), not
+    its square. A ConditioningWarning is issued when cond(A) exceeds
+    COND_THRESHOLD; rank-deficient systems raise RankDeficiencyError with
     the condition estimate attached.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -176,16 +132,19 @@ def solve_least_squares(A, B):
         raise DomainError(f"B has {B.shape[0]} rows, A has {M}")
     if M < K or K < 1:
         raise DomainError(f"need M >= K >= 1, got M={M}, K={K}")
+    _check_finite(A, "A")
+    _check_finite(B, "B")
 
-    G = A.T @ A
-    C = A.T @ B
-    cond, _, _ = _gram_cond(G)
-    if np.isfinite(cond) and cond <= COND_THRESHOLD:
-        X = _cholesky_solve(G, C)
-    else:
+    Q, R = np.linalg.qr(A, mode="reduced")
+    rdiag = np.abs(np.diag(R))
+    if rdiag.min() <= rdiag.max() * 1e-13:
+        raise RankDeficiencyError(
+            "design matrix is rank deficient",
+            cond=np.inf if rdiag.min() == 0.0 else rdiag.max() / rdiag.min())
+    cond = float(np.linalg.cond(R))
+    if cond > COND_THRESHOLD:
         warnings.warn(
-            f"least-squares system ill-conditioned (cond ~ {cond:.3e}); "
-            "falling back to QR",
+            f"least-squares system ill-conditioned (cond ~ {cond:.3e})",
             ConditioningWarning, stacklevel=2)
-        X = _qr_solve(A, B)
+    X = _back_substitute(R, Q.T @ B)
     return X[:, 0] if squeeze else X

@@ -188,6 +188,23 @@ class TestEstimateCommand:
                      "--est-config", _est_config(tmp_path),
                      "--report", str(tmp_path / "r.json")]) == 3
 
+    # tiny-h: targets ~1e159, so the sum of their squares is inf;
+    # huge-z: x1^2 = 1e200, so the Gram sum of x1^4 is inf
+    @pytest.mark.parametrize("h,big_rows", [(1e-160, []), (0.001, [10, 200, 390])],
+                             ids=["tiny-h", "huge-z"])
+    def test_overflowing_sums_exit_5(self, tmp_path, capsys, h, big_rows):
+        Y = sample_stable(1.0, 0.0, 1.0, 400, RandomStream.from_seed(77))
+        Z = np.linspace(-1.0, 1.0, 400)[:, None]
+        Z[big_rows] = 1e100
+        path = tmp_path / "pairs.bin"
+        write_dataset(DatasetPair.from_arrays(Z, Z + Y[:, None], h), path, "bin")
+        report = tmp_path / "r.json"
+        assert main(["estimate", str(path),
+                     "--est-config", _est_config(tmp_path, dictionary="poly:2"),
+                     "--report", str(report)]) == 5
+        assert "error category=numeric" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestPlotDataCommand:
     def _handmade_report(self, tmp_path):

@@ -78,6 +78,29 @@ class TestSolveLeastSquares:
         with pytest.raises(DomainError):
             solve_least_squares(np.ones((4, 2)), np.ones(5))
 
+    @pytest.mark.parametrize("A,B", [
+        (np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 2.0]]), np.ones(3)),
+        (np.eye(3, 2), np.array([1.0, np.inf, 0.0])),
+        (np.eye(3, 2), np.ones((3, 0))),
+    ], ids=["nan-in-A", "inf-in-B", "no-right-hand-side"])
+    def test_nonfinite_or_empty_rejected(self, A, B):
+        with pytest.raises(DomainError):
+            solve_least_squares(A, B)
+
+    @pytest.mark.parametrize("c", [1e7, 1e8], ids=["cond-1e7", "cond-1e8"])
+    def test_accuracy_follows_cond_a(self, c):
+        # normal equations lose cond(A)^2 digits here: relative error
+        # 4e-3 at cond 1e7 and 0.7 at cond 1e8
+        rng = np.random.default_rng(int(np.log10(c)))
+        U, _ = np.linalg.qr(rng.standard_normal((400, 6)))
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = U @ np.diag(np.geomspace(1.0, 1.0 / c, 6)) @ V.T
+        x_true = rng.standard_normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            x = solve_least_squares(A, A @ x_true)
+        assert np.linalg.norm(x - x_true) <= 1e-6 * np.linalg.norm(x_true)
+
 
 class TestSolveGram:
     def test_matches_materialized_path(self):
@@ -101,6 +124,15 @@ class TestSolveGram:
         with pytest.warns(ConditioningWarning):
             x = solve_gram(G, C)
         np.testing.assert_allclose(G @ x, C, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("G,C", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),
+        (np.eye(2), np.array([1.0, np.inf])),
+        (np.zeros((0, 0)), np.zeros(0)),
+    ], ids=["nan-in-G", "inf-in-C", "empty"])
+    def test_nonfinite_or_empty_rejected(self, G, C):
+        with pytest.raises(DomainError):
+            solve_gram(G, C)
 
 
 class TestSymEigen:
@@ -152,6 +184,41 @@ class TestSymEigen:
     def test_nonsquare_rejected(self):
         with pytest.raises(Exception):
             sym_eigen(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[np.nan]]),
+        np.zeros((0, 0)),
+    ], ids=["inf", "nan", "empty"])
+    def test_nonfinite_or_empty_rejected(self, a):
+        with pytest.raises(DomainError):
+            sym_eigen(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_householder_closed_form(self, n):
+        # H = I - 2vv^T/v^Tv is symmetric and orthogonal, so H diag(w) H has
+        # eigenvalue w[k] with eigenvector H[:, k]
+        rng = np.random.default_rng(300 + n)
+        v = rng.standard_normal(n)
+        H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+        w = np.linspace(3.0, -2.0, n)
+        Q, w_hat = sym_eigen(H @ np.diag(w) @ H)
+        np.testing.assert_allclose(w_hat, w, rtol=0, atol=1e-13)
+        for k in range(n):
+            ref = H[:, k]
+            if ref[np.flatnonzero(np.abs(ref) > 1e-12)[0]] < 0.0:
+                ref = -ref
+            np.testing.assert_allclose(Q[:, k], ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_sign_convention(self, n):
+        rng = np.random.default_rng(400 + n)
+        for trial in range(20):
+            A = rng.standard_normal((n, n))
+            Q, _ = sym_eigen(A + A.T)
+            for k in range(n):
+                col = Q[:, k]
+                assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0.0
 
     def test_tiny_asymmetry_tolerated(self):
         A = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
