@@ -39,8 +39,6 @@ from .estimate import (
     bin_counts,
     component_increments,
     cube_filter,
-    diffusion_regression,
-    drift_regression,
     estimate_alpha,
     estimate_beta,
     estimate_levy,

@@ -24,13 +24,7 @@ from .basis import (
     example2_dictionary,
     polynomial_dictionary,
 )
-from .dataio import (
-    default_format,
-    read_dataset,
-    read_report,
-    write_dataset,
-    write_report,
-)
+from .dataio import read_dataset, read_report, write_dataset, write_report
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -135,8 +129,8 @@ def _estimate_all(data, config, dictionary):
     return levy, fraction, table, caught
 
 
-def build_report(data, est_doc, config, dict_spec, dictionary, levy, fraction,
-                 table, warning_messages, seed=None):
+def build_report(data, config, dict_spec, dictionary, levy, fraction, table,
+                 warning_messages, seed=None):
     report = {
         "format": "levy-sid-report v1",
         "dataset": {"n": data.n, "M": data.M, "h": data.h},
@@ -181,6 +175,12 @@ def build_report(data, est_doc, config, dict_spec, dictionary, levy, fraction,
     return report
 
 
+def _print_levy(levy):
+    for e in levy:
+        print(f"component {e.component}: alpha={e.alpha:.4f} "
+              f"beta={e.beta:.4f} sigma={e.sigma:.4f}")
+
+
 def cmd_simulate(args):
     cfg = resolve_config(_load_json(args.config, "model config"))
     model = model_from_config(cfg)
@@ -190,28 +190,25 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
     dt = time.perf_counter() - t0
-    fmt = args.format or default_format(data.M)
-    write_dataset(data, args.out, fmt)
+    write_dataset(data, args.out, args.format)
     rate = data.M / dt if dt > 0 else float("inf")
     print(f"simulated M={data.M} n={data.n} h={data.h} "
-          f"({fmt}, {dt:.2f}s, {rate:.0f} rows/s)")
+          f"({args.format}, {dt:.2f}s, {rate:.0f} rows/s)")
     return 0
 
 
 def cmd_estimate(args):
     data = read_dataset(args.data)
-    est_doc = _load_json(args.est_config, "estimation config")
-    config, dict_spec = load_est_config(est_doc)
+    config, dict_spec = load_est_config(
+        _load_json(args.est_config, "estimation config"))
     dictionary = build_dictionary(dict_spec, data.n)
     t0 = time.perf_counter()
     levy, fraction, table, caught = _estimate_all(data, config, dictionary)
     dt = time.perf_counter() - t0
-    report = build_report(data, est_doc, config, dict_spec, dictionary, levy,
-                          fraction, table, caught, seed=args.seed)
+    report = build_report(data, config, dict_spec, dictionary, levy, fraction,
+                          table, caught, seed=args.seed)
     write_report(report, args.report)
-    for e in levy:
-        print(f"component {e.component}: alpha={e.alpha:.4f} "
-              f"beta={e.beta:.4f} sigma={e.sigma:.4f}")
+    _print_levy(levy)
     print(f"survival fraction {fraction:.6f}; estimated in {dt:.2f}s")
     return 0
 
@@ -352,23 +349,21 @@ def cmd_pipeline(args):
     model = model_from_config(cfg)
     bounds, mesh = _require_grid(cfg)
     h = _require_h(cfg)
-    est_doc = _load_json(args.est_config, "estimation config")
-    config, dict_spec = load_est_config(est_doc)
+    config, dict_spec = load_est_config(
+        _load_json(args.est_config, "estimation config"))
     dictionary = build_dictionary(dict_spec, model.n)
 
     t0 = time.perf_counter()
     Z = generate_grid(bounds, mesh)
     data = simulate_pairs(model, Z, h, args.seed)
     t_sim = time.perf_counter() - t0
-    fmt = args.format or default_format(data.M)
-    data_path = workdir / f"dataset.{fmt}"
-    write_dataset(data, data_path, fmt)
+    write_dataset(data, workdir / f"dataset.{args.format}", args.format)
 
     t1 = time.perf_counter()
     levy, fraction, table, caught = _estimate_all(data, config, dictionary)
     t_est = time.perf_counter() - t1
-    report = build_report(data, est_doc, config, dict_spec, dictionary, levy,
-                          fraction, table, caught, seed=args.seed)
+    report = build_report(data, config, dict_spec, dictionary, levy, fraction,
+                          table, caught, seed=args.seed)
     report_path = workdir / "report.json"
     write_report(report, report_path)
 
@@ -385,9 +380,7 @@ def cmd_pipeline(args):
             xs, A @ table.diffusion[(i, i)],
             _true_values(model, "diffusion", (i, i), pts)))
 
-    for e in levy:
-        print(f"component {e.component}: alpha={e.alpha:.4f} "
-              f"beta={e.beta:.4f} sigma={e.sigma:.4f}")
+    _print_levy(levy)
     print(f"pipeline done: simulate {t_sim:.2f}s, estimate {t_est:.2f}s, "
           f"artifacts in {workdir}")
     return 0
@@ -425,8 +418,8 @@ def make_parser():
     p.add_argument("--config", required=True, help="model config JSON path")
     p.add_argument("--out", required=True, help="dataset output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "bin"), default=None,
-                   help="dataset encoding (default: bin for large M, else csv)")
+    p.add_argument("--format", choices=("csv", "bin"), default="bin",
+                   help="dataset encoding (default: bin)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="identify noise, drift and diffusion")
@@ -455,7 +448,8 @@ def make_parser():
     p.add_argument("--est-config", required=True)
     p.add_argument("--workdir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "bin"), default=None)
+    p.add_argument("--format", choices=("csv", "bin"), default="bin",
+                   help="dataset encoding (default: bin)")
     p.set_defaults(fn=cmd_pipeline)
     return parser
 

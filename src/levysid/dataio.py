@@ -32,14 +32,6 @@ _BINARY_HEADER_BYTES = len(MAGIC) + _BINARY_HEADER.size
 _HEADER_RE = re.compile(
     r"#levy-sid-pairs v1 n=(\d+) M=(\d+) h=([^\s]+)\s*$")
 
-# above this row count `simulate` and `pipeline` switch to binary by default
-BINARY_DEFAULT_ROWS = 2_000_000
-
-
-def default_format(M):
-    return "bin" if M >= BINARY_DEFAULT_ROWS else "csv"
-
-
 def _header_line(data):
     return f"#levy-sid-pairs v1 n={data.n} M={data.M} h={data.h!r}\n"
 
@@ -55,7 +47,7 @@ def _binary_block(block):
     return block.astype("<f8", copy=False)
 
 
-def write_dataset(data, path, fmt="csv"):
+def write_dataset(data, path, fmt="bin"):
     """Write a DatasetPair to ``path`` as 'csv' or 'bin'.
 
     Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer

@@ -14,7 +14,6 @@ results are identical for any worker count.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     NumericError,
 )
 from .numeric import solve_gram, sym_eigen
-from .simulate import CHUNK_ROWS, DatasetPair, worker_count
+from .simulate import DatasetPair, map_chunks
 from .stable import StableParams, correction_R, correction_S, k_alpha
 
 ALPHA_CLAMP = 1e-9  # estimates are clamped into [ALPHA_CLAMP, 2 - ALPHA_CLAMP]
@@ -64,7 +63,11 @@ class EstimationConfig:
 @dataclass(frozen=True, eq=False)
 class BinCounts:
     """Counts per logarithmic bin: pos[k] over [m^k e, m^{k+1} e), neg[k]
-    over [-m^{k+1} e, -m^k e), k = 0..N; M is the full sample size."""
+    over [-m^{k+1} e, -m^k e), k = 0..N; M is the full sample size.
+
+    Every bin is closed at its left end on the real line, so an edge value
+    m^k e counts in pos[k] but -m^k e counts in neg[k-1] (none for k = 0).
+    """
 
     pos: np.ndarray
     neg: np.ndarray
@@ -109,8 +112,13 @@ def component_increments(data, i):
 def bin_counts(Y, config, h=None):
     """Exact counts of Y in the two-sided logarithmic bins of ``config``.
 
-    Values with |y| < epsilon or |y| >= m^{N+1} epsilon fall outside every
-    bin and are ignored. ``h`` is carried through for estimate_sigma.
+    With edges e_k = m^k epsilon, pos[k] counts y in [e_k, e_{k+1}) and
+    neg[k] counts y in [-e_{k+1}, -e_k), k = 0..N. The two sides differ at
+    the edges: y = epsilon counts in pos[0] but y = -epsilon in no bin,
+    y = -e_{N+1} counts in neg[N] but y = e_{N+1} in no bin, and an inner
+    edge e_k counts in pos[k] but -e_k in neg[k-1]. All other y with
+    |y| < epsilon or |y| > e_{N+1} are ignored. ``h`` is carried through
+    for estimate_sigma.
     """
     Y = np.asarray(Y, dtype=np.float64)
     edges = config.epsilon * config.m ** np.arange(config.N + 2, dtype=np.float64)
@@ -309,8 +317,7 @@ def regression_tables(data, fraction, dictionary, levy, config):
     S_pair = np.array([S[i] if i == j else 0.0 for (i, j) in pairs])
     scale = fraction / data.h
 
-    def chunk_part(start):
-        stop = min(start + CHUNK_ROWS, data.M)
+    def chunk_part(start, stop):
         Zc = data.Z[start:stop]
         D = data.X[start:stop] - Zc
         A = design_matrix(dictionary, Zc)
@@ -320,13 +327,7 @@ def regression_tables(data, fraction, dictionary, levy, config):
             B[:, n + col] = scale * D[:, i] * D[:, j] - S_pair[col]
         return A.T @ A, A.T @ B, (B * B).sum(axis=0)
 
-    starts = list(range(0, data.M, CHUNK_ROWS))
-    workers = worker_count()
-    if workers <= 1 or len(starts) <= 1:
-        parts = [chunk_part(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_part, starts))
+    parts = map_chunks(chunk_part, data.M)
 
     # fixed-order pairwise reduction keeps sums bit-stable across worker counts
     G = np.sum(np.stack([p[0] for p in parts]), axis=0)
@@ -351,25 +352,6 @@ def regression_tables(data, fraction, dictionary, levy, config):
         diff_res[(i + 1, j + 1)] = float(res[n + col])
     return CoefficientTable(dictionary, fraction, drift, diffusion,
                             res[:n].copy(), diff_res)
-
-
-def drift_regression(data, fraction, dictionary, levy, config):
-    """Least-squares drift coefficients; returns an (n, K) array of c_i rows.
-
-    Runs the full joint regression of ``regression_tables``; call that once
-    when both the drift and the diffusion tables are wanted.
-    """
-    return regression_tables(data, fraction, dictionary, levy, config).drift
-
-
-def diffusion_regression(data, fraction, dictionary, levy, config):
-    """Least-squares diffusion coefficients for i <= j; returns a dict keyed
-    by 1-based (i, j).
-
-    Runs the full joint regression of ``regression_tables``; call that once
-    when both the drift and the diffusion tables are wanted.
-    """
-    return regression_tables(data, fraction, dictionary, levy, config).diffusion
 
 
 def factor_diffusion(a, tolerance):

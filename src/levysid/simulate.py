@@ -112,19 +112,26 @@ def _noise(model, keys, h):
     return gauss, jumps
 
 
-def _step_block(model, Z_block, h, base_key, row0, out):
-    """One Euler step for a contiguous block of rows; writes into out."""
+def _step_block(model, Z_block, h, keys, out, row0=None):
+    """One Euler step for a block of rows whose streams have the given keys.
+
+    Writes the new states into ``out`` and raises SimulationError if a
+    coefficient cannot be evaluated or a state is not finite. ``row0``, the
+    dataset index of the block's first row, only locates those errors.
+    """
     m, n = Z_block.shape
     try:
         drift = model.drift_at(Z_block)
         lam = model.gaussian_at(Z_block)
     except EvaluationDomainError as exc:
-        raise SimulationError(
-            f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: {exc}",
-            row=row0) from exc
+        where = "" if row0 is None else f" on rows {row0}..{row0 + m - 1}"
+        raise SimulationError(f"coefficient evaluation failed{where}: {exc}",
+                              row=row0) from exc
 
-    gauss, jump_term = _noise(model, row_keys(base_key, row0, m), h)
+    gauss, jump_term = _noise(model, keys, h)
 
+    # n == 1 stays off einsum, whose sums can differ in the sign of a zero;
+    # datasets must stay bit-identical
     if n == 1:
         gpart = lam[:, 0, 0] * gauss[:, 0]
         out[:, 0] = Z_block[:, 0] + drift[:, 0] * h + np.sqrt(h) * gpart
@@ -133,36 +140,47 @@ def _step_block(model, Z_block, h, base_key, row0, out):
         out[:] = Z_block + drift * h + np.sqrt(h) * gpart
     out += jump_term
 
+    if not np.all(np.isfinite(out)):
+        r, c = (int(v) for v in np.argwhere(~np.isfinite(out))[0])
+        row = None if row0 is None else row0 + r
+        where = "" if row is None else f" at row {row}"
+        raise SimulationError(f"non-finite state{where}, component {c + 1}",
+                              row=row, component=c + 1)
+
 
 def euler_pair_step(model, z, h, stream):
     """Single Euler step from one point using an explicit row stream.
 
-    Equivalent to the row's result inside simulate_pairs when given that
-    row's substream: both read it through the same per-row counter layout.
+    Runs the batch step of simulate_pairs on a one-row block, so given a
+    row's substream it returns that row's result bit for bit.
     """
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if z.shape[1] != model.n:
         raise DomainError(f"z must have length {model.n}, got {z.shape[1]}")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    try:
-        drift = model.drift_at(z)[0]
-        lam = model.gaussian_at(z)[0]
-    except EvaluationDomainError as exc:
-        raise SimulationError(f"coefficient evaluation failed: {exc}") from exc
-
     if not isinstance(stream, RandomStream):
         raise DomainError("stream must be a RandomStream")
-    gauss, jump_term = _noise(model, np.array([stream.key], dtype=np.uint64), h)
-    x = z[0] + drift * h + np.sqrt(h) * (lam @ gauss[0])
-    if model.levy is not None:
-        x += jump_term[0]
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise SimulationError(
-            f"non-finite state after Euler step in component {bad + 1}",
-            component=bad + 1)
-    return x
+    x = np.empty_like(z)
+    _step_block(model, z, h, np.array([stream.key], dtype=np.uint64), x)
+    return x[0]
+
+
+def map_chunks(fn, M):
+    """``[fn(start, stop) for each CHUNK_ROWS block of range(M)]``, in block
+    order.
+
+    With more than one block the calls run on ``worker_count()`` threads.
+    The blocks do not depend on the worker count, so neither do the results.
+    """
+    starts = range(0, M, CHUNK_ROWS)
+    stops = [min(start + CHUNK_ROWS, M) for start in starts]
+    workers = worker_count()
+    if workers <= 1 or len(starts) <= 1:
+        return list(map(fn, starts, stops))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # list() drains the iterator so worker exceptions surface here
+        return list(pool.map(fn, starts, stops))
 
 
 def simulate_pairs(model, Z, h, seed):
@@ -187,26 +205,11 @@ def simulate_pairs(model, Z, h, seed):
     base_key = stream_key(int(seed), 0)
     X = np.empty_like(Z)
 
-    def run_chunk(start):
-        stop = min(start + CHUNK_ROWS, M)
-        _step_block(model, Z[start:stop], h, base_key, start, X[start:stop])
-        block = X[start:stop]
-        if not np.all(np.isfinite(block)):
-            r, c = np.argwhere(~np.isfinite(block))[0]
-            raise SimulationError(
-                f"non-finite state at row {start + int(r)}, component {int(c) + 1}",
-                row=start + int(r), component=int(c) + 1)
+    def run_chunk(start, stop):
+        _step_block(model, Z[start:stop], h, row_keys(base_key, start, stop - start),
+                    X[start:stop], row0=start)
 
-    starts = range(0, M, CHUNK_ROWS)
-    workers = worker_count()
-    if workers <= 1 or len(starts) <= 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() drains the iterator so worker exceptions surface here
-            list(pool.map(run_chunk, starts))
-
+    map_chunks(run_chunk, M)
     return DatasetPair(model.n, M, float(h), Z, X)
 
 

@@ -103,6 +103,13 @@ class TestSimulateCommand:
         assert out.read_bytes()[:4] == b"LSID"
         assert read_dataset(out).M == 125
 
+    def test_binary_is_default_at_small_m(self, tmp_path):
+        cfg = _small_lorenz(tmp_path, mesh=5)
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes()[:4] == b"LSID"
+        assert read_dataset(out).M == 125
+
     def test_malformed_expression_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "model.json", {
             "dimension": 1, "drift": ["x1 + * 2"], "gaussian": None,
@@ -326,7 +333,7 @@ class TestPipelineCommand:
     def test_artifacts_present(self, tmp_path, capsys):
         workdir = tmp_path / "run"
         assert self._run(tmp_path, workdir) == 0
-        assert (workdir / "dataset.csv").exists()
+        assert (workdir / "dataset.bin").exists()
         report = read_report(workdir / "report.json")
         assert report["seed"] == 5
         assert len(report["levy"]) == 1
@@ -344,8 +351,8 @@ class TestPipelineCommand:
         w2 = tmp_path / "run2"
         assert self._run(tmp_path, w1) == 0
         assert self._run(tmp_path, w2) == 0
-        assert (w1 / "dataset.csv").read_bytes() == (
-            w2 / "dataset.csv").read_bytes()
+        assert (w1 / "dataset.bin").read_bytes() == (
+            w2 / "dataset.bin").read_bytes()
         assert (w1 / "report.json").read_bytes() == (
             w2 / "report.json").read_bytes()
 

@@ -16,7 +16,7 @@ from levysid import (
     write_dataset,
     write_report,
 )
-from levysid.dataio import canonical_json, default_format
+from levysid.dataio import canonical_json
 from levysid.simulate import CHUNK_ROWS
 
 
@@ -176,11 +176,6 @@ class TestRoundTripProperty:
 
 
 class TestDefaultFormat:
-    def test_threshold(self):
-        assert default_format(1000) == "csv"
-        assert default_format(2_000_000) == "bin"
-        assert default_format(10_000_000) == "bin"
-
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             write_dataset(_sample_pair(M=2, n=1), tmp_path / "x", "xml")

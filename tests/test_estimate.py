@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import levysid.simulate
 from levysid import (
     BinCounts,
     DomainError,
@@ -18,8 +19,6 @@ from levysid import (
     cube_filter,
     DatasetPair,
     design_matrix,
-    diffusion_regression,
-    drift_regression,
     estimate_alpha,
     estimate_beta,
     estimate_levy,
@@ -96,6 +95,21 @@ class TestBinCounts:
         counts = bin_counts(np.array([25.0, -25.0]), _config())
         assert counts.pos.sum() == 0
         np.testing.assert_array_equal(counts.neg, [0, 1])
+
+    # epsilon=1, m=5, N=2: edges 1, 5, 25, 125; every bin is closed at its
+    # left end on the real line, so the two sides differ at each edge
+    @pytest.mark.parametrize("y, pos, neg", [
+        (-1.0, [0, 0, 0], [0, 0, 0]),
+        (1.0, [1, 0, 0], [0, 0, 0]),
+        (-125.0, [0, 0, 0], [0, 0, 1]),
+        (125.0, [0, 0, 0], [0, 0, 0]),
+        (5.0, [0, 1, 0], [0, 0, 0]),
+        (-5.0, [0, 0, 0], [1, 0, 0]),
+    ])
+    def test_edge_points(self, y, pos, neg):
+        counts = bin_counts(np.array([y]), _config(N=2))
+        np.testing.assert_array_equal(counts.pos, pos)
+        np.testing.assert_array_equal(counts.neg, neg)
 
     def test_carries_M_and_h(self):
         counts = bin_counts(np.array([1.5, 2.0]), _config(), h=0.25)
@@ -355,25 +369,8 @@ class TestRegressionOracle:
                 np.testing.assert_allclose(table.diffusion[(i, j)], d_ref,
                                            rtol=1e-8, atol=1e-10)
 
-    def test_wrapper_functions_agree_with_table(self):
-        rng = np.random.default_rng(11)
-        dictionary = polynomial_dictionary(1, 2)
-        Z = rng.uniform(0, 5, (300, 1))
-        X = Z + 0.02 * rng.standard_normal((300, 1))
-        data = DatasetPair.from_arrays(Z, X, 0.001)
-        levy = [StableParams(1.5, -0.5, 0.5)]
-        config = _config()
-        table = regression_tables(data, 1.0, dictionary, levy, config)
-        drift = drift_regression(data, 1.0, dictionary, levy, config)
-        diffusion = diffusion_regression(data, 1.0, dictionary, levy, config)
-        np.testing.assert_array_equal(drift, table.drift)
-        np.testing.assert_array_equal(diffusion[(1, 1)],
-                                      table.diffusion[(1, 1)])
-
-    def test_chunked_path_matches_single_chunk(self):
+    def test_chunked_path_matches_single_chunk(self, monkeypatch):
         # force multiple accumulation chunks and compare against one pass
-        from levysid import estimate as est_mod
-
         rng = np.random.default_rng(12)
         dictionary = polynomial_dictionary(1, 2)
         Z = rng.uniform(0, 5, (3000, 1))
@@ -381,12 +378,8 @@ class TestRegressionOracle:
         data = DatasetPair.from_arrays(Z, X, 0.001)
         config = _config()
         table_one = regression_tables(data, 1.0, dictionary, None, config)
-        original = est_mod.CHUNK_ROWS
-        try:
-            est_mod.CHUNK_ROWS = 256
-            table_many = regression_tables(data, 1.0, dictionary, None, config)
-        finally:
-            est_mod.CHUNK_ROWS = original
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 256)
+        table_many = regression_tables(data, 1.0, dictionary, None, config)
         np.testing.assert_allclose(table_many.drift, table_one.drift,
                                    rtol=1e-12, atol=1e-14)
 

@@ -17,8 +17,9 @@ from levysid import (
     simulate_pairs,
 )
 import levysid.rng
+import levysid.simulate
 from levysid.rng import stream_key
-from levysid.simulate import row_stream_key
+from levysid.simulate import map_chunks, row_stream_key
 
 from oracles import ks_two_sample, row_noise_oracle
 
@@ -143,6 +144,8 @@ class TestDeterminism:
     def test_worker_count_invariance(self, workers, monkeypatch):
         model = builtin_model("lorenz3d")
         Z = generate_grid([[-2, 2]] * 3, [9, 9, 9])
+        # 729 rows in 100-row blocks, so workers 2 and 5 start the pool
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
         monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
         base = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
@@ -162,17 +165,28 @@ class TestDeterminism:
         np.testing.assert_array_equal(d1.X[:500], d2.X[:500])
 
 
+class TestMapChunks:
+    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    def test_blocks_in_order_cover_range(self, workers, monkeypatch):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        blocks = map_chunks(lambda start, stop: (start, stop), 50)
+        assert blocks == [(s, min(s + 7, 50)) for s in range(0, 50, 7)]
+        covered = [r for start, stop in blocks for r in range(start, stop)]
+        assert covered == list(range(50))
+
+
 class TestSingleStepMatchesBatch:
     def test_rows_agree(self):
         model = builtin_model("lorenz3d")
-        Z = generate_grid([[-2, 2]] * 3, [5, 5, 5])
+        Z = generate_grid([[-2, 2]] * 3, [20, 20, 20])
         h = 0.001
         seed = 13
         data = simulate_pairs(model, Z, h, seed)
-        for row in (0, 1, 17, 63, 124):
-            stream = RandomStream(row_stream_key(seed, row))
-            x = euler_pair_step(model, Z[row], h, stream)
-            np.testing.assert_allclose(x, data.X[row], rtol=1e-12, atol=1e-14)
+        X = np.array([euler_pair_step(model, Z[row], h,
+                                      RandomStream(row_stream_key(seed, row)))
+                      for row in range(Z.shape[0])])
+        np.testing.assert_array_equal(X, data.X)
 
 
 class TestNoiseDistributions:
