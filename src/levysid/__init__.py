@@ -46,7 +46,7 @@ from .estimate import (
     factor_diffusion,
     regression_tables,
 )
-from .dataio import read_dataset, read_report, write_dataset, write_report
+from .dataio import DatasetFile, read_dataset, read_report, write_dataset, write_report
 from .expr import ExpressionTree, evaluate, evaluate_block, parse_expression, print_expression
 from .models import SdeModel, builtin_config, builtin_model, model_from_config, resolve_config
 from .numeric import solve_least_squares, sym_eigen

@@ -190,10 +190,11 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
     dt = time.perf_counter() - t0
-    write_dataset(data, args.out, args.format)
+    fmt = args.format or ("csv" if Path(args.out).suffix == ".csv" else "bin")
+    write_dataset(data, args.out, fmt)
     rate = data.M / dt if dt > 0 else float("inf")
     print(f"simulated M={data.M} n={data.n} h={data.h} "
-          f"({args.format}, {dt:.2f}s, {rate:.0f} rows/s)")
+          f"({fmt}, {dt:.2f}s, {rate:.0f} rows/s)")
     return 0
 
 
@@ -418,8 +419,9 @@ def make_parser():
     p.add_argument("--config", required=True, help="model config JSON path")
     p.add_argument("--out", required=True, help="dataset output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "bin"), default="bin",
-                   help="dataset encoding (default: bin)")
+    p.add_argument("--format", choices=("csv", "bin"), default=None,
+                   help="dataset encoding (default: csv if --out ends in "
+                        ".csv, else bin)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="identify noise, drift and diffusion")

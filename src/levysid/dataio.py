@@ -9,6 +9,10 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
   the 25-byte header plus M*2n*8 payload bytes; a short file and trailing
   bytes are both rejected.
 
+A text file is read into a DatasetPair. A binary file is read as a
+DatasetFile, which reads its rows from the file one block at a time, so the
+estimators never hold the whole payload.
+
 Reports are JSON with sorted keys and two-space indentation, so a report
 read back and re-serialized is byte-identical.
 """
@@ -19,11 +23,12 @@ import json
 import os
 import re
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, DomainError
-from .simulate import CHUNK_ROWS, DatasetPair
+from .simulate import CHUNK_ROWS, DatasetPair, map_chunks
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -68,6 +73,51 @@ def write_dataset(data, path, fmt="bin"):
             fh.write(encode(np.hstack([data.Z[start:stop], data.X[start:stop]])))
 
 
+@dataclass(frozen=True)
+class DatasetFile:
+    """A binary dataset file, read one block of rows at a time.
+
+    A row-block source like DatasetPair: the estimators read it only through
+    ``rows``. ``read_dataset`` builds it after checking the header, the file
+    size and every entry.
+    """
+
+    path: str
+    n: int
+    M: int
+    h: float
+
+    def rows(self, start, stop):
+        """Z and X of rows start..stop-1, read into a buffer of their own.
+
+        Every call checks its rows again: a non-finite entry, or a file that
+        has shrunk since read_dataset checked it, raises DataFormatError.
+        """
+        block = np.empty((stop - start, 2 * self.n), dtype="<f8")
+        with open(self.path, "rb") as fh:
+            fh.seek(_BINARY_HEADER_BYTES + 16 * self.n * start)
+            # a buffered readinto reads until the block is full or EOF
+            if fh.readinto(block) < block.nbytes:
+                raise DataFormatError(
+                    f"{self.path}: file ends inside rows {start}..{stop - 1}")
+        if not np.isfinite(block).all():
+            raise DataFormatError(
+                f"{self.path}: dataset entries must all be finite; "
+                f"rows {start}..{stop - 1} hold a non-finite value")
+        return block[:, :self.n], block[:, self.n:]
+
+    def load(self):
+        """Every row in memory as a DatasetPair: 2 M n floats."""
+        Z = np.empty((self.M, self.n))
+        X = np.empty((self.M, self.n))
+
+        def fill(start, stop):
+            Z[start:stop], X[start:stop] = self.rows(start, stop)
+
+        map_chunks(fill, self.M)
+        return DatasetPair(self.n, self.M, self.h, Z, X)
+
+
 def _read_binary(path):
     with open(path, "rb") as fh:
         head = fh.read(_BINARY_HEADER_BYTES)
@@ -79,6 +129,8 @@ def _read_binary(path):
                 f"{path}: unsupported binary version {version}")
         if n < 1 or M < 1:
             raise DataFormatError(f"{path}: invalid dimensions n={n}, M={M}")
+        if not h > 0.0:
+            raise DataFormatError(f"{path}: h must be positive, got {h}")
         count = M * 2 * n
         size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER_BYTES
         if size < count * 8:
@@ -88,12 +140,13 @@ def _read_binary(path):
             raise DataFormatError(
                 f"{path}: found {size - count * 8} trailing bytes after "
                 f"the {count} payload values")
-        payload = np.fromfile(fh, dtype="<f8", count=count)
-    rows = payload.reshape(M, 2 * n)
-    try:
-        return DatasetPair.from_arrays(rows[:, :n], rows[:, n:], h)
-    except DomainError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    source = DatasetFile(os.fspath(path), n, M, h)
+
+    def check(start, stop):
+        source.rows(start, stop)
+
+    map_chunks(check, M)
+    return source
 
 
 def _read_csv(path):
@@ -126,7 +179,11 @@ def _read_csv(path):
 
 
 def read_dataset(path):
-    """Read a dataset file, sniffing the binary magic to pick the decoder."""
+    """Read a dataset file, sniffing the binary magic to pick the decoder.
+
+    Returns a DatasetFile for a binary file and a DatasetPair for a text
+    file. Either way every entry has been checked to be finite.
+    """
     try:
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -134,7 +191,11 @@ def read_dataset(path):
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     if magic == MAGIC:
         return _read_binary(path)
-    return _read_csv(path)
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: neither a binary dataset nor ASCII text: {exc}") from exc
 
 
 def canonical_json(obj):

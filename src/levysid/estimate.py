@@ -103,10 +103,11 @@ class LevyEstimate:
 
 
 def component_increments(data, i):
-    """Increment set Y_i = X[:, i] - Z[:, i]; i is 1-based."""
+    """Increment set Y_i = X[:, i] - Z[:, i] of all M rows; i is 1-based."""
     if not 1 <= i <= data.n:
         raise DomainError(f"component must be in 1..{data.n}, got {i}")
-    return data.X[:, i - 1] - data.Z[:, i - 1]
+    Z, X = data.rows(0, data.M)
+    return X[:, i - 1] - Z[:, i - 1]
 
 
 def bin_counts(Y, config, h=None):
@@ -122,12 +123,14 @@ def bin_counts(Y, config, h=None):
     """
     Y = np.asarray(Y, dtype=np.float64)
     edges = config.epsilon * config.m ** np.arange(config.N + 2, dtype=np.float64)
+    # every binned y has |y| >= epsilon; the bins are counted on that tail
+    tail = Y[np.abs(Y) >= edges[0]]
     pos = np.empty(config.N + 1, dtype=np.int64)
     neg = np.empty(config.N + 1, dtype=np.int64)
     for k in range(config.N + 1):
         lo, hi = edges[k], edges[k + 1]
-        pos[k] = int(np.count_nonzero((Y >= lo) & (Y < hi)))
-        neg[k] = int(np.count_nonzero((Y >= -hi) & (Y < -lo)))
+        pos[k] = int(np.count_nonzero((tail >= lo) & (tail < hi)))
+        neg[k] = int(np.count_nonzero((tail >= -hi) & (tail < -lo)))
     return BinCounts(pos, neg, int(Y.size), None if h is None else float(h))
 
 
@@ -210,31 +213,72 @@ def estimate_sigma(counts, alpha_hat, config):
 
 
 def estimate_levy(data, config):
-    """Identify (alpha, beta, sigma) for every component of a DatasetPair."""
+    """Identify (alpha, beta, sigma) for every component of a dataset.
+
+    ``data`` is a row-block source (DatasetPair or DatasetFile). Each
+    component's bin counts are summed over its CHUNK_ROWS blocks; integer
+    sums do not depend on the order, so neither does the result.
+    """
+    def block_counts(start, stop):
+        Z, X = data.rows(start, stop)
+        D = X - Z
+        return [bin_counts(D[:, i], config) for i in range(data.n)]
+
+    parts = map_chunks(block_counts, data.M)
     out = []
-    for i in range(1, data.n + 1):
-        counts = bin_counts(component_increments(data, i), config, h=data.h)
+    for i in range(data.n):
+        pos = np.sum([p[i].pos for p in parts], axis=0)
+        neg = np.sum([p[i].neg for p in parts], axis=0)
+        counts = BinCounts(pos, neg, data.M, data.h)
         alpha = estimate_alpha(counts, config)
         beta = estimate_beta(counts)
         sigma = estimate_sigma(counts, alpha, config)
-        out.append(LevyEstimate(i, alpha, beta, sigma, counts))
+        out.append(LevyEstimate(i + 1, alpha, beta, sigma, counts))
     return out
+
+
+def _cube_mask(Z, X, half_width):
+    """max_i |x_i - z_i| <= half_width per row, built one column at a time."""
+    keep = np.abs(X[:, 0] - Z[:, 0]) <= half_width
+    for i in range(1, Z.shape[1]):
+        keep &= np.abs(X[:, i] - Z[:, i]) <= half_width
+    return keep
 
 
 def cube_filter(data, half_width):
     """Keep rows whose increment stays inside the closed cube
-    max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction)."""
+    max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction).
+
+    ``data`` is a row-block source. A first pass over its blocks builds the
+    masks; the survivors then fill arrays of exactly their size from a
+    second pass, each block at the prefix sum of the counts before it.
+    """
     if half_width <= 0.0:
         raise DomainError(f"half_width must be positive, got {half_width}")
-    keep = np.max(np.abs(data.X - data.Z), axis=1) <= half_width
-    kept = int(np.count_nonzero(keep))
+
+    def block_mask(start, stop):
+        return start, _cube_mask(*data.rows(start, stop), half_width)
+
+    masks = dict(map_chunks(block_mask, data.M))
+    spans = {}
+    kept = 0
+    for start, keep in masks.items():
+        count = int(np.count_nonzero(keep))
+        spans[start] = slice(kept, kept + count)
+        kept += count
     if kept == 0:
         raise InsufficientDataError(
             f"no rows survive the cube filter at half width {half_width}")
-    filtered = DatasetPair(data.n, kept, data.h,
-                           np.ascontiguousarray(data.Z[keep]),
-                           np.ascontiguousarray(data.X[keep]))
-    return filtered, kept / data.M
+    Z = np.empty((kept, data.n))
+    X = np.empty((kept, data.n))
+
+    def fill(start, stop):
+        Zb, Xb = data.rows(start, stop)
+        np.compress(masks[start], Zb, axis=0, out=Z[spans[start]])
+        np.compress(masks[start], Xb, axis=0, out=X[spans[start]])
+
+    map_chunks(fill, data.M)
+    return DatasetPair(data.n, kept, data.h, Z, X), kept / data.M
 
 
 # The drift correction's alpha != 1 branch carries a 1/(1-alpha) pole: the

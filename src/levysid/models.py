@@ -50,6 +50,12 @@ class SdeModel:
         return self.levy is not None
 
     @property
+    def gaussian_enabled(self):
+        """False when every Lambda entry is the constant 0, so the Gaussian
+        term vanishes and no normals need drawing."""
+        return any(t.root != ("c", 0.0) for row in self.gaussian for t in row)
+
+    @property
     def levy_intensity(self):
         if self.levy is None:
             return None

@@ -117,23 +117,21 @@ def cms_block(key: int, start: int, count: int, alpha: float, beta: float) -> np
     return _cms(u[0::2], u[1::2], alpha, beta)
 
 
-def row_noise(keys: np.ndarray, n: int, alphas=None, betas=None):
-    """Noise of the rows whose streams have the given uint64 keys.
+def row_normals(keys: np.ndarray, n: int) -> np.ndarray:
+    """rows x n standard normals of the rows whose streams have the given
+    uint64 keys, from counters 0..2n-1."""
+    u = uniform_block(keys, 0, 2 * n)
+    return _box_muller(u[:, 0::2], u[:, 1::2])
 
-    Returns (gauss, jumps): rows x n standard normals from counters 0..2n-1
-    and rows x n standard stable draws from counters 2n..4n-1. Without
-    alphas no stable draws are made, the stable counters go unread and
-    jumps is None.
-    """
-    u = uniform_block(keys, 0, 2 * n if alphas is None else 4 * n)
-    gauss = _box_muller(u[:, 0:2 * n:2], u[:, 1:2 * n:2])
-    if alphas is None:
-        return gauss, None
-    jumps = np.empty_like(gauss)
+
+def row_jumps(keys: np.ndarray, n: int, alphas, betas) -> np.ndarray:
+    """rows x n standard stable draws of the rows whose streams have the
+    given uint64 keys, from counters 2n..4n-1."""
+    u = uniform_block(keys, 2 * n, 2 * n)
+    jumps = np.empty((u.shape[0], n))
     for i in range(n):
-        jumps[:, i] = _cms(u[:, 2 * n + 2 * i], u[:, 2 * n + 2 * i + 1],
-                           alphas[i], betas[i])
-    return gauss, jumps
+        jumps[:, i] = _cms(u[:, 2 * i], u[:, 2 * i + 1], alphas[i], betas[i])
+    return jumps
 
 
 def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):
@@ -142,7 +140,8 @@ def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):
     Each row reads its own (seed, row)-derived stream, so the result is
     independent of how rows are batched across workers.
     """
-    return row_noise(row_keys(base_key, row0, nrows), len(alphas), alphas, betas)
+    keys = row_keys(base_key, row0, nrows)
+    return row_normals(keys, len(alphas)), row_jumps(keys, len(alphas), alphas, betas)
 
 
 @dataclass(frozen=True)

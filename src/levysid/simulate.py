@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationDomainError, GridSizeError, SimulationError
-from .rng import RandomStream, row_keys, row_noise, split_key, stream_key
+from .rng import RandomStream, row_jumps, row_keys, row_normals, split_key, stream_key
 from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
@@ -38,7 +38,12 @@ def worker_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class DatasetPair:
-    """Initial points Z and their one-step images X, with the step size h."""
+    """Initial points Z and their one-step images X, with the step size h.
+
+    Like a binary ``dataio.DatasetFile`` it is a row-block source: it has
+    ``n``, ``M``, ``h`` and ``rows(start, stop)``, which is all the
+    estimators read.
+    """
 
     n: int
     M: int
@@ -55,6 +60,10 @@ class DatasetPair:
                 f"got {self.Z.shape} and {self.X.shape}")
         if self.M < 1:
             raise DomainError("dataset must contain at least one row")
+
+    def rows(self, start, stop):
+        """Z and X of rows start..stop-1, as views of the arrays."""
+        return self.Z[start:stop], self.X[start:stop]
 
     @classmethod
     def from_arrays(cls, Z, X, h):
@@ -98,14 +107,17 @@ def generate_grid(bounds, mesh):
 
 def _noise(model, keys, h):
     """Standard normals and the scaled jump term of the rows whose streams
-    have the given keys. Without Levy noise no stable draws are made and the
-    jump term is 0.0; otherwise component i of the standard draws is scaled
-    by sigma_i h^(1/alpha_i)."""
+    have the given keys. Without a Gaussian term no normals are drawn and
+    the normals are None; without Levy noise no stable draws are made and
+    the jump term is 0.0. Otherwise component i of the standard stable
+    draws is scaled by sigma_i h^(1/alpha_i). Each kind reads only its own
+    counters, so skipping one leaves the other unchanged."""
+    gauss = row_normals(keys, model.n) if model.gaussian_enabled else None
     if model.levy is None:
-        return row_noise(keys, model.n)[0], 0.0
+        return gauss, 0.0
     alphas = np.array([p.alpha for p in model.levy])
     betas = np.array([p.beta for p in model.levy])
-    gauss, jumps = row_noise(keys, model.n, alphas, betas)
+    jumps = row_jumps(keys, model.n, alphas, betas)
     for i, p in enumerate(model.levy):
         scale = h ** (1.0 / alphas[i])
         jumps[:, i] = p.sigma * scale_stable(jumps[:, i], alphas[i], betas[i], scale)
@@ -122,7 +134,7 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
     m, n = Z_block.shape
     try:
         drift = model.drift_at(Z_block)
-        lam = model.gaussian_at(Z_block)
+        lam = model.gaussian_at(Z_block) if model.gaussian_enabled else None
     except EvaluationDomainError as exc:
         where = "" if row0 is None else f" on rows {row0}..{row0 + m - 1}"
         raise SimulationError(f"coefficient evaluation failed{where}: {exc}",
@@ -131,8 +143,11 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
     gauss, jump_term = _noise(model, keys, h)
 
     # n == 1 stays off einsum, whose sums can differ in the sign of a zero;
-    # datasets must stay bit-identical
-    if n == 1:
+    # datasets must stay bit-identical. Without a Gaussian term, lam @ gauss
+    # would be a zero that leaves every nonzero sum unchanged
+    if gauss is None:
+        out[:] = Z_block + drift * h
+    elif n == 1:
         gpart = lam[:, 0, 0] * gauss[:, 0]
         out[:, 0] = Z_block[:, 0] + drift[:, 0] * h + np.sqrt(h) * gpart
     else:
@@ -157,6 +172,8 @@ def euler_pair_step(model, z, h, stream):
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if z.shape[1] != model.n:
         raise DomainError(f"z must have length {model.n}, got {z.shape[1]}")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z entries must all be finite")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     if not isinstance(stream, RandomStream):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import math
+import struct
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 from levysid import (
     ConfigError,
+    DataFormatError,
     DatasetPair,
     RandomStream,
     read_dataset,
@@ -17,7 +20,9 @@ from levysid import (
     write_dataset,
     write_report,
 )
+import levysid.simulate
 from levysid.cli import main, parse_component, parse_range
+from levysid.dataio import DatasetFile
 
 
 def _write_json(path, doc):
@@ -109,6 +114,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes()[:4] == b"LSID"
         assert read_dataset(out).M == 125
+
+    def test_csv_suffix_picks_csv(self, tmp_path):
+        cfg = _small_lorenz(tmp_path, mesh=5)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"#levy-sid-pairs")
+        assert read_dataset(out).M == 125
+
+    def test_explicit_format_beats_suffix(self, tmp_path):
+        cfg = _small_lorenz(tmp_path, mesh=5)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--format", "bin"]) == 0
+        assert out.read_bytes()[:4] == b"LSID"
 
     def test_malformed_expression_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "model.json", {
@@ -211,6 +230,118 @@ class TestEstimateCommand:
                      "--report", str(report)]) == 5
         assert "error category=numeric" in capsys.readouterr().err
         assert not report.exists()
+
+
+# a multi-block binary dataset: 100 rows in blocks of BLOCK rows
+BLOCK = 16
+_HEADER = struct.Struct("<4sBIQd")
+
+
+def _binary_blob(M=100, n=2):
+    rng = np.random.default_rng(5)
+    Z = rng.uniform(-1.0, 1.0, (M, n))
+    payload = np.hstack([Z, Z + 0.01 * rng.standard_normal((M, n))])
+    return _HEADER.pack(b"LSID", 1, n, M, 0.001) + payload.astype("<f8").tobytes()
+
+
+def _with_value(blob, index, value):
+    """blob with a payload value set; index -1 is the last value."""
+    out = bytearray(blob)
+    at = len(out) + 8 * index
+    out[at:at + 8] = struct.pack("<d", value)
+    return bytes(out)
+
+
+_CSV = "#levy-sid-pairs v1 n=1 M=2 h=0.001\n0.5,0.6\n0.7,0.8\n"
+
+MALFORMED = {
+    "truncated-header": lambda: _binary_blob()[:10],
+    "bad-version": lambda: _binary_blob()[:4] + b"\x07" + _binary_blob()[5:],
+    "n-zero": lambda: _HEADER.pack(b"LSID", 1, 0, 100, 0.001),
+    "M-zero": lambda: _HEADER.pack(b"LSID", 1, 2, 0, 0.001),
+    "short-payload": lambda: _binary_blob()[:-8],
+    "trailing-bytes": lambda: _binary_blob() + b"\0",
+    "nan-in-last-block": lambda: _with_value(_binary_blob(), -1, math.nan),
+    "inf-in-last-block": lambda: _with_value(_binary_blob(), -3, math.inf),
+    "csv-missing-row": lambda: _CSV.replace("0.7,0.8\n", "").encode(),
+    "csv-extra-row": lambda: (_CSV + "0.9,1.0\n").encode(),
+    "csv-short-row": lambda: _CSV.replace("0.5,0.6", "0.5").encode(),
+    "csv-long-row": lambda: _CSV.replace("0.5,0.6", "0.5,0.6,0.7").encode(),
+    "csv-non-ascii": lambda: _CSV.replace("0.5", "0\u00b75").encode("utf-8"),
+}
+
+
+class TestMalformedDatasets:
+    """Every malformed file fails in the reader and exits 3 from the CLI,
+    leaving no report."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", BLOCK)
+        path = tmp_path / "pairs"
+        path.write_bytes(MALFORMED[case]())
+        with pytest.raises(DataFormatError):
+            read_dataset(path)
+        report = tmp_path / "r.json"
+        assert main(["estimate", str(path), "--est-config", _est_config(tmp_path),
+                     "--report", str(report)]) == 3
+        assert "error category=data" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_good_blob_accepted(self, tmp_path):
+        # the malformed cases above differ from this valid file in one place
+        path = tmp_path / "pairs"
+        path.write_bytes(_binary_blob())
+        assert read_dataset(path).M == 100
+
+
+def _lorenz_data(tmp_path):
+    """An 8000-row lorenz3d binary dataset and an estimation config for it."""
+    path = tmp_path / "pairs.bin"
+    assert main(["simulate", "--config", _small_lorenz(tmp_path),
+                 "--out", str(path), "--seed", "3"]) == 0
+    est = _write_json(tmp_path / "est.json", {
+        "epsilon": 0.05, "m": 3.0, "N": 2, "cube_epsilon": 0.5,
+        "dictionary": "poly:2"})
+    return path, est
+
+
+class TestBinaryFileSource:
+    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    def test_report_matches_in_memory(self, tmp_path, monkeypatch, workers):
+        # 8000 rows in 16 blocks of 500; the text copy loads into memory
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        path, est = _lorenz_data(tmp_path)
+        text = tmp_path / "pairs.csv"
+        write_dataset(read_dataset(path).load(), text, "csv")
+        assert isinstance(read_dataset(text), DatasetPair)
+        for source, report in ((path, "r_file.json"), (text, "r_memory.json")):
+            assert main(["estimate", str(source), "--est-config", est,
+                         "--report", str(tmp_path / report)]) == 0
+        assert (tmp_path / "r_file.json").read_bytes() == (
+            tmp_path / "r_memory.json").read_bytes()
+
+    def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        path, est = _lorenz_data(tmp_path)
+        read_rows = DatasetFile.rows
+        spans = []
+
+        def block_rows(self, start, stop):
+            assert stop - start <= 500, f"rows({start}, {stop}) spans more than a block"
+            spans.append(stop - start)
+            return read_rows(self, start, stop)
+
+        def no_load(self):
+            raise AssertionError("estimate loaded the whole dataset")
+
+        monkeypatch.setattr(DatasetFile, "rows", block_rows)
+        monkeypatch.setattr(DatasetFile, "load", no_load)
+        assert main(["estimate", str(path), "--est-config", est,
+                     "--report", str(tmp_path / "r.json")]) == 0
+        # validation, bin counts, and the cube filter's two passes
+        assert sum(spans) == 4 * 8000
 
 
 class TestPlotDataCommand:

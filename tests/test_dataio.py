@@ -16,7 +16,8 @@ from levysid import (
     write_dataset,
     write_report,
 )
-from levysid.dataio import canonical_json
+import levysid.simulate
+from levysid.dataio import DatasetFile, canonical_json
 from levysid.simulate import CHUNK_ROWS
 
 
@@ -25,6 +26,11 @@ def _sample_pair(M=50, n=3, seed=0):
     Z = rng.uniform(-2.0, 2.0, size=(M, n))
     X = Z + 0.01 * rng.standard_normal((M, n))
     return DatasetPair.from_arrays(Z, X, 0.001)
+
+
+def _arrays(source):
+    """Z and X of every row, through the rows() both readers' results share."""
+    return source.rows(0, source.M)
 
 
 class TestCsvFormat:
@@ -80,8 +86,9 @@ class TestBinaryFormat:
         write_dataset(data, path, "bin")
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
-        np.testing.assert_array_equal(back.Z, data.Z)
-        np.testing.assert_array_equal(back.X, data.X)
+        Z, X = _arrays(back)
+        np.testing.assert_array_equal(Z, data.Z)
+        np.testing.assert_array_equal(X, data.X)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "pairs.bin"
@@ -118,6 +125,132 @@ class TestBinaryFormat:
             read_dataset(tmp_path / "nope.bin")
 
 
+class TestDatasetFile:
+    def _file(self, tmp_path, monkeypatch, M=50, n=3):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
+        data = _sample_pair(M=M, n=n, seed=3)
+        path = tmp_path / "pairs.bin"
+        write_dataset(data, path, "bin")
+        return data, path
+
+    def test_binary_read_is_a_file_source(self, tmp_path, monkeypatch):
+        data, path = self._file(tmp_path, monkeypatch)
+        source = read_dataset(path)
+        assert isinstance(source, DatasetFile)
+        assert (source.n, source.M, source.h) == (3, 50, 0.001)
+
+    @pytest.mark.parametrize("start,stop", [(0, 7), (7, 14), (49, 50), (3, 40)])
+    def test_rows_match_written(self, tmp_path, monkeypatch, start, stop):
+        data, path = self._file(tmp_path, monkeypatch)
+        Z, X = read_dataset(path).rows(start, stop)
+        np.testing.assert_array_equal(Z, data.Z[start:stop])
+        np.testing.assert_array_equal(X, data.X[start:stop])
+
+    def test_load_is_a_dataset_pair(self, tmp_path, monkeypatch):
+        data, path = self._file(tmp_path, monkeypatch)
+        back = read_dataset(path).load()
+        assert isinstance(back, DatasetPair)
+        assert back.Z.flags.c_contiguous and back.X.flags.c_contiguous
+        np.testing.assert_array_equal(back.Z, data.Z)
+        np.testing.assert_array_equal(back.X, data.X)
+
+    def test_rows_check_again_after_read(self, tmp_path, monkeypatch):
+        data, path = self._file(tmp_path, monkeypatch)
+        source = read_dataset(path)
+        # row 30, column 2 turns NaN after the file has been validated
+        with open(path, "r+b") as fh:
+            fh.seek(25 + 8 * (30 * 6 + 2))
+            fh.write(struct.pack("<d", float("nan")))
+        with pytest.raises(DataFormatError, match="finite"):
+            source.rows(28, 35)
+        source.rows(0, 28)
+
+    def test_rows_of_a_shrunk_file(self, tmp_path, monkeypatch):
+        data, path = self._file(tmp_path, monkeypatch)
+        source = read_dataset(path)
+        path.write_bytes(path.read_bytes()[:-48])
+        with pytest.raises(DataFormatError, match="ends inside"):
+            source.rows(42, 50)
+
+    def test_non_positive_h_rejected(self, tmp_path):
+        path = tmp_path / "pairs.bin"
+        for h in (0.0, -1.0, float("nan")):
+            path.write_bytes(b"LSID" + struct.pack("<BIQd", 1, 1, 1, h)
+                             + struct.pack("<2d", 0.0, 0.0))
+            with pytest.raises(DataFormatError, match="h must be positive"):
+                read_dataset(path)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestMalformedFuzz:
+    """Damaged copies of valid files never read back as data."""
+
+    @staticmethod
+    def _blob(fmt, tmp_path):
+        path = tmp_path / f"good.{fmt}"
+        write_dataset(_sample_pair(M=20, n=2, seed=6), path, fmt)
+        return path.read_bytes()
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(0, 25 + 20 * 4 * 8 - 1))
+    def test_truncated_binary(self, tmp_path, cut):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(self._blob("bin", tmp_path)[:cut])
+        with pytest.raises(DataFormatError):
+            read_dataset(path)
+
+    @settings(max_examples=30, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(extra=st.binary(min_size=1, max_size=24))
+    def test_trailing_binary(self, tmp_path, extra):
+        path = tmp_path / "long.bin"
+        path.write_bytes(self._blob("bin", tmp_path) + extra)
+        with pytest.raises(DataFormatError, match="trailing"):
+            read_dataset(path)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(index=st.integers(0, 20 * 4 - 1), value=st.sampled_from(_NON_FINITE))
+    def test_non_finite_binary(self, tmp_path, monkeypatch, index, value):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 6)
+        blob = bytearray(self._blob("bin", tmp_path))
+        blob[25 + 8 * index:33 + 8 * index] = struct.pack("<d", value)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="finite"):
+            read_dataset(path)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_csv_row(self, tmp_path, data):
+        lines = self._blob("csv", tmp_path).decode("ascii").splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        values = lines[row].split(",")
+        damage = data.draw(st.sampled_from(
+            ["drop-row", "drop-value", "extra-value", "non-finite", "garbage"]))
+        if damage == "drop-row":
+            del lines[row]
+        elif damage == "drop-value":
+            del values[data.draw(st.integers(0, len(values) - 1))]
+            lines[row] = ",".join(values)
+        elif damage == "extra-value":
+            lines[row] = ",".join(values + ["1.0"])
+        elif damage == "non-finite":
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf"]))
+            lines[row] = ",".join(values)
+        else:
+            lines[row] = data.draw(st.sampled_from(["x", "1.0,,2", "\u00e9"]))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(DataFormatError):
+            read_dataset(path)
+
+
 def _reference_bytes(data, fmt):
     """The whole-payload encodings the chunked writer must reproduce."""
     payload = np.hstack([data.Z, data.X])
@@ -138,8 +271,9 @@ class TestChunkedWriter:
         assert path.read_bytes() == _reference_bytes(data, fmt)
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
-        np.testing.assert_array_equal(back.Z, data.Z)
-        np.testing.assert_array_equal(back.X, data.X)
+        Z, X = _arrays(back)
+        np.testing.assert_array_equal(Z, data.Z)
+        np.testing.assert_array_equal(X, data.X)
 
 
 # -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches
@@ -171,8 +305,9 @@ class TestRoundTripProperty:
         assert path.read_bytes() == _reference_bytes(data, fmt)
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
-        np.testing.assert_array_equal(back.Z.view(np.uint64), data.Z.view(np.uint64))
-        np.testing.assert_array_equal(back.X.view(np.uint64), data.X.view(np.uint64))
+        Z, X = _arrays(back)
+        np.testing.assert_array_equal(Z.view(np.uint64), data.Z.view(np.uint64))
+        np.testing.assert_array_equal(X.view(np.uint64), data.X.view(np.uint64))
 
 
 class TestDefaultFormat:

@@ -111,6 +111,19 @@ class TestBinCounts:
         np.testing.assert_array_equal(counts.pos, pos)
         np.testing.assert_array_equal(counts.neg, neg)
 
+    def test_matches_full_scan(self):
+        # the counts on the |y| >= epsilon tail equal a scan of every y
+        rng = np.random.default_rng(4)
+        config = _config(epsilon=0.5, m=3.0, N=3)
+        edges = 0.5 * 3.0 ** np.arange(5)
+        Y = np.concatenate([rng.standard_cauchy(5000), edges, -edges,
+                            np.nextafter(edges, 0), -np.nextafter(edges, 0)])
+        counts = bin_counts(Y, config)
+        for k in range(4):
+            lo, hi = edges[k], edges[k + 1]
+            assert counts.pos[k] == np.count_nonzero((Y >= lo) & (Y < hi))
+            assert counts.neg[k] == np.count_nonzero((Y >= -hi) & (Y < -lo))
+
     def test_carries_M_and_h(self):
         counts = bin_counts(np.array([1.5, 2.0]), _config(), h=0.25)
         assert counts.M == 2 and counts.h == 0.25
@@ -256,6 +269,42 @@ class TestCubeFilter:
         kept, fraction = cube_filter(data, 1.0)
         np.testing.assert_array_equal(kept.X[:, 0], [0.1, 0.3, 0.2])
         assert fraction == 0.75
+
+
+class TestBlockwisePasses:
+    """estimate_levy and cube_filter read CHUNK_ROWS blocks; the results must
+    equal whole-array references for any block size and worker count."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(8)
+        Z = rng.uniform(-1.0, 1.0, (500, 3))
+        X = Z + 0.3 * rng.standard_cauchy((500, 3))
+        return DatasetPair.from_arrays(Z, X, 0.001)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    def test_cube_filter_matches_whole_mask(self, monkeypatch, workers):
+        data = self._data()
+        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        kept, fraction = cube_filter(data, 0.5)
+        assert kept.M == int(keep.sum()) and fraction == keep.sum() / 500
+        np.testing.assert_array_equal(kept.Z, data.Z[keep])
+        np.testing.assert_array_equal(kept.X, data.X[keep])
+
+    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    def test_levy_counts_match_whole_increments(self, monkeypatch, workers):
+        data = self._data()
+        config = _config(epsilon=0.2, m=3.0, N=2)
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        for est in estimate_levy(data, config):
+            Y = data.X[:, est.component - 1] - data.Z[:, est.component - 1]
+            want = bin_counts(Y, config, h=data.h)
+            np.testing.assert_array_equal(est.counts.pos, want.pos)
+            np.testing.assert_array_equal(est.counts.neg, want.neg)
+            assert (est.counts.M, est.counts.h) == (500, 0.001)
 
 
 class TestDimensionalIndependence:

@@ -245,7 +245,57 @@ class TestGaussianOnlyNoise:
         np.testing.assert_array_equal(x, data.X[0])
 
 
+class TestPureJumpNoise:
+    """Without a Gaussian term no normals are drawn; the jumps read the same
+    counters as before, so X is what the full draw gave."""
+
+    DRIFT = ["-x1", "x1*x2"]
+    LEVY = [{"alpha": 0.7, "beta": 0.3, "sigma": 1.5},
+            {"alpha": 1.0, "beta": -0.5, "sigma": 0.5}]
+
+    def test_rows_match_oracle_without_normals(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("normals drawn without a Gaussian term")
+
+        monkeypatch.setattr(levysid.rng, "_box_muller", fail)
+        model = _model(2, self.DRIFT, None, self.LEVY)
+        Z = np.array([[0.3, -1.2], [1.5, 0.25], [-0.7, 2.0], [0.0, 0.0]])
+        h, seed = 0.01, 41
+        data = simulate_pairs(model, Z, h, seed)
+        alphas = [p["alpha"] for p in self.LEVY]
+        betas = [p["beta"] for p in self.LEVY]
+        base = stream_key(seed, 0)
+        for r, (z1, z2) in enumerate(Z):
+            _, _, s = row_noise_oracle(base, r, alphas, betas)
+            # S_alpha(sigma h^(1/alpha), beta, 0) from standard draws; the
+            # alpha = 1 law also shifts by (2/pi) beta scale ln(scale)
+            jump = [1.5 * h ** (1 / 0.7) * s[0],
+                    0.5 * (h * s[1] + 2 / np.pi * -0.5 * h * np.log(h))]
+            want = Z[r] + h * np.array([-z1, z1 * z2]) + jump
+            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
+        x = euler_pair_step(model, Z[1], h, RandomStream(row_stream_key(seed, 1)))
+        np.testing.assert_array_equal(x, data.X[1])
+
+    def test_zero_gaussian_matches_drawn_normals(self, monkeypatch):
+        # an explicit all-zero Lambda skips the normals too, and the bits of
+        # X equal those of a Lambda that evaluates to zero with draws made
+        model = _model(2, self.DRIFT, [["0", "0"], ["0", "0"]], self.LEVY)
+        drawn = _model(2, self.DRIFT, [["0*x1", "0"], ["0", "0"]], self.LEVY)
+        assert not model.gaussian_enabled and drawn.gaussian_enabled
+        Z = generate_grid([[-2, 2]] * 2, [30, 30])
+        want = simulate_pairs(drawn, Z, 0.001, seed=9).X
+        monkeypatch.setattr(levysid.rng, "_box_muller", None)
+        got = simulate_pairs(model, Z, 0.001, seed=9).X
+        assert got.tobytes() == want.tobytes()
+
+
 class TestErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_step_non_finite_z(self, bad):
+        with pytest.raises(DomainError, match="z entries must all be finite"):
+            euler_pair_step(builtin_model("lorenz3d"), [bad, 0.0, 0.0], 0.001,
+                            RandomStream.from_seed(1))
+
     def test_domain_fault_carries_row(self):
         model = _model(1, ["ln(x1)"], None, None)
         Z = np.array([[1.0], [2.0], [-1.0], [3.0]])
