@@ -37,7 +37,6 @@ from .estimate import (
     EstimationConfig,
     LevyEstimate,
     bin_counts,
-    component_increments,
     cube_filter,
     estimate_alpha,
     estimate_beta,

@@ -41,8 +41,6 @@ def polynomial_dictionary(n, degree):
     indices, which for n=3, degree=2 gives
     1, x1, x2, x3, x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2.
     """
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     names = []

@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     LevysidError,
     NumericError,
+    positive,
 )
 from .estimate import EstimationConfig, cube_filter, estimate_levy, regression_tables
 from .expr import evaluate_block, parse_expression
@@ -61,10 +62,11 @@ def _require_grid(cfg):
 
 def _require_h(cfg):
     h = cfg.get("h")
-    if not isinstance(h, (int, float)) or not h > 0:
-        raise ConfigError(f"model config needs a positive step size h, got {h!r}",
-                          field="h")
-    return float(h)
+    try:
+        return float(positive("h", h))
+    except (TypeError, DomainError) as exc:
+        raise ConfigError(f"model config needs a positive, finite step size h, "
+                          f"got {h!r}", field="h") from exc
 
 
 def load_est_config(doc):
@@ -77,7 +79,7 @@ def load_est_config(doc):
             None if doc.get("cube_epsilon") is None else float(doc["cube_epsilon"]))
     except KeyError as exc:
         raise ConfigError(f"estimation config is missing {exc}") from exc
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ConfigError(f"estimation config: {exc}") from exc
     spec = doc.get("dictionary")
     if spec is None:
@@ -287,9 +289,9 @@ def _report_coefficients(report, parsed, K):
                               field="component")
         values = match[0].get("coefficients")
     if not (isinstance(values, list) and len(values) == K
-            and all(isinstance(v, (int, float)) for v in values)):
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
         raise DataFormatError(
-            f"report {parsed[0]} coefficients must be a list of {K} numbers")
+            f"report {parsed[0]} coefficients must be a list of {K} finite numbers")
     return np.asarray(values, dtype=np.float64)
 
 

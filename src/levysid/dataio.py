@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError
-from .simulate import CHUNK_ROWS, DatasetPair, map_chunks
+from .simulate import CHUNK_ROWS, DatasetPair, check_header, map_chunks
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -53,7 +53,7 @@ def _binary_block(block):
 
 
 def write_dataset(data, path, fmt="bin"):
-    """Write a DatasetPair to ``path`` as 'csv' or 'bin'.
+    """Write a row-block source to ``path`` as 'csv' or 'bin'.
 
     Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer
     holds one block of the payload at a time, never a copy of all of it.
@@ -69,8 +69,8 @@ def write_dataset(data, path, fmt="bin"):
     with open(path, "wb") as fh:
         fh.write(header)
         for start in range(0, data.M, CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            fh.write(encode(np.hstack([data.Z[start:stop], data.X[start:stop]])))
+            block = data.rows(start, min(start + CHUNK_ROWS, data.M))
+            fh.write(encode(np.hstack(block)))
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,9 @@ class DatasetFile:
     n: int
     M: int
     h: float
+
+    def __post_init__(self):
+        check_header(self.n, self.M, self.h)
 
     def rows(self, start, stop):
         """Z and X of rows start..stop-1, read into a buffer of their own.
@@ -118,29 +121,32 @@ class DatasetFile:
         return DatasetPair(self.n, self.M, self.h, Z, X)
 
 
+def _source(path, build, *args):
+    """``build(*args)``, with the dataset's DomainError reported as a
+    DataFormatError of the file at ``path``."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _read_binary(path):
     with open(path, "rb") as fh:
         head = fh.read(_BINARY_HEADER_BYTES)
-        if len(head) < _BINARY_HEADER_BYTES or head[:4] != MAGIC:
-            raise DataFormatError(f"{path}: truncated or invalid binary header")
-        version, n, M, h = _BINARY_HEADER.unpack(head[4:])
-        if version != BINARY_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported binary version {version}")
-        if n < 1 or M < 1:
-            raise DataFormatError(f"{path}: invalid dimensions n={n}, M={M}")
-        if not h > 0.0:
-            raise DataFormatError(f"{path}: h must be positive, got {h}")
-        count = M * 2 * n
         size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER_BYTES
-        if size < count * 8:
-            raise DataFormatError(
-                f"{path}: expected {count} values, found {size // 8}")
-        if size > count * 8:
-            raise DataFormatError(
-                f"{path}: found {size - count * 8} trailing bytes after "
-                f"the {count} payload values")
-    source = DatasetFile(os.fspath(path), n, M, h)
+    if len(head) < _BINARY_HEADER_BYTES or head[:4] != MAGIC:
+        raise DataFormatError(f"{path}: truncated or invalid binary header")
+    version, n, M, h = _BINARY_HEADER.unpack(head[4:])
+    if version != BINARY_VERSION:
+        raise DataFormatError(f"{path}: unsupported binary version {version}")
+    source = _source(path, DatasetFile, os.fspath(path), n, M, h)
+    count = M * 2 * n
+    if size < count * 8:
+        raise DataFormatError(f"{path}: expected {count} values, found {size // 8}")
+    if size > count * 8:
+        raise DataFormatError(
+            f"{path}: found {size - count * 8} trailing bytes after "
+            f"the {count} payload values")
 
     def check(start, stop):
         source.rows(start, stop)
@@ -162,8 +168,7 @@ def _read_csv(path):
             h = float(m.group(3))
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad h in header: {m.group(3)!r}") from exc
-        if n < 1 or M < 1:
-            raise DataFormatError(f"{path}: invalid dimensions n={n}, M={M}")
+        _source(path, check_header, n, M, h)
         try:
             rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
@@ -172,10 +177,7 @@ def _read_csv(path):
         raise DataFormatError(
             f"{path}: header promises {M} rows of {2 * n} values, "
             f"found shape {rows.shape}")
-    try:
-        return DatasetPair.from_arrays(rows[:, :n], rows[:, n:], h)
-    except DomainError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return _source(path, DatasetPair.from_arrays, rows[:, :n], rows[:, n:], h)
 
 
 def read_dataset(path):

@@ -5,6 +5,8 @@ catch one base class. The CLI maps subtrees of this hierarchy onto exit codes
 (see ``levysid.cli``).
 """
 
+import math
+
 
 class LevysidError(Exception):
     """Base class for all levysid errors."""
@@ -12,6 +14,14 @@ class LevysidError(Exception):
 
 class DomainError(LevysidError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def positive(name, value):
+    """``value`` if 0 < value < inf, else DomainError: the one rule for every
+    length and scale (h, epsilon, the cube half width, sigma)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class ExpressionError(LevysidError, ValueError):

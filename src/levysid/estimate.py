@@ -25,6 +25,7 @@ from .errors import (
     InsufficientDataError,
     NotPositiveSemidefiniteError,
     NumericError,
+    positive,
 )
 from .numeric import solve_gram, sym_eigen
 from .simulate import DatasetPair, map_chunks
@@ -45,15 +46,13 @@ class EstimationConfig:
     cube_epsilon: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if self.m <= 1.0:
-            raise DomainError(f"m must exceed 1, got {self.m}")
+        positive("epsilon", self.epsilon)
+        if not 1.0 < self.m < np.inf:
+            raise DomainError(f"m must exceed 1 and be finite, got {self.m}")
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
-        if self.cube_epsilon is not None and self.cube_epsilon <= 0.0:
-            raise DomainError(
-                f"cube_epsilon must be positive, got {self.cube_epsilon}")
+        if self.cube_epsilon is not None:
+            positive("cube_epsilon", self.cube_epsilon)
 
     @property
     def cube_half_width(self):
@@ -100,14 +99,6 @@ class LevyEstimate:
     @property
     def params(self):
         return StableParams(self.alpha, self.beta, self.sigma)
-
-
-def component_increments(data, i):
-    """Increment set Y_i = X[:, i] - Z[:, i] of all M rows; i is 1-based."""
-    if not 1 <= i <= data.n:
-        raise DomainError(f"component must be in 1..{data.n}, got {i}")
-    Z, X = data.rows(0, data.M)
-    return X[:, i - 1] - Z[:, i - 1]
 
 
 def bin_counts(Y, config, h=None):
@@ -184,8 +175,6 @@ def estimate_beta(counts):
 
 def estimate_sigma(counts, alpha_hat, config):
     """Noise intensity from bin totals, averaged over usable bins k = 0..N."""
-    if not 0.0 < alpha_hat < 2.0:
-        raise DomainError(f"alpha_hat must lie in (0, 2), got {alpha_hat}")
     if counts.h is None:
         raise DomainError("counts carry no step size h; pass h to bin_counts")
     t = counts.totals
@@ -253,8 +242,7 @@ def cube_filter(data, half_width):
     masks; the survivors then fill arrays of exactly their size from a
     second pass, each block at the prefix sum of the counts before it.
     """
-    if half_width <= 0.0:
-        raise DomainError(f"half_width must be positive, got {half_width}")
+    positive("half_width", half_width)
 
     def block_mask(start, stop):
         return start, _cube_mask(*data.rows(start, stop), half_width)
@@ -362,8 +350,8 @@ def regression_tables(data, fraction, dictionary, levy, config):
     scale = fraction / data.h
 
     def chunk_part(start, stop):
-        Zc = data.Z[start:stop]
-        D = data.X[start:stop] - Zc
+        Zc, Xc = data.rows(start, stop)
+        D = Xc - Zc
         A = design_matrix(dictionary, Zc)
         B = np.empty((stop - start, n + P))
         B[:, :n] = scale * D - R[None, :]

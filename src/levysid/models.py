@@ -148,15 +148,15 @@ def model_from_config(config):
                           field="dimension")
 
     drift_cfg = cfg.get("drift")
-    if not isinstance(drift_cfg, list) or len(drift_cfg) != n:
+    if not isinstance(drift_cfg, list):
         raise ConfigError(f"drift must be a list of {n} expressions", field="drift")
     drift = tuple(_parse_entry(t, n, f"drift[{i}]") for i, t in enumerate(drift_cfg))
 
     gauss_cfg = cfg.get("gaussian")
     if gauss_cfg is None:
         gauss_cfg = [["0"] * n for _ in range(n)]
-    if not isinstance(gauss_cfg, list) or len(gauss_cfg) != n or any(
-            not isinstance(row, list) or len(row) != n for row in gauss_cfg):
+    if not isinstance(gauss_cfg, list) or any(
+            not isinstance(row, list) for row in gauss_cfg):
         raise ConfigError(f"gaussian must be an {n}x{n} array of expressions",
                           field="gaussian")
     gaussian = tuple(
@@ -166,7 +166,7 @@ def model_from_config(config):
     levy_cfg = cfg.get("levy")
     levy = None
     if levy_cfg is not None:
-        if not isinstance(levy_cfg, list) or len(levy_cfg) != n:
+        if not isinstance(levy_cfg, list):
             raise ConfigError(f"levy must be null or a list of {n} parameter objects",
                               field="levy")
         entries = []

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationDomainError, GridSizeError, SimulationError
+from .errors import (
+    DomainError,
+    EvaluationDomainError,
+    GridSizeError,
+    SimulationError,
+    positive,
+)
 from .rng import RandomStream, row_jumps, row_keys, row_normals, split_key, stream_key
 from .stable import scale_stable
 
@@ -36,6 +42,14 @@ def worker_count() -> int:
     return max(1, w)
 
 
+def check_header(n, M, h):
+    """What every dataset holds: n >= 1 components, M >= 1 rows and a step
+    0 < h < inf. Raises DomainError otherwise."""
+    if n < 1 or M < 1:
+        raise DomainError(f"invalid dimensions n={n}, M={M}")
+    positive("h", h)
+
+
 @dataclass(frozen=True, eq=False)
 class DatasetPair:
     """Initial points Z and their one-step images X, with the step size h.
@@ -52,14 +66,11 @@ class DatasetPair:
     X: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise DomainError(f"h must be positive, got {self.h}")
+        check_header(self.n, self.M, self.h)
         if self.Z.shape != (self.M, self.n) or self.X.shape != (self.M, self.n):
             raise DomainError(
                 f"Z and X must both be ({self.M}, {self.n}); "
                 f"got {self.Z.shape} and {self.X.shape}")
-        if self.M < 1:
-            raise DomainError("dataset must contain at least one row")
 
     def rows(self, start, stop):
         """Z and X of rows start..stop-1, as views of the arrays."""
@@ -174,8 +185,7 @@ def euler_pair_step(model, z, h, stream):
         raise DomainError(f"z must have length {model.n}, got {z.shape[1]}")
     if not np.all(np.isfinite(z)):
         raise DomainError("z entries must all be finite")
-    if h <= 0.0:
-        raise DomainError(f"h must be positive, got {h}")
+    check_header(model.n, 1, h)
     if not isinstance(stream, RandomStream):
         raise DomainError("stream must be a RandomStream")
     x = np.empty_like(z)
@@ -211,14 +221,11 @@ def simulate_pairs(model, Z, h, seed):
         Z = Z[:, None]
     if Z.ndim != 2 or Z.shape[1] != model.n:
         raise DomainError(f"Z must be (M, {model.n}), got shape {Z.shape}")
-    if Z.shape[0] < 1:
-        raise DomainError("Z must contain at least one row")
+    M = Z.shape[0]
+    check_header(model.n, M, h)
     if not np.all(np.isfinite(Z)):
         raise DomainError("Z entries must all be finite")
-    if h <= 0.0:
-        raise DomainError(f"h must be positive, got {h}")
 
-    M = Z.shape[0]
     base_key = stream_key(int(seed), 0)
     X = np.empty_like(Z)
 

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .rng import RandomStream, cms_block
 
 
 @dataclass(frozen=True)
 class StableParams:
     """Levy triple of one noise component: stability alpha in (0,2), skewness
-    beta in [-1,1], intensity sigma > 0. alpha = 2 (the Gaussian edge) is
-    excluded; Gaussian noise is modeled by the diffusion term instead."""
+    beta in [-1,1], intensity 0 < sigma < inf; the one check of all three.
+    alpha = 2 (the Gaussian edge) is excluded; Gaussian noise is modeled by
+    the diffusion term instead."""
 
     alpha: float
     beta: float
@@ -44,8 +45,7 @@ class StableParams:
             raise DomainError(f"alpha must lie in (0,2), got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise DomainError(f"beta must lie in [-1,1], got {self.beta}")
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        positive("sigma", self.sigma)
 
     @property
     def k_alpha(self) -> float:
@@ -58,8 +58,7 @@ def k_alpha(alpha: float) -> float:
     alpha(1-alpha) / (Gamma(2-alpha) cos(pi alpha/2)) for alpha != 1; the
     removable singularity at alpha = 1 evaluates to 2/pi.
     """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0,2), got {alpha}")
+    StableParams(alpha, 0.0, 1.0)
     if alpha == 1.0:
         return 2.0 / math.pi
     return alpha * (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
@@ -70,9 +69,7 @@ def kernel_W(xi, alpha: float, beta: float):
 
     Raises DomainError if any xi is exactly 0 (the kernel is singular there).
     """
-    if not (-1.0 <= beta <= 1.0):
-        raise DomainError(f"beta must lie in [-1,1], got {beta}")
-    k = k_alpha(alpha)
+    k = StableParams(alpha, beta, 1.0).k_alpha
     x = np.asarray(xi, dtype=np.float64)
     if np.any(x == 0.0):
         raise DomainError("kernel_W is singular at xi = 0")
@@ -110,8 +107,7 @@ def correction_R(params: StableParams, epsilon: float) -> float:
         sigma^alpha k_alpha beta eps^(1-alpha) / (1-alpha)   alpha != 1
         sigma k_1 beta ln(eps)                               alpha  = 1
     """
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    positive("epsilon", epsilon)
     a, b, s = params.alpha, params.beta, params.sigma
     if a == 1.0:
         return s * k_alpha(1.0) * b * math.log(epsilon)
@@ -125,8 +121,7 @@ def correction_S(params: StableParams, epsilon: float, i: int, j: int) -> float:
          = sigma^alpha k_alpha eps^(2-alpha) / (2-alpha),
     independent of beta because the integrand is even.
     """
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    positive("epsilon", epsilon)
     if i != j:
         return 0.0
     a, s = params.alpha, params.sigma
@@ -143,12 +138,8 @@ def sample_stable(alpha: float, beta: float, scale: float, count: int,
     (2/pi) beta scale ln(scale) is added to keep the zero-shift parametrization
     exact at every scale.
     """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0,2), got {alpha}")
-    if not (-1.0 <= beta <= 1.0):
-        raise DomainError(f"beta must lie in [-1,1], got {beta}")
-    if not scale > 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    StableParams(alpha, beta, 1.0)
+    positive("scale", scale)
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
     draws = cms_block(stream.key, 0, int(count), float(alpha), float(beta))

@@ -39,7 +39,6 @@ from levysid import (
 from levysid.cli import build_dictionary, main
 from levysid.estimate import (
     bin_counts,
-    component_increments,
     estimate_alpha,
     estimate_beta,
     estimate_sigma,
@@ -95,8 +94,9 @@ ADAPT_N_MAX = 6
 
 def adaptive_levy(data):
     out = []
+    Z, X = data.rows(0, data.M)
     for i in range(1, data.n + 1):
-        Y = component_increments(data, i)
+        Y = X[:, i - 1] - Z[:, i - 1]
         eps = ADAPT_C * float(np.median(np.abs(Y)))
         wide = bin_counts(Y, EstimationConfig(eps, 5.0, ADAPT_N_MAX), h=data.h)
         N = 1

@@ -148,6 +148,19 @@ class TestSimulateCommand:
         assert code == 3
         assert "category=data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overlay", [
+        {"h": math.inf},
+        {"levy": [{"alpha": 1.5, "beta": -0.5, "sigma": math.inf}]},
+    ], ids=["h-inf", "sigma-inf"])
+    def test_non_finite_model_value_exits_2(self, tmp_path, capsys, overlay):
+        cfg = _write_json(tmp_path / "model.json", {
+            "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100]},
+            **overlay})
+        out = tmp_path / "d.bin"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_exits_2(self, tmp_path):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[5, 0]], "mesh": [10]},
@@ -202,6 +215,19 @@ class TestEstimateCommand:
         assert main(["estimate", data_path, "--est-config", bad,
                      "--report", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", math.nan), ("epsilon", math.inf), ("m", math.nan),
+        ("m", math.inf), ("cube_epsilon", math.nan), ("cube_epsilon", math.inf),
+        ("N", math.inf)])
+    def test_non_finite_est_config_exits_2(self, tmp_path, capsys, field, value):
+        data_path = _cauchy_dataset(tmp_path, M=2000)
+        report = tmp_path / "r.json"
+        assert main(["estimate", data_path,
+                     "--est-config", _est_config(tmp_path, **{field: value}),
+                     "--report", str(report)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["estimate", str(tmp_path / "none.csv"),
                      "--est-config", _est_config(tmp_path),
@@ -237,11 +263,11 @@ BLOCK = 16
 _HEADER = struct.Struct("<4sBIQd")
 
 
-def _binary_blob(M=100, n=2):
+def _binary_blob(M=100, n=2, h=0.001):
     rng = np.random.default_rng(5)
     Z = rng.uniform(-1.0, 1.0, (M, n))
     payload = np.hstack([Z, Z + 0.01 * rng.standard_normal((M, n))])
-    return _HEADER.pack(b"LSID", 1, n, M, 0.001) + payload.astype("<f8").tobytes()
+    return _HEADER.pack(b"LSID", 1, n, M, h) + payload.astype("<f8").tobytes()
 
 
 def _with_value(blob, index, value):
@@ -259,6 +285,7 @@ MALFORMED = {
     "bad-version": lambda: _binary_blob()[:4] + b"\x07" + _binary_blob()[5:],
     "n-zero": lambda: _HEADER.pack(b"LSID", 1, 0, 100, 0.001),
     "M-zero": lambda: _HEADER.pack(b"LSID", 1, 2, 0, 0.001),
+    "h-inf": lambda: _binary_blob(h=math.inf),
     "short-payload": lambda: _binary_blob()[:-8],
     "trailing-bytes": lambda: _binary_blob() + b"\0",
     "nan-in-last-block": lambda: _with_value(_binary_blob(), -1, math.nan),
@@ -268,6 +295,8 @@ MALFORMED = {
     "csv-short-row": lambda: _CSV.replace("0.5,0.6", "0.5").encode(),
     "csv-long-row": lambda: _CSV.replace("0.5,0.6", "0.5,0.6,0.7").encode(),
     "csv-non-ascii": lambda: _CSV.replace("0.5", "0\u00b75").encode("utf-8"),
+    "csv-h-nan": lambda: _CSV.replace("h=0.001", "h=nan").encode(),
+    "csv-h-inf": lambda: _CSV.replace("h=0.001", "h=inf").encode(),
 }
 
 
@@ -436,16 +465,19 @@ class TestPlotDataCommand:
         ("b1", lambda r: r["dictionary"].update(names="x1")),
         ("b1", lambda r: r["drift"][0].pop()),
         ("a11", lambda r: r["diffusion"][0].pop("i")),
+        ("b1", lambda r: r["drift"][0].__setitem__(0, math.nan)),
     ], ids=["no-dictionary-n", "names-not-a-list", "short-drift-row",
-            "diffusion-without-i"])
+            "diffusion-without-i", "nan-drift-coefficient"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, component, corrupt):
         path = self._handmade_report(tmp_path)
         report = read_report(path)
         corrupt(report)
         write_report(report, path)
+        out = tmp_path / "c.csv"
         assert main(["plot-data", "--report", path, "--component", component,
-                     "--range", "0:1:0.5", "--out", str(tmp_path / "c.csv")]) == 3
+                     "--range", "0:1:0.5", "--out", str(out)]) == 3
         assert "error category=data" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCommand:

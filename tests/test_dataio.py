@@ -174,7 +174,7 @@ class TestDatasetFile:
 
     def test_non_positive_h_rejected(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        for h in (0.0, -1.0, float("nan")):
+        for h in (0.0, -1.0, float("nan"), float("inf")):
             path.write_bytes(b"LSID" + struct.pack("<BIQd", 1, 1, 1, h)
                              + struct.pack("<2d", 0.0, 0.0))
             with pytest.raises(DataFormatError, match="h must be positive"):

@@ -13,7 +13,6 @@ from levysid import (
     NotPositiveSemidefiniteError,
     StableParams,
     bin_counts,
-    component_increments,
     correction_R,
     correction_S,
     cube_filter,
@@ -41,25 +40,6 @@ def _pair_from_increments(Y, h=0.001):
         Y = Y[:, None]
     Z = np.zeros_like(Y)
     return DatasetPair.from_arrays(Z, Y, h)
-
-
-class TestComponentIncrements:
-    def test_identity_is_zero(self):
-        d = DatasetPair.from_arrays(np.ones((5, 2)), np.ones((5, 2)), 0.1)
-        np.testing.assert_array_equal(component_increments(d, 1), np.zeros(5))
-
-    def test_single_row(self):
-        d = DatasetPair.from_arrays(np.array([[1.0, 2.0]]),
-                                    np.array([[1.5, 2.0]]), 0.1)
-        np.testing.assert_array_equal(component_increments(d, 1), [0.5])
-        np.testing.assert_array_equal(component_increments(d, 2), [0.0])
-
-    def test_index_out_of_range(self):
-        d = DatasetPair.from_arrays(np.ones((5, 2)), np.ones((5, 2)), 0.1)
-        with pytest.raises(DomainError):
-            component_increments(d, 0)
-        with pytest.raises(DomainError):
-            component_increments(d, 3)
 
 
 class TestBinCounts:
@@ -269,6 +249,12 @@ class TestCubeFilter:
         kept, fraction = cube_filter(data, 1.0)
         np.testing.assert_array_equal(kept.X[:, 0], [0.1, 0.3, 0.2])
         assert fraction == 0.75
+
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf])
+    def test_half_width_must_be_positive_and_finite(self, half_width):
+        data = DatasetPair.from_arrays(np.zeros((2, 1)), np.ones((2, 1)), 0.001)
+        with pytest.raises(DomainError, match="half_width must be positive and finite"):
+            cube_filter(data, half_width)
 
 
 class TestBlockwisePasses:

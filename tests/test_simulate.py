@@ -316,3 +316,11 @@ class TestErrors:
         model = builtin_model("genereg1d")
         with pytest.raises(DomainError):
             simulate_pairs(model, np.zeros((5, 1)), -0.1, seed=0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_h_rejected(self, h):
+        model = builtin_model("lorenz3d")
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            simulate_pairs(model, np.zeros((5, 3)), h, seed=0)
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            euler_pair_step(model, [0.0, 0.0, 0.0], h, RandomStream.from_seed(1))

@@ -37,7 +37,7 @@ class TestParams:
         with pytest.raises(DomainError):
             StableParams(1.5, beta, 1.0)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf])
     def test_sigma_not_positive(self, sigma):
         with pytest.raises(DomainError):
             StableParams(1.5, 0.0, sigma)
@@ -213,6 +213,10 @@ class TestCorrections:
             correction_R(p, 0.0)
         with pytest.raises(DomainError):
             correction_S(p, -1.0, 0, 0)
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            correction_R(p, np.inf)
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            correction_S(p, np.inf, 0, 0)
 
 
 class TestSampler:
@@ -266,6 +270,8 @@ class TestSampler:
             sample_stable(1.5, -2.0, 1.0, 4, s)
         with pytest.raises(DomainError):
             sample_stable(1.5, 0.0, 0.0, 4, s)
+        with pytest.raises(DomainError, match="scale"):
+            sample_stable(1.5, 0.0, np.inf, 4, s)
         with pytest.raises(DomainError):
             sample_stable(1.5, 0.0, 1.0, -1, s)
 
