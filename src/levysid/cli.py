@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     LevysidError,
     NumericError,
+    number,
     positive,
 )
 from .estimate import EstimationConfig, cube_filter, estimate_levy, regression_tables
@@ -63,8 +64,8 @@ def _require_grid(cfg):
 def _require_h(cfg):
     h = cfg.get("h")
     try:
-        return float(positive("h", h))
-    except (TypeError, DomainError) as exc:
+        return positive("h", number("h", h))
+    except DomainError as exc:
         raise ConfigError(f"model config needs a positive, finite step size h, "
                           f"got {h!r}", field="h") from exc
 
@@ -75,11 +76,13 @@ def load_est_config(doc):
         raise ConfigError("estimation config must be a JSON object")
     try:
         config = EstimationConfig(
-            float(doc["epsilon"]), float(doc["m"]), int(doc["N"]),
-            None if doc.get("cube_epsilon") is None else float(doc["cube_epsilon"]))
+            number("epsilon", doc["epsilon"]), number("m", doc["m"]),
+            number("N", doc["N"], whole=True),
+            None if doc.get("cube_epsilon") is None
+            else number("cube_epsilon", doc["cube_epsilon"]))
     except KeyError as exc:
         raise ConfigError(f"estimation config is missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError, DomainError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"estimation config: {exc}") from exc
     spec = doc.get("dictionary")
     if spec is None:
@@ -376,11 +379,10 @@ def cmd_pipeline(args):
         xs = np.linspace(lo, hi, 501)
         pts = np.zeros((xs.size, model.n))
         pts[:, i - 1] = xs
-        A = design_matrix(dictionary, pts)
         _write_curve(workdir / f"plot_b{i}.csv", (
-            xs, A @ table.drift[i - 1], _true_values(model, "drift", (i,), pts)))
+            xs, table.drift_value(i, pts), _true_values(model, "drift", (i,), pts)))
         _write_curve(workdir / f"plot_a{i}{i}.csv", (
-            xs, A @ table.diffusion[(i, i)],
+            xs, table.diffusion_value(i, i, pts),
             _true_values(model, "diffusion", (i, i), pts)))
 
     _print_levy(levy)

@@ -6,6 +6,7 @@ catch one base class. The CLI maps subtrees of this hierarchy onto exit codes
 """
 
 import math
+import numbers
 
 
 class LevysidError(Exception):
@@ -22,6 +23,24 @@ def positive(name, value):
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def number(name, value, whole=False):
+    """``value`` as a float, or as an int when ``whole``: the one type rule for
+    config numbers. A bool, a string or anything else that is not a real
+    number raises DomainError, and so does a fraction, NaN or infinity where
+    ``whole`` asks for a count. Ranges stay with their owners."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    if whole and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large, got {value!r}") from None
+    if whole and not x.is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(x) if whole else x
 
 
 class ExpressionError(LevysidError, ValueError):
@@ -57,7 +76,7 @@ class EvaluationDomainError(LevysidError, ArithmeticError):
     log of a non-positive, or a NaN produced by an otherwise legal operation."""
 
 
-class GridSizeError(LevysidError, ValueError):
+class GridSizeError(DomainError):
     """Requested tensor grid exceeds the configured row cap."""
 
 
@@ -111,5 +130,5 @@ class EstimationWarning(UserWarning):
 
 
 class ConditioningWarning(UserWarning):
-    """Least-squares system ill-conditioned: cond(A) above COND_THRESHOLD,
-    or a Gram solve fell back to the eigendecomposition pseudo-inverse."""
+    """A Gram solve fell back to the eigendecomposition pseudo-inverse: its
+    estimated cond(A) is above COND_THRESHOLD, or Cholesky broke down."""

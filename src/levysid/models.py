@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .errors import ConfigError, ExpressionError
+from .errors import ConfigError, DomainError, ExpressionError, number
 from .expr import ExpressionTree, evaluate_trees, parse_expression
 from .stable import StableParams
 
@@ -46,20 +46,10 @@ class SdeModel:
                     raise ConfigError("levy entries must be StableParams", field="levy")
 
     @property
-    def levy_enabled(self):
-        return self.levy is not None
-
-    @property
     def gaussian_enabled(self):
         """False when every Lambda entry is the constant 0, so the Gaussian
         term vanishes and no normals need drawing."""
         return any(t.root != ("c", 0.0) for row in self.gaussian for t in row)
-
-    @property
-    def levy_intensity(self):
-        if self.levy is None:
-            return None
-        return tuple(p.sigma for p in self.levy)
 
     def drift_at(self, points):
         """Evaluate b at an (M, n) block; returns (M, n)."""
@@ -175,10 +165,11 @@ def model_from_config(config):
                 raise ConfigError(f"levy[{i}] must be an object", field=f"levy[{i}]")
             try:
                 entries.append(StableParams(
-                    float(item["alpha"]), float(item["beta"]), float(item["sigma"])))
+                    number("alpha", item["alpha"]), number("beta", item["beta"]),
+                    number("sigma", item["sigma"])))
             except KeyError as exc:
                 raise ConfigError(f"levy[{i}] is missing {exc}", field=f"levy[{i}]") from exc
-            except (TypeError, ValueError) as exc:
+            except DomainError as exc:
                 raise ConfigError(f"levy[{i}]: {exc}", field=f"levy[{i}]") from exc
         levy = tuple(entries)
 

@@ -1,19 +1,17 @@
-"""Dense numeric kernels: least squares and symmetric eigendecomposition.
+"""Dense numeric kernels: the Gram least-squares solve and symmetric
+eigendecomposition.
 
 Every factorization is LAPACK through numpy. ``sym_eigen`` is ``eigh`` with a
-fixed order and sign convention. ``solve_least_squares`` factors A itself by
-Householder QR, so its accuracy follows cond(A). ``solve_gram`` serves the
-chunked regressions, where A is never materialized and only G = AᵀA and
-C = AᵀB are accumulated: it solves by Cholesky of G, which loses cond(A)²
-digits, and one eigendecomposition of G gives its rank check and its
-condition estimate.
+fixed order and sign convention. ``solve_gram`` is the one least-squares
+solve: the chunked regressions never materialize A and accumulate only
+G = AᵀA and C = AᵀB. It solves by Cholesky of G, which loses cond(A)² digits,
+and one eigendecomposition of G gives its rank check and its condition
+estimate.
 
-ConditioningWarning from ``solve_least_squares`` means cond(A) exceeds
-COND_THRESHOLD; the QR solution is still returned. From ``solve_gram`` it
-means the estimated cond(A) exceeds COND_THRESHOLD, or Cholesky broke down on
-rounding, and the solve took the eigendecomposition pseudo-inverse instead.
-Numerically singular systems raise RankDeficiencyError; empty or non-finite
-input raises DomainError.
+ConditioningWarning means the estimated cond(A) exceeds COND_THRESHOLD, or
+Cholesky broke down on rounding, and the solve took the eigendecomposition
+pseudo-inverse instead. Numerically singular systems raise
+RankDeficiencyError; empty or non-finite input raises DomainError.
 """
 
 from __future__ import annotations
@@ -111,40 +109,3 @@ def solve_gram(G, C):
         ConditioningWarning, stacklevel=2)
     return Q @ ((Q.T @ C).T / w).T
 
-
-def solve_least_squares(A, B):
-    """Least-squares solution of A x = B for tall A (M >= K).
-
-    Solves through a Householder QR of A, so accuracy follows cond(A), not
-    its square. A ConditioningWarning is issued when cond(A) exceeds
-    COND_THRESHOLD; rank-deficient systems raise RankDeficiencyError with
-    the condition estimate attached.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2:
-        raise DomainError(f"A must be 2-D, got shape {A.shape}")
-    M, K = A.shape
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    if B.shape[0] != M:
-        raise DomainError(f"B has {B.shape[0]} rows, A has {M}")
-    if M < K or K < 1:
-        raise DomainError(f"need M >= K >= 1, got M={M}, K={K}")
-    _check_finite(A, "A")
-    _check_finite(B, "B")
-
-    Q, R = np.linalg.qr(A, mode="reduced")
-    rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= rdiag.max() * 1e-13:
-        raise RankDeficiencyError(
-            "design matrix is rank deficient",
-            cond=np.inf if rdiag.min() == 0.0 else rdiag.max() / rdiag.min())
-    cond = float(np.linalg.cond(R))
-    if cond > COND_THRESHOLD:
-        warnings.warn(
-            f"least-squares system ill-conditioned (cond ~ {cond:.3e})",
-            ConditioningWarning, stacklevel=2)
-    X = _back_substitute(R, Q.T @ B)
-    return X[:, 0] if squeeze else X

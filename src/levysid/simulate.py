@@ -20,6 +20,7 @@ from .errors import (
     EvaluationDomainError,
     GridSizeError,
     SimulationError,
+    number,
     positive,
 )
 from .rng import RandomStream, row_jumps, row_keys, row_normals, split_key, stream_key
@@ -95,16 +96,24 @@ def generate_grid(bounds, mesh):
     Rows are ordered lexicographically in the axis indices (first axis
     slowest). A degenerate axis (mesh 1) sits at its lower bound.
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    mesh = [int(m) for m in mesh]
+    try:
+        bounds = [(number("grid bound", lo), number("grid bound", hi))
+                  for lo, hi in bounds]
+        mesh = [number("mesh entry", m, whole=True) for m in mesh]
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError("bounds must be a list of [lower, upper] pairs and "
+                          f"mesh a list of whole numbers: {exc}") from exc
     if len(bounds) != len(mesh) or not bounds:
         raise DomainError("bounds and mesh must have equal positive length")
     total = 1
     for (lo, hi), m in zip(bounds, mesh):
         if m < 1:
             raise DomainError(f"mesh entries must be >= 1, got {m}")
-        if not lo < hi:
-            raise DomainError(f"need lower < upper per axis, got [{lo}, {hi}]")
+        if not -np.inf < lo < hi < np.inf:
+            raise DomainError(
+                f"need finite lower < upper per axis, got [{lo}, {hi}]")
         total *= m
     if total > GRID_ROW_CAP:
         raise GridSizeError(

@@ -47,10 +47,6 @@ class StableParams:
             raise DomainError(f"beta must lie in [-1,1], got {self.beta}")
         positive("sigma", self.sigma)
 
-    @property
-    def k_alpha(self) -> float:
-        return k_alpha(self.alpha)
-
 
 def k_alpha(alpha: float) -> float:
     """Normalizing constant of the stable kernel.
@@ -69,7 +65,8 @@ def kernel_W(xi, alpha: float, beta: float):
 
     Raises DomainError if any xi is exactly 0 (the kernel is singular there).
     """
-    k = StableParams(alpha, beta, 1.0).k_alpha
+    StableParams(alpha, beta, 1.0)
+    k = k_alpha(alpha)
     x = np.asarray(xi, dtype=np.float64)
     if np.any(x == 0.0):
         raise DomainError("kernel_W is singular at xi = 0")

@@ -151,7 +151,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("overlay", [
         {"h": math.inf},
         {"levy": [{"alpha": 1.5, "beta": -0.5, "sigma": math.inf}]},
-    ], ids=["h-inf", "sigma-inf"])
+        {"h": True},
+        {"h": 10**400},
+        {"levy": [{"alpha": True, "beta": -0.5, "sigma": 0.5}]},
+        {"levy": [{"alpha": 1.5, "beta": "0", "sigma": 0.5}]},
+        {"levy": [{"alpha": 1.5, "beta": -0.5, "sigma": True}]},
+    ], ids=["h-inf", "sigma-inf", "h-bool", "h-huge-int", "alpha-bool",
+            "beta-string", "sigma-bool"])
     def test_non_finite_model_value_exits_2(self, tmp_path, capsys, overlay):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100]},
@@ -161,12 +167,26 @@ class TestSimulateCommand:
         assert "error category=config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_grid_exits_2(self, tmp_path):
-        cfg = _write_json(tmp_path / "model.json", {
-            "name": "genereg1d", "grid": {"bounds": [[5, 0]], "mesh": [10]},
-        })
-        assert main(["simulate", "--config", cfg,
-                     "--out", str(tmp_path / "d.csv")]) == 2
+    @pytest.mark.parametrize("grid", [
+        {"bounds": [[5, 0]], "mesh": [10]},
+        {"bounds": [[0, 5]], "mesh": [2.5]},
+        {"bounds": [[0, 5]], "mesh": [True]},
+        {"bounds": [[0, 5]], "mesh": ["200"]},
+        {"bounds": [[0, 5]], "mesh": [math.inf]},
+        {"bounds": [[0, 5]], "mesh": [math.nan]},
+        {"bounds": [[0]], "mesh": [10]},
+        {"bounds": 5, "mesh": [10]},
+        {"bounds": [[0, 5]], "mesh": [300_000_000]},
+    ], ids=["reversed-bounds", "mesh-fraction", "mesh-bool", "mesh-string",
+            "mesh-inf", "mesh-nan", "bound-not-pair", "bounds-not-list",
+            "over-row-cap"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
+        cfg = _write_json(tmp_path / "model.json",
+                          {"name": "genereg1d", "grid": grid})
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -218,7 +238,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", math.nan), ("epsilon", math.inf), ("m", math.nan),
         ("m", math.inf), ("cube_epsilon", math.nan), ("cube_epsilon", math.inf),
-        ("N", math.inf)])
+        ("N", math.inf), ("N", 2.7), ("N", True), ("N", "2"), ("epsilon", True),
+        ("epsilon", "1.0"), ("m", "5"), ("cube_epsilon", True)])
     def test_non_finite_est_config_exits_2(self, tmp_path, capsys, field, value):
         data_path = _cauchy_dataset(tmp_path, M=2000)
         report = tmp_path / "r.json"

@@ -20,7 +20,7 @@ class TestBuiltinLorenz:
     def test_structure(self):
         model = builtin_model("lorenz3d")
         assert model.n == 3
-        assert model.levy_enabled
+        assert model.levy is not None
         alphas = [p.alpha for p in model.levy]
         betas = [p.beta for p in model.levy]
         sigmas = [p.sigma for p in model.levy]
@@ -120,14 +120,14 @@ class TestModelFromConfig:
         model = model_from_config(self._base())
         assert isinstance(model, SdeModel)
         assert model.n == 2
-        assert model.levy_enabled
-        np.testing.assert_allclose(model.levy_intensity, [1.0, 2.0])
+        assert model.levy is not None
+        np.testing.assert_allclose([p.sigma for p in model.levy], [1.0, 2.0])
 
     def test_levy_null_disables_jumps(self):
         cfg = self._base()
         cfg["levy"] = None
         model = model_from_config(cfg)
-        assert not model.levy_enabled
+        assert model.levy is None
 
     def test_gaussian_null_means_zero(self):
         cfg = self._base()

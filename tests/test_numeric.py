@@ -1,4 +1,4 @@
-"""Least squares and symmetric eigensolver."""
+"""Gram least-squares solve and symmetric eigensolver."""
 
 import warnings
 
@@ -10,96 +10,9 @@ from levysid import (
     DomainError,
     NonSymmetricError,
     RankDeficiencyError,
-    solve_least_squares,
     sym_eigen,
 )
 from levysid.numeric import solve_gram
-
-
-class TestSolveLeastSquares:
-    def test_two_by_two(self):
-        x = solve_least_squares(np.array([[1.0, 0.0], [1.0, 1.0]]),
-                                np.array([1.0, 3.0]))
-        np.testing.assert_allclose(x, [1.0, 2.0], rtol=0, atol=1e-14)
-
-    def test_single_column_average(self):
-        x = solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-        np.testing.assert_allclose(x, [1.0], rtol=0, atol=1e-14)
-
-    def test_random_recovery(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            A = rng.standard_normal((200, 10))
-            x_true = rng.standard_normal(10)
-            B = A @ x_true
-            x = solve_least_squares(A, B)
-            np.testing.assert_allclose(x, x_true, rtol=1e-10, atol=1e-10)
-
-    def test_multiple_right_hand_sides(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((50, 6))
-        X_true = rng.standard_normal((6, 4))
-        X = solve_least_squares(A, A @ X_true)
-        assert X.shape == (6, 4)
-        np.testing.assert_allclose(X, X_true, rtol=1e-10, atol=1e-12)
-
-    def test_residual_orthogonality(self):
-        # overdetermined inconsistent system: A^T r must vanish at the optimum
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((120, 8))
-        B = rng.standard_normal(120)
-        x = solve_least_squares(A, B)
-        grad = A.T @ (A @ x - B)
-        assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(A.T @ B)
-
-    def test_rank_deficient_raises(self):
-        A = np.zeros((10, 3))
-        A[:, 0] = 1.0
-        A[:, 1] = 2.0  # exact multiple of column 0
-        A[:, 2] = np.arange(10.0)
-        with pytest.raises(RankDeficiencyError):
-            solve_least_squares(A, np.ones(10))
-
-    def test_ill_conditioned_warns_and_solves(self):
-        # nearly parallel columns: cond beyond 1e10 but still full rank for QR
-        t = np.linspace(0.0, 1.0, 60)
-        s = np.linspace(1.0, -1.0, 60)
-        A = np.column_stack([t, t + 1e-11 * s])
-        B = 3.0 * t
-        with pytest.warns(ConditioningWarning):
-            x = solve_least_squares(A, B)
-        np.testing.assert_allclose(A @ x, B, rtol=0, atol=1e-8)
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(DomainError):
-            solve_least_squares(np.ones((2, 5)), np.ones(2))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            solve_least_squares(np.ones((4, 2)), np.ones(5))
-
-    @pytest.mark.parametrize("A,B", [
-        (np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 2.0]]), np.ones(3)),
-        (np.eye(3, 2), np.array([1.0, np.inf, 0.0])),
-        (np.eye(3, 2), np.ones((3, 0))),
-    ], ids=["nan-in-A", "inf-in-B", "no-right-hand-side"])
-    def test_nonfinite_or_empty_rejected(self, A, B):
-        with pytest.raises(DomainError):
-            solve_least_squares(A, B)
-
-    @pytest.mark.parametrize("c", [1e7, 1e8], ids=["cond-1e7", "cond-1e8"])
-    def test_accuracy_follows_cond_a(self, c):
-        # normal equations lose cond(A)^2 digits here: relative error
-        # 4e-3 at cond 1e7 and 0.7 at cond 1e8
-        rng = np.random.default_rng(int(np.log10(c)))
-        U, _ = np.linalg.qr(rng.standard_normal((400, 6)))
-        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        A = U @ np.diag(np.geomspace(1.0, 1.0 / c, 6)) @ V.T
-        x_true = rng.standard_normal(6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ConditioningWarning)
-            x = solve_least_squares(A, A @ x_true)
-        assert np.linalg.norm(x - x_true) <= 1e-6 * np.linalg.norm(x_true)
 
 
 class TestSolveGram:
@@ -107,7 +20,7 @@ class TestSolveGram:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((300, 7))
         B = rng.standard_normal((300, 2))
-        x_full = solve_least_squares(A, B)
+        x_full = np.linalg.lstsq(A, B, rcond=None)[0]
         x_gram = solve_gram(A.T @ A, A.T @ B)
         np.testing.assert_allclose(x_gram, x_full, rtol=1e-9, atol=1e-12)
 

@@ -48,6 +48,8 @@ class TestGenerateGrid:
         Z = generate_grid([[0.0, 5.0]], [11])
         assert Z[0, 0] == 0.0 and Z[-1, 0] == 5.0
         assert Z.shape == (11, 1)
+        for mesh in ([11.0], [np.int64(11)]):
+            np.testing.assert_array_equal(generate_grid([[0, 5]], mesh), Z)
 
     def test_degenerate_axis_lower_bound(self):
         Z = generate_grid([[0.0, 5.0]], [1])
@@ -64,6 +66,12 @@ class TestGenerateGrid:
             generate_grid([[0.0, 1.0]], [0])
         with pytest.raises(DomainError):
             generate_grid([[0.0, 1.0]], [3, 3])
+        for mesh in ([2.5], [True], ["200"], [np.inf], [np.nan]):
+            with pytest.raises(DomainError):
+                generate_grid([[0.0, 1.0]], mesh)
+        for bounds in ([[0.0]], 5, [["0", 1.0]], [[0.0, np.inf]]):
+            with pytest.raises(DomainError):
+                generate_grid(bounds, [3])
 
 
 class TestDatasetPair:
