@@ -53,21 +53,20 @@ def _load_json(path, what):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _require_grid(cfg):
+def _model_inputs(path):
+    """(model, bounds, mesh, h) from a model config file."""
+    cfg = resolve_config(_load_json(path, "model config"))
+    model = model_from_config(cfg)
     grid = cfg.get("grid")
     if not isinstance(grid, dict) or "bounds" not in grid or "mesh" not in grid:
-        raise ConfigError("model config needs grid.bounds and grid.mesh",
-                          field="grid")
-    return grid["bounds"], grid["mesh"]
-
-
-def _require_h(cfg):
+        raise ConfigError("model config needs grid.bounds and grid.mesh")
     h = cfg.get("h")
     try:
-        return positive("h", number("h", h))
+        h = positive("h", number("h", h))
     except DomainError as exc:
         raise ConfigError(f"model config needs a positive, finite step size h, "
-                          f"got {h!r}", field="h") from exc
+                          f"got {h!r}") from exc
+    return model, grid["bounds"], grid["mesh"], h
 
 
 def load_est_config(doc):
@@ -86,8 +85,7 @@ def load_est_config(doc):
         raise ConfigError(f"estimation config: {exc}") from exc
     spec = doc.get("dictionary")
     if spec is None:
-        raise ConfigError("estimation config needs a 'dictionary' entry",
-                          field="dictionary")
+        raise ConfigError("estimation config needs a 'dictionary' entry")
     return config, spec
 
 
@@ -96,27 +94,26 @@ def build_dictionary(spec, n):
     if isinstance(spec, str):
         if spec == "example2":
             if n != 1:
-                raise ConfigError(
-                    f"dictionary 'example2' is 1-D, dataset has n={n}",
-                    field="dictionary")
+                raise ConfigError(f"dictionary 'example2' is 1-D, dataset has n={n}")
             return example2_dictionary()
         m = re.fullmatch(r"poly:(\d+)", spec)
         if m:
             return polynomial_dictionary(n, int(m.group(1)))
-        raise ConfigError(f"unknown dictionary spec {spec!r}", field="dictionary")
+        raise ConfigError(f"unknown dictionary spec {spec!r}")
     if isinstance(spec, list) and spec and all(isinstance(s, str) for s in spec):
         try:
             funcs = tuple(parse_expression(text, n) for text in spec)
         except ExpressionError as exc:
-            raise ConfigError(f"dictionary expression: {exc}",
-                              field="dictionary") from exc
+            raise ConfigError(f"dictionary expression: {exc}") from exc
         return BasisDictionary(n, tuple(spec), funcs)
     raise ConfigError("dictionary must be 'poly:<d>', 'example2', or a list "
-                      "of expression strings", field="dictionary")
+                      "of expression strings")
 
 
-def _dictionary_kind(spec):
-    return spec if isinstance(spec, str) else "custom"
+def _estimation_inputs(path, n):
+    """(config, dictionary spec, dictionary) from an est-config file."""
+    config, spec = load_est_config(_load_json(path, "estimation config"))
+    return config, spec, build_dictionary(spec, n)
 
 
 def _estimate_all(data, config, dictionary):
@@ -131,11 +128,11 @@ def _estimate_all(data, config, dictionary):
         for rec in records:
             if isinstance(rec.message, UserWarning):
                 caught.append(str(rec.message))
-    return levy, fraction, table, caught
+    return levy, table, caught
 
 
-def build_report(data, config, dict_spec, dictionary, levy, fraction, table,
-                 warning_messages, seed=None):
+def build_report(data, config, dict_spec, levy, table, warning_messages,
+                 seed=None):
     report = {
         "format": "levy-sid-report v1",
         "dataset": {"n": data.n, "M": data.M, "h": data.h},
@@ -146,9 +143,9 @@ def build_report(data, config, dict_spec, dictionary, levy, fraction, table,
             "cube_epsilon": config.cube_epsilon,
         },
         "dictionary": {
-            "kind": _dictionary_kind(dict_spec),
-            "n": dictionary.n,
-            "names": list(dictionary.names),
+            "kind": dict_spec if isinstance(dict_spec, str) else "custom",
+            "n": table.dictionary.n,
+            "names": list(table.dictionary.names),
         },
         "levy": [
             {
@@ -161,7 +158,7 @@ def build_report(data, config, dict_spec, dictionary, levy, fraction, table,
             }
             for e in levy
         ],
-        "survival_fraction": float(fraction),
+        "survival_fraction": float(table.fraction),
         "drift": [[float(v) for v in row] for row in table.drift],
         "drift_residuals": [float(v) for v in table.drift_residuals],
         "diffusion": [
@@ -180,6 +177,16 @@ def build_report(data, config, dict_spec, dictionary, levy, fraction, table,
     return report
 
 
+def _estimate(data, config, spec, dictionary, seed, report_path):
+    """Run the estimator chain and write its report; (levy, table, seconds)."""
+    t0 = time.perf_counter()
+    levy, table, caught = _estimate_all(data, config, dictionary)
+    seconds = time.perf_counter() - t0
+    write_report(build_report(data, config, spec, levy, table, caught, seed=seed),
+                 report_path)
+    return levy, table, seconds
+
+
 def _print_levy(levy):
     for e in levy:
         print(f"component {e.component}: alpha={e.alpha:.4f} "
@@ -187,10 +194,7 @@ def _print_levy(levy):
 
 
 def cmd_simulate(args):
-    cfg = resolve_config(_load_json(args.config, "model config"))
-    model = model_from_config(cfg)
-    bounds, mesh = _require_grid(cfg)
-    h = _require_h(cfg)
+    model, bounds, mesh, h = _model_inputs(args.config)
     Z = generate_grid(bounds, mesh)
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
@@ -205,17 +209,11 @@ def cmd_simulate(args):
 
 def cmd_estimate(args):
     data = read_dataset(args.data)
-    config, dict_spec = load_est_config(
-        _load_json(args.est_config, "estimation config"))
-    dictionary = build_dictionary(dict_spec, data.n)
-    t0 = time.perf_counter()
-    levy, fraction, table, caught = _estimate_all(data, config, dictionary)
-    dt = time.perf_counter() - t0
-    report = build_report(data, config, dict_spec, dictionary, levy, fraction,
-                          table, caught, seed=args.seed)
-    write_report(report, args.report)
+    config, spec, dictionary = _estimation_inputs(args.est_config, data.n)
+    levy, table, dt = _estimate(data, config, spec, dictionary, args.seed,
+                                args.report)
     _print_levy(levy)
-    print(f"survival fraction {fraction:.6f}; estimated in {dt:.2f}s")
+    print(f"survival fraction {table.fraction:.6f}; estimated in {dt:.2f}s")
     return 0
 
 
@@ -227,8 +225,7 @@ def parse_component(spec):
     m = _COMPONENT_RE.fullmatch(spec.strip())
     if m is None:
         raise ConfigError(
-            f"cannot parse component {spec!r}; use b<i>, a<i><j> or a<i>,<j>",
-            field="component")
+            f"cannot parse component {spec!r}; use b<i>, a<i><j> or a<i>,<j>")
     if m.group(1):
         return ("drift", int(m.group(1)))
     if m.group(2):
@@ -239,22 +236,18 @@ def parse_component(spec):
 def parse_range(spec):
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"range must be start:stop:step, got {spec!r}",
-                          field="range")
+        raise ConfigError(f"range must be start:stop:step, got {spec!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"range {spec!r}: {exc}", field="range") from exc
+        raise ConfigError(f"range {spec!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConfigError(f"range needs finite start, stop and step, got {spec!r}",
-                          field="range")
+        raise ConfigError(f"range needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop <= start:
-        raise ConfigError(
-            f"range needs stop > start and step > 0, got {spec!r}", field="range")
+        raise ConfigError(f"range needs stop > start and step > 0, got {spec!r}")
     steps = (stop - start) / step + 1e-9
     if not steps < GRID_ROW_CAP:
-        raise ConfigError(f"range {spec!r} has more than {GRID_ROW_CAP} points",
-                          field="range")
+        raise ConfigError(f"range {spec!r} has more than {GRID_ROW_CAP} points")
     return start + step * np.arange(int(np.floor(steps)) + 1)
 
 
@@ -268,8 +261,10 @@ def _report_dictionary(report):
             f"report dictionary.n must be a positive integer, got {n!r}")
     if not isinstance(names, list) or not all(isinstance(t, str) for t in names):
         raise DataFormatError("report dictionary.names must be a list of strings")
-    funcs = tuple(parse_expression(text, n) for text in names)
-    return BasisDictionary(n, tuple(names), funcs)
+    try:
+        return build_dictionary(names, n)
+    except (ConfigError, DomainError) as exc:
+        raise DataFormatError(f"report dictionary.names: {exc}") from exc
 
 
 def _report_coefficients(report, parsed, K):
@@ -278,8 +273,7 @@ def _report_coefficients(report, parsed, K):
         i = parsed[1]
         rows = report.get("drift", [])
         if not 1 <= i <= len(rows):
-            raise ConfigError(f"report has no drift component b{i}",
-                              field="component")
+            raise ConfigError(f"report has no drift component b{i}")
         values = rows[i - 1]
     else:
         i, j = sorted(parsed[1:])
@@ -288,8 +282,7 @@ def _report_coefficients(report, parsed, K):
             raise DataFormatError("report diffusion entries need i and j")
         match = [d for d in entries if d["i"] == i and d["j"] == j]
         if not match:
-            raise ConfigError(f"report has no diffusion entry a{i}{j}",
-                              field="component")
+            raise ConfigError(f"report has no diffusion entry a{i}{j}")
         values = match[0].get("coefficients")
     if not (isinstance(values, list) and len(values) == K
             and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
@@ -326,13 +319,12 @@ def cmd_plot_data(args):
         try:
             at = [float(v) for v in args.at.split(",")]
         except ValueError as exc:
-            raise ConfigError(f"--at: {exc}", field="at") from exc
+            raise ConfigError(f"--at: {exc}") from exc
         if len(at) != n or not all(math.isfinite(v) for v in at):
-            raise ConfigError(f"--at needs {n} comma-separated finite values",
-                              field="at")
+            raise ConfigError(f"--at needs {n} comma-separated finite values")
     axis = args.axis if args.axis is not None else parsed[1]
     if not 1 <= axis <= n:
-        raise ConfigError(f"--axis must be in 1..{n}", field="axis")
+        raise ConfigError(f"--axis must be in 1..{n}")
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
 
@@ -349,29 +341,19 @@ def cmd_plot_data(args):
 
 
 def cmd_pipeline(args):
+    # every input is checked before the workdir exists
+    model, bounds, mesh, h = _model_inputs(args.config)
+    config, spec, dictionary = _estimation_inputs(args.est_config, model.n)
+    Z = generate_grid(bounds, mesh)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    cfg = resolve_config(_load_json(args.config, "model config"))
-    model = model_from_config(cfg)
-    bounds, mesh = _require_grid(cfg)
-    h = _require_h(cfg)
-    config, dict_spec = load_est_config(
-        _load_json(args.est_config, "estimation config"))
-    dictionary = build_dictionary(dict_spec, model.n)
 
     t0 = time.perf_counter()
-    Z = generate_grid(bounds, mesh)
     data = simulate_pairs(model, Z, h, args.seed)
     t_sim = time.perf_counter() - t0
     write_dataset(data, workdir / f"dataset.{args.format}", args.format)
-
-    t1 = time.perf_counter()
-    levy, fraction, table, caught = _estimate_all(data, config, dictionary)
-    t_est = time.perf_counter() - t1
-    report = build_report(data, config, dict_spec, dictionary, levy, fraction,
-                          table, caught, seed=args.seed)
-    report_path = workdir / "report.json"
-    write_report(report, report_path)
+    levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
+                                   workdir / "report.json")
 
     # emit drift/diffusion curves per component along that component's axis
     for i in range(1, model.n + 1):

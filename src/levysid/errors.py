@@ -81,12 +81,7 @@ class GridSizeError(DomainError):
 
 
 class SimulationError(LevysidError):
-    """An Euler step failed; ``row`` and ``component`` locate the failure."""
-
-    def __init__(self, message, row=None, component=None):
-        super().__init__(message)
-        self.row = row
-        self.component = component
+    """An Euler step failed; the message names the rows and component."""
 
 
 class InsufficientDataError(LevysidError):
@@ -98,11 +93,7 @@ class NumericError(LevysidError):
 
 
 class RankDeficiencyError(NumericError):
-    """No stable least-squares solution; carries the condition estimate."""
-
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
+    """No stable least-squares solution."""
 
 
 class NonSymmetricError(NumericError):
@@ -114,11 +105,7 @@ class NotPositiveSemidefiniteError(NumericError):
 
 
 class ConfigError(LevysidError, ValueError):
-    """Invalid configuration document; ``field`` is the offending field path."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    """Invalid configuration document; the message names the field."""
 
 
 class DataFormatError(LevysidError, ValueError):

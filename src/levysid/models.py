@@ -25,25 +25,21 @@ class SdeModel:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.n}", field="dimension")
+            raise ConfigError(f"dimension must be >= 1, got {self.n}")
         if len(self.drift) != self.n:
-            raise ConfigError(
-                f"drift needs {self.n} entries, got {len(self.drift)}", field="drift")
+            raise ConfigError(f"drift needs {self.n} entries, got {len(self.drift)}")
         if len(self.gaussian) != self.n or any(len(r) != self.n for r in self.gaussian):
-            raise ConfigError(
-                f"gaussian must be {self.n}x{self.n}", field="gaussian")
+            raise ConfigError(f"gaussian must be {self.n}x{self.n}")
         for tree in list(self.drift) + [t for row in self.gaussian for t in row]:
             if not isinstance(tree, ExpressionTree) or tree.dimension != self.n:
                 raise ConfigError(
-                    "all model expressions must share the model dimension",
-                    field="drift/gaussian")
+                    "all model expressions must share the model dimension")
         if self.levy is not None:
             if len(self.levy) != self.n:
-                raise ConfigError(
-                    f"levy needs {self.n} entries, got {len(self.levy)}", field="levy")
+                raise ConfigError(f"levy needs {self.n} entries, got {len(self.levy)}")
             for p in self.levy:
                 if not isinstance(p, StableParams):
-                    raise ConfigError("levy entries must be StableParams", field="levy")
+                    raise ConfigError("levy entries must be StableParams")
 
     @property
     def gaussian_enabled(self):
@@ -100,8 +96,7 @@ def builtin_config(name):
     """Full JSON-shaped config dict for a built-in model name."""
     if name not in _BUILTINS:
         raise ConfigError(
-            f"unknown built-in model {name!r}; available: {', '.join(BUILTIN_NAMES)}",
-            field="name")
+            f"unknown built-in model {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     return copy.deepcopy(_BUILTINS[name])
 
 
@@ -120,26 +115,25 @@ def resolve_config(config):
 
 def _parse_entry(text, dimension, field):
     if not isinstance(text, str):
-        raise ConfigError(f"{field} must be an expression string", field=field)
+        raise ConfigError(f"{field} must be an expression string")
     try:
         return parse_expression(text, dimension)
     except ExpressionError as exc:
-        raise ConfigError(f"{field}: {exc}", field=field) from exc
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def model_from_config(config):
     """Build an SdeModel from a config dict (built-in name or explicit)."""
     cfg = resolve_config(config)
     if "dimension" not in cfg:
-        raise ConfigError("model config is missing 'dimension'", field="dimension")
+        raise ConfigError("model config is missing 'dimension'")
     n = cfg["dimension"]
     if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"dimension must be a positive integer, got {n!r}",
-                          field="dimension")
+        raise ConfigError(f"dimension must be a positive integer, got {n!r}")
 
     drift_cfg = cfg.get("drift")
     if not isinstance(drift_cfg, list):
-        raise ConfigError(f"drift must be a list of {n} expressions", field="drift")
+        raise ConfigError(f"drift must be a list of {n} expressions")
     drift = tuple(_parse_entry(t, n, f"drift[{i}]") for i, t in enumerate(drift_cfg))
 
     gauss_cfg = cfg.get("gaussian")
@@ -147,8 +141,7 @@ def model_from_config(config):
         gauss_cfg = [["0"] * n for _ in range(n)]
     if not isinstance(gauss_cfg, list) or any(
             not isinstance(row, list) for row in gauss_cfg):
-        raise ConfigError(f"gaussian must be an {n}x{n} array of expressions",
-                          field="gaussian")
+        raise ConfigError(f"gaussian must be an {n}x{n} array of expressions")
     gaussian = tuple(
         tuple(_parse_entry(t, n, f"gaussian[{i}][{j}]") for j, t in enumerate(row))
         for i, row in enumerate(gauss_cfg))
@@ -157,20 +150,19 @@ def model_from_config(config):
     levy = None
     if levy_cfg is not None:
         if not isinstance(levy_cfg, list):
-            raise ConfigError(f"levy must be null or a list of {n} parameter objects",
-                              field="levy")
+            raise ConfigError(f"levy must be null or a list of {n} parameter objects")
         entries = []
         for i, item in enumerate(levy_cfg):
             if not isinstance(item, dict):
-                raise ConfigError(f"levy[{i}] must be an object", field=f"levy[{i}]")
+                raise ConfigError(f"levy[{i}] must be an object")
             try:
                 entries.append(StableParams(
                     number("alpha", item["alpha"]), number("beta", item["beta"]),
                     number("sigma", item["sigma"])))
             except KeyError as exc:
-                raise ConfigError(f"levy[{i}] is missing {exc}", field=f"levy[{i}]") from exc
+                raise ConfigError(f"levy[{i}] is missing {exc}") from exc
             except DomainError as exc:
-                raise ConfigError(f"levy[{i}]: {exc}", field=f"levy[{i}]") from exc
+                raise ConfigError(f"levy[{i}]: {exc}") from exc
         levy = tuple(entries)
 
     return SdeModel(n, drift, gaussian, levy)

@@ -95,8 +95,7 @@ def solve_gram(G, C):
     wmax = float(w[0])
     wmin = float(w[-1])
     if wmax <= 0.0 or wmin <= wmax * _SINGULAR_RATIO:
-        raise RankDeficiencyError(
-            "normal equations are numerically singular", cond=np.inf)
+        raise RankDeficiencyError("normal equations are numerically singular")
     cond = float(np.sqrt(wmax / wmin))
     if cond <= COND_THRESHOLD:
         try:

@@ -157,8 +157,7 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
         lam = model.gaussian_at(Z_block) if model.gaussian_enabled else None
     except EvaluationDomainError as exc:
         where = "" if row0 is None else f" on rows {row0}..{row0 + m - 1}"
-        raise SimulationError(f"coefficient evaluation failed{where}: {exc}",
-                              row=row0) from exc
+        raise SimulationError(f"coefficient evaluation failed{where}: {exc}") from exc
 
     gauss, jump_term = _noise(model, keys, h)
 
@@ -177,10 +176,8 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
 
     if not np.all(np.isfinite(out)):
         r, c = (int(v) for v in np.argwhere(~np.isfinite(out))[0])
-        row = None if row0 is None else row0 + r
-        where = "" if row is None else f" at row {row}"
-        raise SimulationError(f"non-finite state{where}, component {c + 1}",
-                              row=row, component=c + 1)
+        where = "" if row0 is None else f" at row {row0 + r}"
+        raise SimulationError(f"non-finite state{where}, component {c + 1}")
 
 
 def euler_pair_step(model, z, h, stream):

@@ -487,8 +487,12 @@ class TestPlotDataCommand:
         ("b1", lambda r: r["drift"][0].pop()),
         ("a11", lambda r: r["diffusion"][0].pop("i")),
         ("b1", lambda r: r["drift"][0].__setitem__(0, math.nan)),
+        ("b1", lambda r: r["dictionary"].update(names=["1", "x1 +", "x1^2"])),
+        ("b1", lambda r: r["dictionary"].update(names=[])),
+        ("b1", lambda r: r["dictionary"].update(names=["1", "x1", "x1"])),
     ], ids=["no-dictionary-n", "names-not-a-list", "short-drift-row",
-            "diffusion-without-i", "nan-drift-coefficient"])
+            "diffusion-without-i", "nan-drift-coefficient", "unparsable-name",
+            "empty-names", "duplicate-names"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, component, corrupt):
         path = self._handmade_report(tmp_path)
         report = read_report(path)
@@ -539,6 +543,36 @@ class TestPipelineCommand:
             w2 / "dataset.bin").read_bytes()
         assert (w1 / "report.json").read_bytes() == (
             w2 / "report.json").read_bytes()
+
+    def test_matches_simulate_then_estimate(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert self._run(tmp_path, workdir) == 0
+        pairs, report = tmp_path / "pairs.bin", tmp_path / "report.json"
+        assert main(["simulate", "--config", str(tmp_path / "model.json"),
+                     "--out", str(pairs), "--seed", "5"]) == 0
+        assert main(["estimate", str(pairs), "--est-config",
+                     str(tmp_path / "est.json"), "--report", str(report),
+                     "--seed", "5"]) == 0
+        assert pairs.read_bytes() == (workdir / "dataset.bin").read_bytes()
+        assert report.read_bytes() == (workdir / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("model,est", [
+        ({"name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [2.5]}}, {}),
+        ({"name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100]}},
+         {"N": 2.7}),
+        ({"name": "lorenz3d", "grid": {"bounds": [[-2, 2]] * 3, "mesh": [4] * 3}},
+         {}),
+    ], ids=["fractional-mesh", "fractional-N", "example2-on-3d-model"])
+    def test_malformed_input_creates_no_workdir(self, tmp_path, capsys, model, est):
+        cfg = _write_json(tmp_path / "model.json", model)
+        est = _write_json(tmp_path / "est.json", dict({
+            "epsilon": 0.25, "m": 5.0, "N": 2, "cube_epsilon": 1.0,
+            "dictionary": "example2"}, **est))
+        workdir = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(workdir)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not workdir.exists()
 
 
 class TestEntryPoint:
