@@ -94,7 +94,8 @@ def example2_dictionary():
     return BasisDictionary(1, _EXAMPLE2_TEXT, funcs)
 
 
-def design_matrix(dictionary, points):
+def design_matrix(dictionary, points, out=None):
     """Evaluate every dictionary function at every point: entry (j,k) is
-    psi_k(point_j)."""
-    return evaluate_trees(dictionary.functions, points, dictionary.names)
+    psi_k(point_j). With ``out``, an (M, K) float64 array, the entries are
+    written there and ``out`` is returned."""
+    return evaluate_trees(dictionary.functions, points, dictionary.names, out)

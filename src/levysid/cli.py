@@ -341,16 +341,16 @@ def cmd_plot_data(args):
 
 
 def cmd_pipeline(args):
-    # every input is checked before the workdir exists
+    # every input is checked, and the simulation done, before the workdir
+    # exists
     model, bounds, mesh, h = _model_inputs(args.config)
     config, spec, dictionary = _estimation_inputs(args.est_config, model.n)
     Z = generate_grid(bounds, mesh)
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
     t_sim = time.perf_counter() - t0
+    workdir = Path(args.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     write_dataset(data, workdir / f"dataset.{args.format}", args.format)
     levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
                                    workdir / "report.json")

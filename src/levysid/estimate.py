@@ -13,6 +13,7 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .errors import (
     NumericError,
     positive,
 )
+from . import simulate
 from .numeric import solve_gram, sym_eigen
 from .simulate import DatasetPair, map_chunks
 from .stable import StableParams, correction_R, correction_S, k_alpha
@@ -346,18 +348,42 @@ def regression_tables(data, fraction, dictionary, levy, config):
                       for i, p in enumerate(snapped)])
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     P = len(pairs)
-    S_pair = np.array([S[i] if i == j else 0.0 for (i, j) in pairs])
+    # target column t of B is scale*D_i - R_i for the drift (j is None) and
+    # (scale*D_i)*D_j - S_ij for the diffusion pairs
+    targets = [(i, None) for i in range(n)] + pairs
+    shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
+    # each worker thread allocates one set of buffers and refills it for
+    # every block: A, B and B*B hold a block, and their C-order prefixes
+    # give the BLAS calls and reductions of fresh arrays; D and the scratch
+    # column hold one CACHE_ROWS sub-block
+    rows = simulate.CHUNK_ROWS
+    sub_rows = simulate.CACHE_ROWS
+    local = threading.local()
+
     def chunk_part(start, stop):
+        if not hasattr(local, "A"):
+            local.A = np.empty((rows, K))
+            local.B = np.empty((rows, n + P))
+            local.BB = np.empty((rows, n + P))
+            local.D = np.empty((sub_rows, n))
+            local.col = np.empty(sub_rows)
+        m = stop - start
+        A, B, BB = local.A[:m], local.B[:m], local.BB[:m]
         Zc, Xc = data.rows(start, stop)
-        D = Xc - Zc
-        A = design_matrix(dictionary, Zc)
-        B = np.empty((stop - start, n + P))
-        B[:, :n] = scale * D - R[None, :]
-        for col, (i, j) in enumerate(pairs):
-            B[:, n + col] = scale * D[:, i] * D[:, j] - S_pair[col]
-        return A.T @ A, A.T @ B, (B * B).sum(axis=0)
+        for lo in range(0, m, sub_rows):
+            hi = min(lo + sub_rows, m)
+            design_matrix(dictionary, Zc[lo:hi], out=A[lo:hi])
+            D = np.subtract(Xc[lo:hi], Zc[lo:hi], out=local.D[:hi - lo])
+            col = local.col[:hi - lo]
+            for t, (i, j) in enumerate(targets):
+                np.multiply(D[:, i], scale, out=col)
+                if j is not None:
+                    np.multiply(col, D[:, j], out=col)
+                np.subtract(col, shift[t], out=col)
+                B[lo:hi, t] = col
+        return A.T @ A, A.T @ B, np.multiply(B, B, out=BB).sum(axis=0)
 
     parts = map_chunks(chunk_part, data.M)
 

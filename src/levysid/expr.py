@@ -283,12 +283,13 @@ def evaluate(tree, point):
     return out
 
 
-def evaluate_trees(trees, points, names=None):
+def evaluate_trees(trees, points, names=None, out=None):
     """Evaluate trees of one shared dimension n over an (M, n) block.
 
-    Returns an (M, T) float array whose column k holds ``trees[k]``. The
-    points are checked and split into columns once for all trees. A domain
-    fault or non-finite output of tree k raises EvaluationDomainError,
+    Returns an (M, T) float array whose column k holds ``trees[k]``: a new
+    one, or ``out`` filled in place when an (M, T) float64 array is given.
+    The points are checked and split into columns once for all trees. A
+    domain fault or non-finite output of tree k raises EvaluationDomainError,
     naming ``names[k]`` when names are given.
     """
     n = trees[0].dimension
@@ -298,7 +299,12 @@ def evaluate_trees(trees, points, names=None):
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DomainError(f"points must be (M, {n}), got shape {pts.shape}")
     cols = [np.ascontiguousarray(pts[:, k]) for k in range(n)]
-    out = np.empty((pts.shape[0], len(trees)), dtype=np.float64)
+    shape = (pts.shape[0], len(trees))
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape
+              and out.dtype == np.float64):
+        raise DomainError(f"out must be a float64 array of shape {shape}")
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         for k, tree in enumerate(trees):
             try:

@@ -142,3 +142,31 @@ class TestDesignMatrix:
                             (parse_expression("1", 1), parse_expression("ln(x1)", 1)))
         with pytest.raises(EvaluationDomainError, match=r"'ln\(x1\)'"):
             design_matrix(d, np.array([[1.0], [0.0]]))
+
+    @pytest.mark.parametrize("dictionary", [
+        example2_dictionary(), polynomial_dictionary(3, 2)], ids=["example2", "poly3"])
+    def test_out_matches_fresh(self, dictionary):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 5.0, (50, dictionary.n))
+        # NaN marks any entry the call would leave unwritten
+        buf = np.full((50, dictionary.K), np.nan)
+        got = design_matrix(dictionary, pts, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(buf, design_matrix(dictionary, pts))
+
+    def test_out_constant_tree_fills_column(self):
+        d = BasisDictionary(1, ("1", "x1"),
+                            (parse_expression("1", 1), parse_expression("x1", 1)))
+        buf = np.full((4, 2), np.nan)
+        design_matrix(d, np.arange(4.0), out=buf)
+        np.testing.assert_array_equal(buf[:, 0], np.ones(4))
+        np.testing.assert_array_equal(buf[:, 1], np.arange(4.0))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((5, 2)), np.empty((4, 3)), np.empty((4, 2, 1)),
+        np.empty((4, 2), dtype=np.float32), [[0.0] * 2] * 4,
+    ], ids=["too-many-rows", "too-many-columns", "3-d", "float32", "list"])
+    def test_out_rejected(self, out):
+        d = polynomial_dictionary(1, 1)  # K = 2
+        with pytest.raises(DomainError):
+            design_matrix(d, np.zeros((4, 1)), out=out)

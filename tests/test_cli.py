@@ -574,6 +574,19 @@ class TestPipelineCommand:
         assert "error category=config" in capsys.readouterr().err
         assert not workdir.exists()
 
+    def test_failed_simulation_creates_no_workdir(self, tmp_path, capsys):
+        # 1/x1 faults at the grid point x1 = 0
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["1/x1"], "gaussian": None, "levy": None,
+            "grid": {"bounds": [[0, 1]], "mesh": [11]}, "h": 0.01})
+        est = _write_json(tmp_path / "est.json", {
+            "epsilon": 0.25, "m": 5.0, "N": 2, "dictionary": "poly:1"})
+        workdir = tmp_path / "wd"
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(workdir)]) == 1
+        assert "coefficient evaluation failed" in capsys.readouterr().err
+        assert not workdir.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -28,6 +28,7 @@ from levysid import (
     regression_tables,
     simulate_pairs,
 )
+from levysid.numeric import solve_gram
 
 
 def _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=None):
@@ -417,6 +418,67 @@ class TestRegressionOracle:
         table_many = regression_tables(data, 1.0, dictionary, None, config)
         np.testing.assert_allclose(table_many.drift, table_one.drift,
                                    rtol=1e-12, atol=1e-14)
+
+    @staticmethod
+    def _fresh_block_reference(data, fraction, dictionary, levy, eps, block):
+        """The regression with a fresh design matrix and target matrix per
+        block, the parts summed in block order, then solved."""
+        n = data.n
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        scale = fraction / data.h
+        G = C = bsq = None
+        for start in range(0, data.M, block):
+            Z = data.Z[start:start + block]
+            D = data.X[start:start + block] - Z
+            A = design_matrix(dictionary, Z)
+            B = np.empty((len(Z), n + len(pairs)))
+            for i in range(n):
+                B[:, i] = scale * D[:, i] - correction_R(levy[i], eps)
+            for col, (i, j) in enumerate(pairs):
+                B[:, n + col] = (scale * D[:, i] * D[:, j]
+                                 - correction_S(levy[i], eps, i, j))
+            parts = A.T @ A, A.T @ B, (B * B).sum(axis=0)
+            if G is None:
+                G, C, bsq = parts
+            else:
+                G, C, bsq = G + parts[0], C + parts[1], bsq + parts[2]
+        coef = solve_gram(G, C)
+        fit = np.einsum("kt,kl,lt->t", coef, G, coef)
+        res = np.sqrt(np.maximum(
+            bsq - 2.0 * np.einsum("kt,kt->t", coef, C) + fit, 0.0))
+        return coef, res, pairs
+
+    @pytest.mark.parametrize("cache_rows", [16, None])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reused_buffers_match_fresh_blocks(self, workers, cache_rows,
+                                               monkeypatch):
+        # 3 full 64-row blocks and a 5-row one: a partial block that read
+        # rows a reused buffer kept from a full block would change the sums
+        block = 64
+        rng = np.random.default_rng(21)
+        n, h, fraction = 2, 0.001, 0.9
+        M = 3 * block + 5
+        Z = rng.uniform(-2, 2, (M, n))
+        X = Z + 0.05 * rng.standard_normal((M, n))
+        data = DatasetPair.from_arrays(Z, X, h)
+        dictionary = polynomial_dictionary(n, 2)
+        levy = [StableParams(1.5, -0.5, 0.5), StableParams(0.7, 0.3, 1.2)]
+        config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.5)
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", block)
+        if cache_rows is not None:
+            monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", cache_rows)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+
+        table = regression_tables(data, fraction, dictionary, levy, config)
+
+        coef, res, pairs = self._fresh_block_reference(
+            data, fraction, dictionary, levy, config.cube_half_width, block)
+        np.testing.assert_array_equal(table.drift, coef[:, :n].T)
+        np.testing.assert_array_equal(table.drift_residuals, res[:n])
+        for col, (i, j) in enumerate(pairs):
+            np.testing.assert_array_equal(table.diffusion[(i + 1, j + 1)],
+                                          coef[:, n + col])
+            assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
 
 
 class TestCoefficientTableEvaluation:

@@ -160,6 +160,25 @@ class TestDeterminism:
         again = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
         assert base == again
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name,bounds,mesh", [
+        ("lorenz3d", [[-2, 2]] * 3, [9, 9, 9]),
+        ("genereg1d", [[0, 5]], [729]),
+    ])
+    def test_cache_sub_block_invariance(self, workers, name, bounds, mesh,
+                                        monkeypatch):
+        model = builtin_model(name)
+        Z = generate_grid(bounds, mesh)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        base = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        # 100-row chunks stepped whole, then 7 rows at a time
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
+        chunked = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 7)
+        sub_blocked = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        assert chunked == base
+        assert sub_blocked == base
+
     def test_row_order_independence(self):
         # each row draws from its own substream: permuting Z permutes X? no,
         # substreams are keyed by row index, so equal rows at equal indices
