@@ -46,11 +46,11 @@ from .estimate import (
     regression_tables,
 )
 from .dataio import DatasetFile, read_dataset, read_report, write_dataset, write_report
-from .expr import ExpressionTree, evaluate, evaluate_block, parse_expression, print_expression
+from .expr import ExpressionTree, evaluate_block, parse_expression
 from .models import SdeModel, builtin_config, builtin_model, model_from_config, resolve_config
 from .numeric import sym_eigen
 from .rng import RandomStream
-from .simulate import DatasetPair, euler_pair_step, generate_grid, simulate_pairs
+from .simulate import DatasetPair, generate_grid, simulate_pairs
 from .stable import (
     StableParams,
     bin_mass,

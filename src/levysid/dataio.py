@@ -109,17 +109,6 @@ class DatasetFile:
                 f"rows {start}..{stop - 1} hold a non-finite value")
         return block[:, :self.n], block[:, self.n:]
 
-    def load(self):
-        """Every row in memory as a DatasetPair: 2 M n floats."""
-        Z = np.empty((self.M, self.n))
-        X = np.empty((self.M, self.n))
-
-        def fill(start, stop):
-            Z[start:stop], X[start:stop] = self.rows(start, stop)
-
-        map_chunks(fill, self.M)
-        return DatasetPair(self.n, self.M, self.h, Z, X)
-
 
 def _source(path, build, *args):
     """``build(*args)``, with the dataset's DomainError reported as a

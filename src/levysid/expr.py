@@ -14,15 +14,11 @@ tuples wrapped in :class:`ExpressionTree`; evaluation is pure and total
 except for explicit domain faults (1/0, sqrt(-1), ln(0), 0^-1, (-2)^0.5),
 which raise instead of propagating NaN or infinities.
 
-One tree walker evaluates both a single point and a block of points; the
-operations differ only in their functions and ``^``. Each operation reports
-its own fault, and all of them become :class:`EvaluationDomainError`:
-
-- blocks run under ``np.errstate(divide="raise", invalid="raise")``, so the
-  IEEE divide-by-zero and invalid flags raise ``FloatingPointError`` at the
-  faulty ufunc (overflow is left to the final check);
-- scalars use ``math``, which raises ``ValueError`` or ``OverflowError``, and
-  Python float division, which raises ``ZeroDivisionError``.
+Evaluation runs over a block of points, one column per variable, under
+``np.errstate(divide="raise", invalid="raise")``: the IEEE divide-by-zero and
+invalid flags raise ``FloatingPointError`` at the faulty ufunc (overflow is
+left to the final check), and a constant subtree's Python float division
+raises ``ZeroDivisionError``. Both become :class:`EvaluationDomainError`.
 
 A final finite check on the result rejects what no flag marks, such as an
 overflow to infinity. That check alone would not do: exp(-1/0) and
@@ -31,7 +27,6 @@ tanh(1/0) are finite.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -189,98 +184,24 @@ def parse_expression(text, dimension):
     return ExpressionTree(_Parser(text, int(dimension)).parse(), int(dimension))
 
 
-def _fmt_number(value):
-    # repr gives the shortest decimal that round-trips the float
-    return repr(value)
+# + - * / are Python's operators, which numpy arrays and floats both carry;
+# the eight functions and ^ are numpy ufuncs
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": np.power, **dict(zip(FUNCTIONS, (
+            np.sin, np.cos, np.tan, np.tanh, np.exp, np.log, np.sqrt, np.abs)))}
 
 
-# precedence levels used by the printer; parenthesize a child whose level
-# is below what its position requires
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4, "c": 5, "v": 5, "f": 5}
-
-
-def _print(node):
-    kind = node[0]
-    if kind == "c":
-        v = node[1]
-        if v < 0 or (v == 0 and math.copysign(1.0, v) < 0):
-            return "-" + _fmt_number(-v), 3
-        return _fmt_number(v), 5
-    if kind == "v":
-        return f"x{node[1] + 1}", 5
-    if kind == "f":
-        inner, _ = _print(node[2])
-        return f"{node[1]}({inner})", 5
-    if kind == "u-":
-        text, prec = _print(node[1])
-        if prec < 3:
-            text = f"({text})"
-        return "-" + text, 3
-    left, lp = _print(node[1])
-    right, rp = _print(node[2])
-    my = _PREC[kind]
-    if kind == "^":
-        if lp < 5:
-            left = f"({left})"
-        if rp < 3:
-            right = f"({right})"
-    else:
-        if lp < my:
-            left = f"({left})"
-        # subtraction and division are left-associative: guard equal precedence
-        if rp < my or (rp == my and kind in "-/"):
-            right = f"({right})"
-        if kind in "+-" and right.startswith("-"):
-            right = f"({right})"
-    return f"{left} {kind} {right}" if my == 1 else f"{left}{kind}{right}", my
-
-
-def print_expression(tree):
-    """Render a tree to canonical text; re-parsing it reproduces the tree."""
-    return _print(tree.root)[0]
-
-
-# + - * / are the same Python operators in both modes; only the eight
-# functions and ^ differ: math on floats, numpy ufuncs on blocks
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
-_SCALAR_OPS = {**_ARITHMETIC, "^": math.pow, **dict(zip(FUNCTIONS, (
-    math.sin, math.cos, math.tan, math.tanh, math.exp, math.log, math.sqrt,
-    math.fabs)))}
-_BLOCK_OPS = {**_ARITHMETIC, "^": np.power, **dict(zip(FUNCTIONS, (
-    np.sin, np.cos, np.tan, np.tanh, np.exp, np.log, np.sqrt, np.abs)))}
-
-
-def _walk(node, leaves, ops):
+def _walk(node, cols):
     kind = node[0]
     if kind == "c":
         return node[1]
     if kind == "v":
-        return leaves[node[1]]
+        return cols[node[1]]
     if kind == "u-":
-        return -_walk(node[1], leaves, ops)
+        return -_walk(node[1], cols)
     if kind == "f":
-        return ops[node[1]](_walk(node[2], leaves, ops))
-    return ops[kind](_walk(node[1], leaves, ops), _walk(node[2], leaves, ops))
-
-
-def _run(tree, leaves, ops):
-    """Walk ``tree``, turning the fault an operation raises into ours."""
-    try:
-        return _walk(tree.root, leaves, ops)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationDomainError(str(exc)) from exc
-
-
-def evaluate(tree, point):
-    """Evaluate at one point (length-n sequence). Returns a finite float."""
-    if len(point) != tree.dimension:
-        raise DomainError(
-            f"point has length {len(point)}, tree dimension is {tree.dimension}")
-    out = _run(tree, [float(v) for v in point], _SCALAR_OPS)
-    if not math.isfinite(out):
-        raise EvaluationDomainError(f"expression evaluated to non-finite {out}")
-    return out
+        return _OPS[node[1]](_walk(node[2], cols))
+    return _OPS[kind](_walk(node[1], cols), _walk(node[2], cols))
 
 
 def evaluate_trees(trees, points, names=None, out=None):
@@ -308,7 +229,10 @@ def evaluate_trees(trees, points, names=None, out=None):
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         for k, tree in enumerate(trees):
             try:
-                value = _run(tree, cols, _BLOCK_OPS)
+                try:
+                    value = _walk(tree.root, cols)
+                except ArithmeticError as exc:
+                    raise EvaluationDomainError(str(exc)) from exc
                 if not np.all(np.isfinite(value)):
                     raise EvaluationDomainError(
                         "expression evaluated to non-finite values")
@@ -324,7 +248,7 @@ def evaluate_trees(trees, points, names=None, out=None):
 def evaluate_block(tree, points):
     """Vectorized evaluation over an (M, n) array; returns an (M,) float array.
 
-    Domain faults raise the same errors as :func:`evaluate`; any non-finite
-    output (overflow included) is rejected rather than returned.
+    Domain faults raise EvaluationDomainError; any non-finite output
+    (overflow included) is rejected rather than returned.
     """
     return evaluate_trees((tree,), points)[:, 0]

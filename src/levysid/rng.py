@@ -156,12 +156,3 @@ class RandomStream:
 
     def split(self, index: int) -> "RandomStream":
         return RandomStream(split_key(self.key, index))
-
-    def uniforms(self, count: int, start: int = 0) -> np.ndarray:
-        """count uniforms in (0,1) from counters start .. start+count-1."""
-        return uniform_block(self.key, start, count)
-
-    def normals(self, count: int, start: int = 0) -> np.ndarray:
-        """count standard normals; normal i consumes counters start+2i, start+2i+1."""
-        u = uniform_block(self.key, start, 2 * count)
-        return _box_muller(u[0::2], u[1::2])

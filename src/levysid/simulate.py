@@ -23,7 +23,7 @@ from .errors import (
     number,
     positive,
 )
-from .rng import RandomStream, row_jumps, row_keys, row_normals, split_key, stream_key
+from .rng import row_jumps, row_keys, row_normals, stream_key
 from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
@@ -184,25 +184,6 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
         raise SimulationError(f"non-finite state{where}, component {c + 1}")
 
 
-def euler_pair_step(model, z, h, stream):
-    """Single Euler step from one point using an explicit row stream.
-
-    Runs the batch step of simulate_pairs on a one-row block, so given a
-    row's substream it returns that row's result bit for bit.
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    if z.shape[1] != model.n:
-        raise DomainError(f"z must have length {model.n}, got {z.shape[1]}")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("z entries must all be finite")
-    check_header(model.n, 1, h)
-    if not isinstance(stream, RandomStream):
-        raise DomainError("stream must be a RandomStream")
-    x = np.empty_like(z)
-    _step_block(model, z, h, np.array([stream.key], dtype=np.uint64), x)
-    return x[0]
-
-
 def map_chunks(fn, M):
     """``[fn(start, stop) for each CHUNK_ROWS block of range(M)]``, in block
     order.
@@ -248,8 +229,3 @@ def simulate_pairs(model, Z, h, seed):
 
     map_chunks(run_chunk, M)
     return DatasetPair(model.n, M, float(h), Z, X)
-
-
-def row_stream_key(seed, row):
-    """Key of the substream that drives dataset row ``row`` under ``seed``."""
-    return split_key(stream_key(int(seed), 0), int(row))

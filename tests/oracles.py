@@ -4,8 +4,10 @@ Everything here is deliberately implemented from scratch on top of scipy:
 scipy.special.gamma for the kernel constant and QUADPACK adaptive quadrature
 for the truncated-moment integrals. No levysid code is imported, so closed
 forms in the package and integrals here are two genuinely separate routes.
-The noise-kernel reference at the end is scalar Python: 64-bit integers as
-masked Python ints and transcendentals from ``math``.
+The noise-kernel reference is scalar Python: 64-bit integers as masked
+Python ints and transcendentals from ``math``. The expression printer at the
+end walks the parser's nested-tuple trees and renders the text form the
+grammar accepts.
 """
 
 import math
@@ -128,3 +130,51 @@ def row_noise_oracle(base_key, row, alphas, betas):
     stables = [cms_oracle(u[2 * n + 2 * i], u[2 * n + 2 * i + 1], alphas[i], betas[i])
                for i in range(n)]
     return u, normals, stables
+
+
+# precedence levels of the expression printer; a child whose level is below
+# what its position requires is parenthesized
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4, "c": 5, "v": 5, "f": 5}
+
+
+def _print(node):
+    kind = node[0]
+    if kind == "c":
+        v = node[1]
+        # repr gives the shortest decimal that round-trips the float
+        if v < 0 or (v == 0 and math.copysign(1.0, v) < 0):
+            return "-" + repr(-v), 3
+        return repr(v), 5
+    if kind == "v":
+        return f"x{node[1] + 1}", 5
+    if kind == "f":
+        inner, _ = _print(node[2])
+        return f"{node[1]}({inner})", 5
+    if kind == "u-":
+        text, prec = _print(node[1])
+        if prec < 3:
+            text = f"({text})"
+        return "-" + text, 3
+    left, lp = _print(node[1])
+    right, rp = _print(node[2])
+    my = _PREC[kind]
+    if kind == "^":
+        if lp < 5:
+            left = f"({left})"
+        if rp < 3:
+            right = f"({right})"
+    else:
+        if lp < my:
+            left = f"({left})"
+        # subtraction and division are left-associative: guard equal precedence
+        if rp < my or (rp == my and kind in "-/"):
+            right = f"({right})"
+        if kind in "+-" and right.startswith("-"):
+            right = f"({right})"
+    return f"{left} {kind} {right}" if my == 1 else f"{left}{kind}{right}", my
+
+
+def print_tree(root):
+    """Canonical text of an expression tree's nested-tuple root; parsing the
+    text again gives the same tree."""
+    return _print(root)[0]

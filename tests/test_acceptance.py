@@ -23,7 +23,6 @@ from levysid import (
     EstimationConfig,
     RandomStream,
     StableParams,
-    bin_mass,
     correction_R,
     correction_S,
     cube_filter,
@@ -46,7 +45,7 @@ from levysid.estimate import (
 from levysid.models import builtin_config, model_from_config
 from levysid.numeric import solve_gram
 
-from oracles import ks_one_sample, ks_two_sample, quad_R, quad_S
+from oracles import ks_one_sample, ks_two_sample, quad_mass, quad_R, quad_S
 
 GENE_SEEDS = (1, 2, 3)
 LORENZ_SEEDS = (4, 5, 6)
@@ -325,14 +324,13 @@ class TestBinFrequencyOracle:
         Y = self.H ** (1.0 / alpha) * sample_stable(
             alpha, beta, 1.0, self.M, stream)
         counts = bin_counts(Y, self.CFG, h=self.H)
-        params = StableParams(alpha, beta, 1.0)
         checked = 0
         for k in range(self.CFG.N + 1):
             c1 = self.CFG.epsilon * self.CFG.m ** k
             c2 = c1 * self.CFG.m
             for lo, hi, cnt in ((c1, c2, counts.pos[k]),
                                 (-c2, -c1, counts.neg[k])):
-                mass = bin_mass(params, lo, hi)
+                mass = quad_mass(alpha, beta, 1.0, lo, hi)
                 if mass * self.H * self.M < 1e3:
                     continue
                 checked += 1

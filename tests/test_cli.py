@@ -364,7 +364,7 @@ class TestBinaryFileSource:
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         path, est = _lorenz_data(tmp_path)
         text = tmp_path / "pairs.csv"
-        write_dataset(read_dataset(path).load(), text, "csv")
+        write_dataset(read_dataset(path), text, "csv")
         assert isinstance(read_dataset(text), DatasetPair)
         for source, report in ((path, "r_file.json"), (text, "r_memory.json")):
             assert main(["estimate", str(source), "--est-config", est,
@@ -383,11 +383,7 @@ class TestBinaryFileSource:
             spans.append(stop - start)
             return read_rows(self, start, stop)
 
-        def no_load(self):
-            raise AssertionError("estimate loaded the whole dataset")
-
         monkeypatch.setattr(DatasetFile, "rows", block_rows)
-        monkeypatch.setattr(DatasetFile, "load", no_load)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
         # validation, bin counts, and the cube filter's two passes

@@ -139,20 +139,12 @@ class TestDatasetFile:
         assert isinstance(source, DatasetFile)
         assert (source.n, source.M, source.h) == (3, 50, 0.001)
 
-    @pytest.mark.parametrize("start,stop", [(0, 7), (7, 14), (49, 50), (3, 40)])
+    @pytest.mark.parametrize("start,stop", [(0, 7), (7, 14), (49, 50), (3, 40), (0, 50)])
     def test_rows_match_written(self, tmp_path, monkeypatch, start, stop):
         data, path = self._file(tmp_path, monkeypatch)
         Z, X = read_dataset(path).rows(start, stop)
         np.testing.assert_array_equal(Z, data.Z[start:stop])
         np.testing.assert_array_equal(X, data.X[start:stop])
-
-    def test_load_is_a_dataset_pair(self, tmp_path, monkeypatch):
-        data, path = self._file(tmp_path, monkeypatch)
-        back = read_dataset(path).load()
-        assert isinstance(back, DatasetPair)
-        assert back.Z.flags.c_contiguous and back.X.flags.c_contiguous
-        np.testing.assert_array_equal(back.Z, data.Z)
-        np.testing.assert_array_equal(back.X, data.X)
 
     def test_rows_check_again_after_read(self, tmp_path, monkeypatch):
         data, path = self._file(tmp_path, monkeypatch)

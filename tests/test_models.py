@@ -10,7 +10,7 @@ from levysid import (
     SdeModel,
     builtin_config,
     builtin_model,
-    evaluate,
+    evaluate_block,
     model_from_config,
     resolve_config,
 )
@@ -66,7 +66,7 @@ class TestBuiltinGeneReg:
 
     def test_drift_value(self):
         model = builtin_model("genereg1d")
-        assert evaluate(model.drift[0], [1.0]) == pytest.approx(
+        assert evaluate_block(model.drift[0], np.array([[1.0]]))[0] == pytest.approx(
             6.0 / 11.0 - 0.6, rel=1e-14)
 
     def test_gaussian_value(self):

@@ -9,6 +9,7 @@ from levysid.rng import (
     mix64,
     raw_block,
     row_keys,
+    row_normals,
     sim_noise_block,
     split_key,
     stream_key,
@@ -66,29 +67,35 @@ class TestRandomStream:
 
     def test_split_children_independent(self):
         s = RandomStream.from_seed(9)
-        u0 = s.split(0).uniforms(8)
-        u1 = s.split(1).uniforms(8)
+        u0 = uniform_block(s.split(0).key, 0, 8)
+        u1 = uniform_block(s.split(1).key, 0, 8)
         assert not np.array_equal(u0, u1)
 
     def test_uniform_offset_slicing(self):
         s = RandomStream.from_seed(4)
-        assert np.array_equal(s.uniforms(10)[3:], s.uniforms(7, start=3))
+        assert np.array_equal(uniform_block(s.key, 0, 10)[3:],
+                              uniform_block(s.key, 3, 7))
 
+    # normals come from row_normals, the sampler that simulation uses, with
+    # one stream per row
     def test_normals_moments(self):
-        g = RandomStream.from_seed(12).normals(400_000)
+        g = row_normals(row_keys(stream_key(12, 0), 0, 200_000), 2)
         assert abs(g.mean()) < 0.01
         assert abs(g.std() - 1.0) < 0.01
 
     def test_normals_ks(self):
         from math import erf
-        g = RandomStream.from_seed(13).normals(200_000)
+        g = row_normals(row_keys(stream_key(13, 0), 0, 100_000), 2).ravel()
         cdf = lambda x: 0.5 * (1 + np.vectorize(erf)(x / np.sqrt(2)))
         assert ks_one_sample(g, cdf) < 0.004
 
     def test_normals_counter_stride(self):
-        # each normal consumes exactly two counters, so blocks are sliceable
-        s = RandomStream.from_seed(5)
-        assert_allclose(s.normals(16)[4:], s.normals(12, start=8), rtol=0, atol=0)
+        # normal i of a row consumes exactly counters 2i and 2i+1 of the
+        # row's own stream, so blocks are sliceable by row and by component
+        base = stream_key(5, 0)
+        g = row_normals(row_keys(base, 0, 16), 6)
+        assert_allclose(g[4:], row_normals(row_keys(base, 4, 12), 6), rtol=0, atol=0)
+        assert_allclose(g[:, :4], row_normals(row_keys(base, 0, 16), 4), rtol=0, atol=0)
 
     def test_hashable_value_type(self):
         s = RandomStream.from_seed(1)

@@ -9,7 +9,6 @@ from levysid import (
     GridSizeError,
     RandomStream,
     SimulationError,
-    euler_pair_step,
     generate_grid,
     model_from_config,
     builtin_model,
@@ -19,7 +18,7 @@ from levysid import (
 import levysid.rng
 import levysid.simulate
 from levysid.rng import stream_key
-from levysid.simulate import map_chunks, row_stream_key
+from levysid.simulate import map_chunks
 
 from oracles import ks_two_sample, row_noise_oracle
 
@@ -99,7 +98,7 @@ class TestDatasetPair:
 class TestDeterministicStep:
     def test_linear_decay(self):
         model = _model(1, ["-x1"], None, None)
-        x = euler_pair_step(model, [1.0], 0.001, RandomStream.from_seed(0))
+        x = simulate_pairs(model, np.array([[1.0]]), 0.001, seed=0).X[0]
         assert x[0] == pytest.approx(0.999, rel=1e-15)
 
     def test_noise_free_lorenz(self):
@@ -108,8 +107,7 @@ class TestDeterministicStep:
                          "-8/3*x3 + x1*x2"],
                "gaussian": None, "levy": None}
         model = model_from_config(cfg)
-        x = euler_pair_step(model, [1.0, 1.0, 1.0], 0.001,
-                            RandomStream.from_seed(0))
+        x = simulate_pairs(model, np.array([[1.0, 1.0, 1.0]]), 0.001, seed=0).X[0]
         assert x[0] == pytest.approx(1.0, abs=0.0)
         assert x[1] == pytest.approx(1.002, rel=1e-12)
         assert x[2] == pytest.approx(0.9983333, abs=5e-8)
@@ -204,16 +202,28 @@ class TestMapChunks:
 
 
 class TestSingleStepMatchesBatch:
+    """Each row of a batch is the scalar Euler step of that row alone: the
+    full lorenz3d model (einsum path, three stable components) against
+    Python arithmetic on the oracle's normals and stable draws."""
+
     def test_rows_agree(self):
         model = builtin_model("lorenz3d")
         Z = generate_grid([[-2, 2]] * 3, [20, 20, 20])
         h = 0.001
         seed = 13
         data = simulate_pairs(model, Z, h, seed)
-        X = np.array([euler_pair_step(model, Z[row], h,
-                                      RandomStream(row_stream_key(seed, row)))
-                      for row in range(Z.shape[0])])
-        np.testing.assert_array_equal(X, data.X)
+        levy = [(0.5, 0.5, 2.0), (1.0, 0.0, 1.0), (1.5, -0.5, 0.5)]
+        base = stream_key(seed, 0)
+        for r, (x1, x2, x3) in enumerate(Z):
+            _, g, s = row_noise_oracle(base, r, [p[0] for p in levy],
+                                       [p[1] for p in levy])
+            b = [10 * (-x1 + x2), 4 * x1 - x2 - x1 * x3, -8 / 3 * x3 + x1 * x2]
+            lam = [[1 + x3, 1, 0], [0, x2, 0], [0, 0, x1]]
+            # beta = 0 at alpha = 1, so no component needs the log shift
+            want = [Z[r, i] + h * b[i] + np.sqrt(h) * sum(lam[i][j] * g[j] for j in range(3))
+                    + sigma * h ** (1 / alpha) * s[i]
+                    for i, (alpha, _, sigma) in enumerate(levy)]
+            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
 
 
 class TestNoiseDistributions:
@@ -266,10 +276,7 @@ class TestGaussianOnlyNoise:
 
         monkeypatch.setattr(levysid.rng, "_cms", fail)
         model = _model(2, self.DRIFT, self.GAUSSIAN, None)
-        data = simulate_pairs(model, np.ones((10, 2)), 0.001, seed=3)
-        x = euler_pair_step(model, [1.0, 1.0], 0.001,
-                            RandomStream(row_stream_key(3, 0)))
-        np.testing.assert_array_equal(x, data.X[0])
+        simulate_pairs(model, np.ones((10, 2)), 0.001, seed=3)
 
 
 class TestPureJumpNoise:
@@ -300,8 +307,6 @@ class TestPureJumpNoise:
                     0.5 * (h * s[1] + 2 / np.pi * -0.5 * h * np.log(h))]
             want = Z[r] + h * np.array([-z1, z1 * z2]) + jump
             np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
-        x = euler_pair_step(model, Z[1], h, RandomStream(row_stream_key(seed, 1)))
-        np.testing.assert_array_equal(x, data.X[1])
 
     def test_zero_gaussian_matches_drawn_normals(self, monkeypatch):
         # an explicit all-zero Lambda skips the normals too, and the bits of
@@ -319,9 +324,9 @@ class TestPureJumpNoise:
 class TestErrors:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_single_step_non_finite_z(self, bad):
-        with pytest.raises(DomainError, match="z entries must all be finite"):
-            euler_pair_step(builtin_model("lorenz3d"), [bad, 0.0, 0.0], 0.001,
-                            RandomStream.from_seed(1))
+        with pytest.raises(DomainError, match="Z entries must all be finite"):
+            simulate_pairs(builtin_model("lorenz3d"), np.array([[bad, 0.0, 0.0]]),
+                           0.001, seed=1)
 
     def test_domain_fault_carries_row(self):
         model = _model(1, ["ln(x1)"], None, None)
@@ -349,5 +354,3 @@ class TestErrors:
         model = builtin_model("lorenz3d")
         with pytest.raises(DomainError, match="h must be positive and finite"):
             simulate_pairs(model, np.zeros((5, 3)), h, seed=0)
-        with pytest.raises(DomainError, match="h must be positive and finite"):
-            euler_pair_step(model, [0.0, 0.0, 0.0], h, RandomStream.from_seed(1))
