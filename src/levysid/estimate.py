@@ -13,7 +13,6 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -354,38 +353,41 @@ def regression_tables(data, fraction, dictionary, levy, config):
     shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
-    # each worker thread allocates one set of buffers and refills it for
-    # every block: A, B and B*B hold a block, and their C-order prefixes
-    # give the BLAS calls and reductions of fresh arrays; D and the scratch
-    # column hold one CACHE_ROWS sub-block
+    # one set of buffers per call, refilled for every block: A and B hold a
+    # block, and their C-order prefixes give the BLAS calls and reductions
+    # of fresh arrays; D and the scratch column give each CACHE_ROWS
+    # sub-block rows of its own. The worker threads fill a block's
+    # sub-blocks, then this thread makes its Gram parts, so the buffers do
+    # not multiply with the workers and BLAS runs on one thread at a time
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
-    local = threading.local()
+    A_buf = np.empty((rows, K))
+    B_buf = np.empty((rows, n + P))
+    D_buf = np.empty((rows, n))
+    col_buf = np.empty(rows)
+
+    def fill(start, lo, hi):
+        Zc, Xc = data.rows(start + lo, start + hi)
+        design_matrix(dictionary, Zc, out=A_buf[lo:hi])
+        D = np.subtract(Xc, Zc, out=D_buf[lo:hi])
+        col = col_buf[lo:hi]
+        for t, (i, j) in enumerate(targets):
+            np.multiply(D[:, i], scale, out=col)
+            if j is not None:
+                np.multiply(col, D[:, j], out=col)
+            np.subtract(col, shift[t], out=col)
+            B_buf[lo:hi, t] = col
 
     def chunk_part(start, stop):
-        if not hasattr(local, "A"):
-            local.A = np.empty((rows, K))
-            local.B = np.empty((rows, n + P))
-            local.BB = np.empty((rows, n + P))
-            local.D = np.empty((sub_rows, n))
-            local.col = np.empty(sub_rows)
         m = stop - start
-        A, B, BB = local.A[:m], local.B[:m], local.BB[:m]
-        Zc, Xc = data.rows(start, stop)
-        for lo in range(0, m, sub_rows):
-            hi = min(lo + sub_rows, m)
-            design_matrix(dictionary, Zc[lo:hi], out=A[lo:hi])
-            D = np.subtract(Xc[lo:hi], Zc[lo:hi], out=local.D[:hi - lo])
-            col = local.col[:hi - lo]
-            for t, (i, j) in enumerate(targets):
-                np.multiply(D[:, i], scale, out=col)
-                if j is not None:
-                    np.multiply(col, D[:, j], out=col)
-                np.subtract(col, shift[t], out=col)
-                B[lo:hi, t] = col
-        return A.T @ A, A.T @ B, np.multiply(B, B, out=BB).sum(axis=0)
+        A, B = A_buf[:m], B_buf[:m]
+        map_chunks(lambda lo, hi: fill(start, lo, hi), m, rows=sub_rows)
+        AtA, AtB = A.T @ A, A.T @ B
+        # B is squared in place only once A.T @ B has read it
+        return AtA, AtB, np.multiply(B, B, out=B).sum(axis=0)
 
-    parts = map_chunks(chunk_part, data.M)
+    parts = [chunk_part(start, min(start + rows, data.M))
+             for start in range(0, data.M, rows)]
 
     # fixed-order pairwise reduction keeps sums bit-stable across worker counts
     G = np.sum(np.stack([p[0] for p in parts]), axis=0)

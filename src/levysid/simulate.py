@@ -9,6 +9,7 @@ never on chunking or worker count.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     EvaluationDomainError,
     GridSizeError,
@@ -37,14 +39,48 @@ CACHE_ROWS = 1 << 14
 
 WORKERS_ENV_VAR = "LEVYSID_WORKERS"
 
+# glibc's mallopt parameter for the number of malloc arenas
+M_ARENA_MAX = -8
+
 
 def worker_count() -> int:
+    """``LEVYSID_WORKERS`` if set, else the number of CPUs this process may
+    run on; an empty value counts as unset. A value that is not a whole
+    number >= 1 raises ConfigError."""
     raw = os.environ.get(WORKERS_ENV_VAR, "")
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
     try:
-        w = int(raw)
+        workers = int(raw)
     except ValueError:
-        return 1
-    return max(1, w)
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"{WORKERS_ENV_VAR} must be a whole number >= 1, got {raw!r}")
+    return workers
+
+
+@functools.cache
+def _cap_malloc_arenas():
+    """Give every thread glibc's one main malloc arena, once per process.
+
+    Otherwise each worker thread gets an arena of its own, and the
+    temporaries it frees stay there, adding to peak RSS instead of being
+    reused by the next block. Where libc has no ``mallopt`` this does
+    nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
 
 
 def check_header(n, M, h):
@@ -184,18 +220,21 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
         raise SimulationError(f"non-finite state{where}, component {c + 1}")
 
 
-def map_chunks(fn, M):
-    """``[fn(start, stop) for each CHUNK_ROWS block of range(M)]``, in block
-    order.
+def map_chunks(fn, M, rows=None):
+    """``[fn(start, stop) for each block of range(M)]``, in block order; the
+    blocks have ``rows`` rows (default CHUNK_ROWS), the last one fewer.
 
     With more than one block the calls run on ``worker_count()`` threads.
     The blocks do not depend on the worker count, so neither do the results.
     """
-    starts = range(0, M, CHUNK_ROWS)
-    stops = [min(start + CHUNK_ROWS, M) for start in starts]
+    rows = CHUNK_ROWS if rows is None else rows
+    starts = range(0, M, rows)
+    stops = [min(start + rows, M) for start in starts]
+    # read even for one block, so a malformed LEVYSID_WORKERS always fails
     workers = worker_count()
     if workers <= 1 or len(starts) <= 1:
         return list(map(fn, starts, stops))
+    _cap_malloc_arenas()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() drains the iterator so worker exceptions surface here
         return list(pool.map(fn, starts, stops))

@@ -584,6 +584,43 @@ class TestPipelineCommand:
         assert not workdir.exists()
 
 
+class TestMalformedWorkerCount:
+    """A malformed LEVYSID_WORKERS is a config error: exit 2 before any
+    file or directory is written, and before any worker thread starts."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        # 1000 rows in 100-row blocks: a valid count above 1 would start a pool
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(levysid.simulate, "ThreadPoolExecutor", no_pool)
+        cfg = _write_json(tmp_path / "model.json", {
+            "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [1000]}})
+        return cfg, _est_config(tmp_path)
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
+    def test_simulate_exits_2(self, tmp_path, monkeypatch, capsys, inputs, raw):
+        monkeypatch.setenv("LEVYSID_WORKERS", raw)
+        out = tmp_path / "pairs.bin"
+        assert main(["simulate", "--config", inputs[0], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err and "LEVYSID_WORKERS" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
+    def test_pipeline_exits_2(self, tmp_path, monkeypatch, capsys, inputs, raw):
+        monkeypatch.setenv("LEVYSID_WORKERS", raw)
+        workdir = tmp_path / "run"
+        assert main(["pipeline", "--config", inputs[0], "--est-config",
+                     inputs[1], "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err and "LEVYSID_WORKERS" in err
+        assert not workdir.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Noise identification, cube filtering, and coefficient regression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -479,6 +481,31 @@ class TestRegressionOracle:
             np.testing.assert_array_equal(table.diffusion[(i + 1, j + 1)],
                                           coef[:, n + col])
             assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
+
+
+class TestRegressionMemory:
+    def test_peak_flat_in_worker_count(self, monkeypatch):
+        # numpy reports its data allocations to tracemalloc. Four full
+        # blocks of lorenz3d's shape (n = 3, poly:2, K = 10): one set of
+        # chunk buffers per call keeps 4 workers within one A buffer of 1
+        rows = levysid.simulate.CHUNK_ROWS
+        rng = np.random.default_rng(13)
+        Z = rng.uniform(-2, 2, (4 * rows, 3))
+        data = DatasetPair.from_arrays(
+            Z, Z + 0.01 * rng.standard_normal(Z.shape), 0.001)
+        dictionary = polynomial_dictionary(3, 2)
+        levy = [StableParams(1.5, -0.5, 0.5)] * 3
+        config = _config(cube_epsilon=0.5)
+        peaks = {}
+        for workers in (1, 2, 4):
+            monkeypatch.setenv("LEVYSID_WORKERS", str(workers))
+            tracemalloc.start()
+            try:
+                regression_tables(data, 1.0, dictionary, levy, config)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] - peaks[1] < rows * dictionary.K * 8, peaks
 
 
 class TestCoefficientTableEvaluation:

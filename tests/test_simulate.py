@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levysid import (
+    ConfigError,
     DatasetPair,
     DomainError,
     GridSizeError,
@@ -18,7 +19,7 @@ from levysid import (
 import levysid.rng
 import levysid.simulate
 from levysid.rng import stream_key
-from levysid.simulate import map_chunks
+from levysid.simulate import map_chunks, worker_count
 
 from oracles import ks_two_sample, row_noise_oracle
 
@@ -152,7 +153,7 @@ class TestDeterminism:
         Z = generate_grid([[-2, 2]] * 3, [9, 9, 9])
         # 729 rows in 100-row blocks, so workers 2 and 5 start the pool
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
-        monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
+        monkeypatch.setenv("LEVYSID_WORKERS", "1")
         base = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         again = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
@@ -190,6 +191,41 @@ class TestDeterminism:
         np.testing.assert_array_equal(d1.X[:500], d2.X[:500])
 
 
+class TestWorkerCount:
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(levysid.simulate.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+
+    @pytest.mark.parametrize("raw", [None, ""], ids=["unset", "empty"])
+    def test_default_is_affinity_count(self, three_cpus, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("LEVYSID_WORKERS", raw)
+        assert worker_count() == 3
+
+    def test_explicit_value_wins(self, three_cpus, monkeypatch):
+        monkeypatch.setenv("LEVYSID_WORKERS", "1")
+        assert worker_count() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(levysid.simulate.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(levysid.simulate.os, "cpu_count", lambda: 5)
+        monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
+        assert worker_count() == 5
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
+    def test_malformed_value_names_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("LEVYSID_WORKERS", raw)
+        with pytest.raises(ConfigError, match="LEVYSID_WORKERS"):
+            worker_count()
+        # map_chunks reads it before it could start a pool, even for one block
+        with pytest.raises(ConfigError, match="LEVYSID_WORKERS"):
+            map_chunks(lambda start, stop: None, 10)
+
+
 class TestMapChunks:
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
     def test_blocks_in_order_cover_range(self, workers, monkeypatch):
@@ -199,6 +235,12 @@ class TestMapChunks:
         assert blocks == [(s, min(s + 7, 50)) for s in range(0, 50, 7)]
         covered = [r for start, stop in blocks for r in range(start, stop)]
         assert covered == list(range(50))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_row_size_argument(self, workers, monkeypatch):
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        blocks = map_chunks(lambda start, stop: (start, stop), 20, rows=8)
+        assert blocks == [(0, 8), (8, 16), (16, 20)]
 
 
 class TestSingleStepMatchesBatch:
