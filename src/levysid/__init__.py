@@ -23,7 +23,6 @@ from .errors import (
     GridSizeError,
     InsufficientDataError,
     LevysidError,
-    NotPositiveSemidefiniteError,
     NonSymmetricError,
     NumericError,
     RankDeficiencyError,
@@ -42,14 +41,12 @@ from .estimate import (
     estimate_beta,
     estimate_levy,
     estimate_sigma,
-    factor_diffusion,
     regression_tables,
 )
 from .dataio import DatasetFile, read_dataset, read_report, write_dataset, write_report
 from .expr import ExpressionTree, evaluate_block, parse_expression
 from .models import SdeModel, builtin_config, builtin_model, model_from_config, resolve_config
 from .numeric import sym_eigen
-from .rng import RandomStream
 from .simulate import DatasetPair, generate_grid, simulate_pairs
 from .stable import (
     StableParams,

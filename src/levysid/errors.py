@@ -100,10 +100,6 @@ class NonSymmetricError(NumericError):
     """Matrix handed to a symmetric routine is not symmetric."""
 
 
-class NotPositiveSemidefiniteError(NumericError):
-    """Eigenvalue below -tolerance during a PSD factorization."""
-
-
 class ConfigError(LevysidError, ValueError):
     """Invalid configuration document; the message names the field."""
 

@@ -23,16 +23,17 @@ from .errors import (
     DomainError,
     EstimationWarning,
     InsufficientDataError,
-    NotPositiveSemidefiniteError,
     NumericError,
     positive,
 )
 from . import simulate
-from .numeric import solve_gram, sym_eigen
+from .numeric import solve_gram
 from .simulate import DatasetPair, map_chunks
 from .stable import StableParams, correction_R, correction_S, k_alpha
 
 ALPHA_CLAMP = 1e-9  # estimates are clamped into [ALPHA_CLAMP, 2 - ALPHA_CLAMP]
+# bins per side bound the edge array bin_counts allocates on every call
+N_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class EstimationConfig:
         positive("epsilon", self.epsilon)
         if not 1.0 < self.m < np.inf:
             raise DomainError(f"m must exceed 1 and be finite, got {self.m}")
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
+        if not 1 <= self.N <= N_CAP:
+            raise DomainError(f"N must be in [1, {N_CAP}], got {self.N}")
         if self.cube_epsilon is not None:
             positive("cube_epsilon", self.cube_epsilon)
 
@@ -311,14 +312,6 @@ class CoefficientTable:
         A = design_matrix(self.dictionary, points)
         return A @ self.diffusion_vector(i, j)
 
-    def diffusion_matrix_at(self, point):
-        n = int(round((np.sqrt(8 * len(self.diffusion) + 1) - 1) / 2))
-        A = design_matrix(self.dictionary, np.asarray(point, dtype=np.float64)[None, :])
-        a = np.empty((n, n))
-        for (i, j), vec in self.diffusion.items():
-            a[i - 1, j - 1] = a[j - 1, i - 1] = float(A[0] @ vec)
-        return a
-
 
 def regression_tables(data, fraction, dictionary, levy, config):
     """Drift and diffusion regressions sharing one design-matrix pass.
@@ -412,21 +405,3 @@ def regression_tables(data, fraction, dictionary, levy, config):
         diff_res[(i + 1, j + 1)] = float(res[n + col])
     return CoefficientTable(dictionary, fraction, drift, diffusion,
                             res[:n].copy(), diff_res)
-
-
-def factor_diffusion(a, tolerance):
-    """Factor a symmetric PSD matrix as Lambda = Q sqrt(J) with QJQ^T = a.
-
-    Eigenvalues in [-tolerance, 0) are treated as rounding noise and clamped
-    to zero; anything below -tolerance raises NotPositiveSemidefiniteError.
-    """
-    if tolerance < 0.0:
-        raise DomainError(f"tolerance must be nonnegative, got {tolerance}")
-    Q, w = sym_eigen(a)
-    if np.any(w < -tolerance):
-        worst = float(w.min())
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {worst:.6g} below -tolerance ({-tolerance:.6g}); "
-            "diffusion estimate is not positive semidefinite")
-    w = np.where(w < 0.0, 0.0, w)
-    return Q * np.sqrt(w)[None, :]

@@ -7,10 +7,10 @@ generator state, which is what makes simulation output independent of worker
 scheduling: row ``r`` of a dataset always reads the same counters of the same
 derived stream no matter which thread computes it.
 
-Streams are value-typed and splittable, per the concurrency contract of the
-stable-sampling module. ``split`` derives a child key through a second
-finalizer pass with a distinct odd constant, so child draw sequences never
-alias the parent's.
+A stream is named by its key alone: ``stream_key`` gives the root key of a
+(seed, stream-id) pair, and ``split_key`` derives a child key through a
+second finalizer pass with a distinct odd constant, so child draw sequences
+never alias the parent's.
 
 This module also holds the vectorized noise kernel and the one place the
 per-row counter layout is written down. For a simulated row of dimension n:
@@ -28,7 +28,6 @@ is validated empirically by the distribution gates in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,17 +141,3 @@ def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):
     """
     keys = row_keys(base_key, row0, nrows)
     return row_normals(keys, len(alphas)), row_jumps(keys, len(alphas), alphas, betas)
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Immutable handle on one counter-based stream."""
-
-    key: int
-
-    @classmethod
-    def from_seed(cls, seed: int, stream: int = 0) -> "RandomStream":
-        return cls(stream_key(seed, stream))
-
-    def split(self, index: int) -> "RandomStream":
-        return RandomStream(split_key(self.key, index))

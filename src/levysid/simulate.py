@@ -184,7 +184,7 @@ def _noise(model, keys, h):
     return gauss, jumps
 
 
-def _step_block(model, Z_block, h, keys, out, row0=None):
+def _step_block(model, Z_block, h, keys, out, row0):
     """One Euler step for a block of rows whose streams have the given keys.
 
     Writes the new states into ``out`` and raises SimulationError if a
@@ -196,8 +196,8 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
         drift = model.drift_at(Z_block)
         lam = model.gaussian_at(Z_block) if model.gaussian_enabled else None
     except EvaluationDomainError as exc:
-        where = "" if row0 is None else f" on rows {row0}..{row0 + m - 1}"
-        raise SimulationError(f"coefficient evaluation failed{where}: {exc}") from exc
+        raise SimulationError(f"coefficient evaluation failed on rows "
+                              f"{row0}..{row0 + m - 1}: {exc}") from exc
 
     gauss, jump_term = _noise(model, keys, h)
 
@@ -216,8 +216,8 @@ def _step_block(model, Z_block, h, keys, out, row0=None):
 
     if not np.all(np.isfinite(out)):
         r, c = (int(v) for v in np.argwhere(~np.isfinite(out))[0])
-        where = "" if row0 is None else f" at row {row0 + r}"
-        raise SimulationError(f"non-finite state{where}, component {c + 1}")
+        raise SimulationError(
+            f"non-finite state at row {row0 + r}, component {c + 1}")
 
 
 def map_chunks(fn, M, rows=None):
@@ -264,7 +264,7 @@ def simulate_pairs(model, Z, h, seed):
         for lo in range(start, stop, CACHE_ROWS):
             hi = min(lo + CACHE_ROWS, stop)
             _step_block(model, Z[lo:hi], h, row_keys(base_key, lo, hi - lo),
-                        X[lo:hi], row0=lo)
+                        X[lo:hi], lo)
 
     map_chunks(run_chunk, M)
     return DatasetPair(model.n, M, float(h), Z, X)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, positive
-from .rng import RandomStream, cms_block
+from .rng import cms_block
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,13 @@ def correction_S(params: StableParams, epsilon: float, i: int, j: int) -> float:
 
 
 def sample_stable(alpha: float, beta: float, scale: float, count: int,
-                  stream: RandomStream) -> np.ndarray:
+                  key: int) -> np.ndarray:
     """count i.i.d. draws from S_alpha(scale, beta, 0).
 
     Chambers-Mallows-Stuck transform of one uniform angle and one exponential
-    per draw (counters 2t, 2t+1 of the stream for draw t). For alpha = 1 the
-    scaling family is not closed under bare multiplication, so the log shift
+    per draw (counters 2t, 2t+1 of the stream with key ``key`` for draw t; see
+    ``rng.stream_key`` and ``rng.split_key``). For alpha = 1 the scaling family
+    is not closed under bare multiplication, so the log shift
     (2/pi) beta scale ln(scale) is added to keep the zero-shift parametrization
     exact at every scale.
     """
@@ -139,7 +140,7 @@ def sample_stable(alpha: float, beta: float, scale: float, count: int,
     positive("scale", scale)
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
-    draws = cms_block(stream.key, 0, int(count), float(alpha), float(beta))
+    draws = cms_block(key, 0, int(count), float(alpha), float(beta))
     return scale_stable(draws, alpha, beta, scale)
 
 

@@ -21,14 +21,12 @@ import pytest
 from levysid import (
     DatasetPair,
     EstimationConfig,
-    RandomStream,
     StableParams,
     correction_R,
     correction_S,
     cube_filter,
     design_matrix,
     estimate_levy,
-    factor_diffusion,
     generate_grid,
     regression_tables,
     sample_stable,
@@ -44,6 +42,7 @@ from levysid.estimate import (
 )
 from levysid.models import builtin_config, model_from_config
 from levysid.numeric import solve_gram
+from levysid.rng import stream_key
 
 from oracles import ks_one_sample, ks_two_sample, quad_mass, quad_R, quad_S
 
@@ -320,9 +319,9 @@ class TestBinFrequencyOracle:
     @pytest.mark.parametrize("idx,alpha,beta",
                              [(0, 0.5, 0.5), (1, 1.0, 0.0), (2, 1.5, -0.5)])
     def test_frequencies_match_mass(self, idx, alpha, beta):
-        stream = RandomStream.from_seed(10 * BIN_SEED_BASE + idx)
+        key = stream_key(10 * BIN_SEED_BASE + idx)
         Y = self.H ** (1.0 / alpha) * sample_stable(
-            alpha, beta, 1.0, self.M, stream)
+            alpha, beta, 1.0, self.M, key)
         counts = bin_counts(Y, self.CFG, h=self.H)
         checked = 0
         for k in range(self.CFG.N + 1):
@@ -343,7 +342,7 @@ class TestSamplerDistribution:
     def test_cauchy_ks(self):
         # alpha = 1, beta = 0 is standard Cauchy with an elementary CDF
         x = sample_stable(1.0, 0.0, 1.0, 1_000_000,
-                          RandomStream.from_seed(100))
+                          stream_key(100))
         ks = ks_one_sample(x, lambda t: 0.5 + np.arctan(t) / np.pi)
         assert ks < 0.002
 
@@ -353,15 +352,15 @@ class TestSamplerDistribution:
         # sum of k independent draws must match one draw at scale k^{1/a}
         n, k = 1_000_000, 4
         parts = sample_stable(alpha, beta, 1.0, k * n,
-                              RandomStream.from_seed(100 + sub))
+                              stream_key(100 + sub))
         summed = parts.reshape(k, n).sum(axis=0)
         ref = sample_stable(alpha, beta, k ** (1.0 / alpha), n,
-                            RandomStream.from_seed(100 + sub + 1))
+                            stream_key(100 + sub + 1))
         assert ks_two_sample(summed, ref) < 0.003
 
     def test_tail_exponent_and_asymmetry(self):
         x = sample_stable(0.5, 0.5, 1.0, 10_000_000,
-                          RandomStream.from_seed(120))
+                          stream_key(120))
         ax = np.sort(np.abs(x))
         n = ax.size
         # survival decades 1e-5 .. 1e-3: log-log slope is -alpha out here
@@ -405,14 +404,6 @@ class TestExactRecovery:
         table = regression_tables(filtered, fraction, dictionary, levy,
                                   EstimationConfig(10.0, 5.0, 1))
         assert np.max(np.abs(table.drift - truth)) <= 1e-10
-
-    def test_factor_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for n, rank in ((3, 3), (5, 2), (6, 4)):
-            L = rng.normal(size=(n, rank))
-            a = L @ L.T
-            lam = factor_diffusion(a, 1e-12)
-            assert np.max(np.abs(lam @ lam.T - a)) <= 1e-10
 
 
 class TestDeterminism:

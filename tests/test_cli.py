@@ -13,7 +13,8 @@ from levysid import (
     ConfigError,
     DataFormatError,
     DatasetPair,
-    RandomStream,
+    design_matrix,
+    polynomial_dictionary,
     read_dataset,
     read_report,
     sample_stable,
@@ -23,6 +24,7 @@ from levysid import (
 import levysid.simulate
 from levysid.cli import main, parse_component, parse_range
 from levysid.dataio import DatasetFile
+from levysid.rng import stream_key
 
 
 def _write_json(path, doc):
@@ -39,7 +41,7 @@ def _small_lorenz(tmp_path, mesh=20):
 
 def _cauchy_dataset(tmp_path, M=200_000):
     # symmetric unit Cauchy increments: every bin well occupied at eps=1
-    Y = sample_stable(1.0, 0.0, 1.0, M, RandomStream.from_seed(77))
+    Y = sample_stable(1.0, 0.0, 1.0, M, stream_key(77))
     Z = np.linspace(0.0, 1.0, M)[:, None]
     data = DatasetPair.from_arrays(Z, Z + Y[:, None], 0.001)
     path = tmp_path / "pairs.csv"
@@ -238,8 +240,9 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", math.nan), ("epsilon", math.inf), ("m", math.nan),
         ("m", math.inf), ("cube_epsilon", math.nan), ("cube_epsilon", math.inf),
-        ("N", math.inf), ("N", 2.7), ("N", True), ("N", "2"), ("epsilon", True),
-        ("epsilon", "1.0"), ("m", "5"), ("cube_epsilon", True)])
+        ("N", math.inf), ("N", 2.7), ("N", True), ("N", "2"), ("N", 1e30),
+        ("N", 10**9), ("epsilon", True), ("epsilon", "1.0"), ("m", "5"),
+        ("cube_epsilon", True)])
     def test_non_finite_est_config_exits_2(self, tmp_path, capsys, field, value):
         data_path = _cauchy_dataset(tmp_path, M=2000)
         report = tmp_path / "r.json"
@@ -266,7 +269,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("h,big_rows", [(1e-160, []), (0.001, [10, 200, 390])],
                              ids=["tiny-h", "huge-z"])
     def test_overflowing_sums_exit_5(self, tmp_path, capsys, h, big_rows):
-        Y = sample_stable(1.0, 0.0, 1.0, 400, RandomStream.from_seed(77))
+        Y = sample_stable(1.0, 0.0, 1.0, 400, stream_key(77))
         Z = np.linspace(-1.0, 1.0, 400)[:, None]
         Z[big_rows] = 1e100
         path = tmp_path / "pairs.bin"
@@ -426,6 +429,38 @@ class TestPlotDataCommand:
         assert len(rows) == 5
         # learned a11 = 1 + 0.5 x
         assert float(rows[4][1]) == pytest.approx(2.0, rel=1e-12)
+
+    def test_off_diagonal_curve_along_axis(self, tmp_path):
+        # 2-D poly:1 report whose entries differ in every coefficient, so a
+        # wrong entry, sweep axis or fixed coordinate changes the values
+        dictionary = polynomial_dictionary(2, 1)
+        a12 = [0.25, -1.5, 0.75]
+        report = {
+            "dictionary": {"kind": "poly:1", "n": 2,
+                           "names": list(dictionary.names)},
+            "drift": [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]],
+            "diffusion": [
+                {"i": 1, "j": 1, "coefficients": [2.0, 0.5, -0.5],
+                 "residual": 0.0},
+                {"i": 1, "j": 2, "coefficients": a12, "residual": 0.0},
+                {"i": 2, "j": 2, "coefficients": [3.0, -0.25, 1.25],
+                 "residual": 0.0}],
+        }
+        path = str(tmp_path / "report.json")
+        write_report(report, path)
+        outs = {}
+        for component in ("a2,1", "a12"):
+            outs[component] = tmp_path / f"curve_{component}.csv"
+            assert main(["plot-data", "--report", path, "--component", component,
+                         "--axis", "2", "--at", "0.3,0", "--range=-1:1:0.5",
+                         "--out", str(outs[component])]) == 0
+        rows = np.array([[float(v) for v in r.split(",")]
+                         for r in outs["a2,1"].read_text().splitlines()])
+        pts = np.column_stack([np.full(len(rows), 0.3), rows[:, 0]])
+        np.testing.assert_array_equal(rows[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(
+            rows[:, 1], design_matrix(dictionary, pts) @ np.array(a12))
+        assert outs["a2,1"].read_bytes() == outs["a12"].read_bytes()
 
     def test_true_column_from_config(self, tmp_path):
         report = self._handmade_report(tmp_path)

@@ -12,7 +12,6 @@ from levysid import (
     EstimationConfig,
     EstimationWarning,
     InsufficientDataError,
-    NotPositiveSemidefiniteError,
     StableParams,
     bin_counts,
     correction_R,
@@ -24,7 +23,6 @@ from levysid import (
     estimate_beta,
     estimate_levy,
     estimate_sigma,
-    factor_diffusion,
     model_from_config,
     polynomial_dictionary,
     regression_tables,
@@ -518,7 +516,7 @@ class TestCoefficientTableEvaluation:
         got = table.drift_value(1, np.array([[1.0], [2.0]]))
         np.testing.assert_allclose(got, [5.0, 8.0], rtol=0, atol=1e-9)
 
-    def test_diffusion_matrix_at_point(self):
+    def test_diffusion_value_at_point(self):
         n = 2
         dictionary = polynomial_dictionary(n, 1)
         rng = np.random.default_rng(13)
@@ -526,46 +524,12 @@ class TestCoefficientTableEvaluation:
         X = Z + 0.5 * np.array([1.0, -0.5])  # sqrt(h)=0.5 rank-one increments
         data = DatasetPair.from_arrays(Z, X, 0.25)
         table = regression_tables(data, 1.0, dictionary, None, _config())
-        a = table.diffusion_matrix_at(np.array([0.3, -0.7]))
+        point = np.array([[0.3, -0.7]])
+        a = np.array([[table.diffusion_value(i, j, point)[0] for j in (1, 2)]
+                      for i in (1, 2)])
         want = np.outer([1.0, -0.5], [1.0, -0.5])
         np.testing.assert_allclose(a, want, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(a, a.T)
-
-
-class TestFactorDiffusion:
-    def test_identity(self):
-        lam = factor_diffusion(np.eye(3), 1e-10)
-        np.testing.assert_allclose(np.abs(lam), np.eye(3), rtol=0, atol=1e-14)
-
-    def test_diagonal(self):
-        lam = factor_diffusion(np.diag([4.0, 1.0]), 1e-10)
-        np.testing.assert_allclose(lam @ lam.T, np.diag([4.0, 1.0]),
-                                   rtol=0, atol=1e-12)
-
-    def test_two_by_two(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        lam = factor_diffusion(a, 1e-10)
-        np.testing.assert_allclose(lam @ lam.T, a, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_random_psd_property(self, n):
-        rng = np.random.default_rng(40 + n)
-        for trial in range(20):
-            root = rng.standard_normal((n, n))
-            a = root @ root.T
-            lam = factor_diffusion(a, 1e-10)
-            fro = max(np.linalg.norm(a), 1e-300)
-            assert np.linalg.norm(lam @ lam.T - a) <= 1e-10 * fro
-
-    def test_small_negative_eigenvalue_clamped(self):
-        a = np.diag([1.0, -1e-12])
-        lam = factor_diffusion(a, 1e-10)
-        np.testing.assert_allclose(lam @ lam.T, np.diag([1.0, 0.0]),
-                                   rtol=0, atol=1e-11)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            factor_diffusion(np.diag([1.0, -0.5]), 1e-10)
 
 
 PURE_LEVY_COMBOS = [

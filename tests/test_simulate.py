@@ -8,7 +8,6 @@ from levysid import (
     DatasetPair,
     DomainError,
     GridSizeError,
-    RandomStream,
     SimulationError,
     generate_grid,
     model_from_config,
@@ -289,7 +288,7 @@ class TestNoiseDistributions:
         for i, p in enumerate(levy):
             scale = p["sigma"] * h ** (1.0 / p["alpha"])
             ref = sample_stable(p["alpha"], p["beta"], scale, M,
-                                RandomStream.from_seed(1000 + i))
+                                stream_key(1000 + i))
             ks = ks_two_sample(data.X[:, i] - data.Z[:, i], ref)
             assert ks < 0.003, f"component {i + 1}: KS={ks:.5f}"
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from levysid.errors import DomainError
-from levysid.rng import RandomStream
+from levysid.rng import split_key, stream_key
 from levysid.stable import (
     StableParams,
     bin_mass,
@@ -221,37 +221,38 @@ class TestCorrections:
 
 class TestSampler:
     def test_deterministic(self):
-        s = RandomStream.from_seed(123)
+        s = stream_key(123)
         a = sample_stable(1.5, -0.5, 1.0, 64, s)
         b = sample_stable(1.5, -0.5, 1.0, 64, s)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = sample_stable(1.5, 0.0, 1.0, 64, RandomStream.from_seed(1))
-        b = sample_stable(1.5, 0.0, 1.0, 64, RandomStream.from_seed(2))
+        a = sample_stable(1.5, 0.0, 1.0, 64, stream_key(1))
+        b = sample_stable(1.5, 0.0, 1.0, 64, stream_key(2))
         assert not np.array_equal(a, b)
 
     def test_all_finite(self):
-        s = RandomStream.from_seed(99)
+        s = stream_key(99)
         for alpha in ALPHAS:
             for beta in BETAS:
-                x = sample_stable(alpha, beta, 1.0, 20_000, s.split(hash((alpha, beta)) & 0xFFFF))
+                x = sample_stable(alpha, beta, 1.0, 20_000,
+                                  split_key(s, hash((alpha, beta)) & 0xFFFF))
                 assert np.isfinite(x).all()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_symmetric_median_near_zero(self, alpha):
-        x = sample_stable(alpha, 0.0, 1.0, 200_000, RandomStream.from_seed(5))
+        x = sample_stable(alpha, 0.0, 1.0, 200_000, stream_key(5))
         assert abs(np.median(x)) < 0.01
 
     def test_scale_is_linear_for_alpha_ne_one(self):
-        s = RandomStream.from_seed(11)
+        s = stream_key(11)
         base = sample_stable(1.5, -0.5, 1.0, 128, s)
         scaled = sample_stable(1.5, -0.5, 2.5, 128, s)
         assert_allclose(scaled, 2.5 * base, rtol=1e-14)
 
     def test_alpha_one_scale_shift(self):
         # S_1(c,beta,0) needs the (2/pi) beta c ln c drift term on top of c X
-        s = RandomStream.from_seed(11)
+        s = stream_key(11)
         base = sample_stable(1.0, 0.5, 1.0, 128, s)
         scaled = sample_stable(1.0, 0.5, 3.0, 128, s)
         shift = (2 / np.pi) * 0.5 * 3.0 * np.log(3.0)
@@ -259,11 +260,11 @@ class TestSampler:
 
     def test_totally_skewed_positive_small_alpha(self):
         # alpha < 1, beta = 1 is a positive (one-sided) stable law
-        x = sample_stable(0.5, 1.0, 1.0, 50_000, RandomStream.from_seed(21))
+        x = sample_stable(0.5, 1.0, 1.0, 50_000, stream_key(21))
         assert x.min() > 0
 
     def test_bad_arguments(self):
-        s = RandomStream.from_seed(0)
+        s = stream_key(0)
         with pytest.raises(DomainError):
             sample_stable(2.0, 0.0, 1.0, 4, s)
         with pytest.raises(DomainError):
@@ -276,5 +277,5 @@ class TestSampler:
             sample_stable(1.5, 0.0, 1.0, -1, s)
 
     def test_zero_count(self):
-        out = sample_stable(1.5, 0.0, 1.0, 0, RandomStream.from_seed(0))
+        out = sample_stable(1.5, 0.0, 1.0, 0, stream_key(0))
         assert out.shape == (0,)
