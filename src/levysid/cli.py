@@ -442,8 +442,27 @@ def make_parser():
     return parser
 
 
+# plot-data options whose value may start with "-"; argparse would read a
+# value such as -1:1:0.5 as an option
+DASH_VALUE_OPTIONS = ("--range", "--at")
+
+
+def _join_dash_values(argv):
+    """argv with each ``--range V`` or ``--at V`` whose V starts with a
+    single "-" written as ``--range=V``, the form argparse reads as a value."""
+    args = []
+    for arg in argv:
+        if (args and args[-1] in DASH_VALUE_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            args[-1] = f"{args[-1]}={arg}"
+        else:
+            args.append(arg)
+    return args
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser().parse_args(_join_dash_values(argv))
     return _dispatch(args.fn, args)
 
 

@@ -351,7 +351,8 @@ def regression_tables(data, fraction, dictionary, levy, config):
     # of fresh arrays; D and the scratch column give each CACHE_ROWS
     # sub-block rows of its own. The worker threads fill a block's
     # sub-blocks, then this thread makes its Gram parts, so the buffers do
-    # not multiply with the workers and BLAS runs on one thread at a time
+    # not multiply with the workers; map_chunks has capped OpenBLAS at one
+    # thread, so those BLAS calls use this thread alone
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
     A_buf = np.empty((rows, K))

@@ -42,6 +42,11 @@ WORKERS_ENV_VAR = "LEVYSID_WORKERS"
 # glibc's mallopt parameter for the number of malloc arenas
 M_ARENA_MAX = -8
 
+# OpenBLAS's thread-count setters: numpy 2 wheels bundle scipy-openblas,
+# numpy 1.x wheels an ILP64 build, and a system OpenBLAS has the plain name
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
+
 
 def worker_count() -> int:
     """``LEVYSID_WORKERS`` if set, else the number of CPUs this process may
@@ -81,6 +86,60 @@ def _cap_malloc_arenas():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(M_ARENA_MAX, 1)
+
+
+def _openblas():
+    """``(library, setter name)`` for the first OpenBLAS this process loaded
+    that exports one of ``BLAS_SETTERS``, in the order of
+    ``/proc/self/maps``, else numpy's bundled copy. None if there is none.
+
+    Other libraries may bring an OpenBLAS of their own: scipy's wheels map
+    an LP64 build that exports none of these names.
+    """
+    import ctypes
+    import glob
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except (OSError, ValueError):  # no /proc, or a path that is not UTF-8
+        fields = []
+    paths = [f[5].strip() for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5])]
+    if not paths:
+        libs = os.path.dirname(os.path.dirname(np.__file__))
+        paths = sorted(glob.glob(os.path.join(libs, "numpy.libs", "*openblas*")))
+    for path in dict.fromkeys(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_SETTERS:
+            if hasattr(lib, name):
+                return lib, name
+    return None
+
+
+@functools.cache
+def _cap_blas_threads():
+    """Run OpenBLAS on one thread, once per process.
+
+    ``map_chunks``' pool is then the only parallelism. Otherwise OpenBLAS
+    threads the calling thread's Gram products, and after each one its
+    idle threads spin-wait on the cores the pool's workers need. The
+    products are the same bytes either way. Where no OpenBLAS with one of
+    ``BLAS_SETTERS`` is found this does nothing.
+    """
+    import ctypes
+
+    found = _openblas()
+    if found is None:
+        return
+    lib, name = found
+    setter = getattr(lib, name)
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
 def check_header(n, M, h):
@@ -232,6 +291,7 @@ def map_chunks(fn, M, rows=None):
     stops = [min(start + rows, M) for start in starts]
     # read even for one block, so a malformed LEVYSID_WORKERS always fails
     workers = worker_count()
+    _cap_blas_threads()
     if workers <= 1 or len(starts) <= 1:
         return list(map(fn, starts, stops))
     _cap_malloc_arenas()

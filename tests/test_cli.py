@@ -430,11 +430,12 @@ class TestPlotDataCommand:
         # learned a11 = 1 + 0.5 x
         assert float(rows[4][1]) == pytest.approx(2.0, rel=1e-12)
 
-    def test_off_diagonal_curve_along_axis(self, tmp_path):
+    A12 = [0.25, -1.5, 0.75]
+
+    def _planar_report(self, tmp_path):
         # 2-D poly:1 report whose entries differ in every coefficient, so a
         # wrong entry, sweep axis or fixed coordinate changes the values
         dictionary = polynomial_dictionary(2, 1)
-        a12 = [0.25, -1.5, 0.75]
         report = {
             "dictionary": {"kind": "poly:1", "n": 2,
                            "names": list(dictionary.names)},
@@ -442,12 +443,17 @@ class TestPlotDataCommand:
             "diffusion": [
                 {"i": 1, "j": 1, "coefficients": [2.0, 0.5, -0.5],
                  "residual": 0.0},
-                {"i": 1, "j": 2, "coefficients": a12, "residual": 0.0},
+                {"i": 1, "j": 2, "coefficients": self.A12, "residual": 0.0},
                 {"i": 2, "j": 2, "coefficients": [3.0, -0.25, 1.25],
                  "residual": 0.0}],
         }
         path = str(tmp_path / "report.json")
         write_report(report, path)
+        return path
+
+    def test_off_diagonal_curve_along_axis(self, tmp_path):
+        dictionary = polynomial_dictionary(2, 1)
+        path = self._planar_report(tmp_path)
         outs = {}
         for component in ("a2,1", "a12"):
             outs[component] = tmp_path / f"curve_{component}.csv"
@@ -459,8 +465,36 @@ class TestPlotDataCommand:
         pts = np.column_stack([np.full(len(rows), 0.3), rows[:, 0]])
         np.testing.assert_array_equal(rows[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
         np.testing.assert_array_equal(
-            rows[:, 1], design_matrix(dictionary, pts) @ np.array(a12))
+            rows[:, 1], design_matrix(dictionary, pts) @ np.array(self.A12))
         assert outs["a2,1"].read_bytes() == outs["a12"].read_bytes()
+
+    def test_negative_range_as_separate_argument(self, tmp_path):
+        report = self._handmade_report(tmp_path)
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["plot-data", "--report", report, "--component", "a11",
+                     "--range", "-1:1:0.5", "--out", str(spaced)]) == 0
+        assert main(["plot-data", "--report", report, "--component", "a11",
+                     "--range=-1:1:0.5", "--out", str(joined)]) == 0
+        rows = [r.split(",") for r in spaced.read_text().splitlines()]
+        assert [float(r[0]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_negative_point_as_separate_argument(self, tmp_path):
+        path = self._planar_report(tmp_path)
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["plot-data", "--report", path, "--component", "a12",
+                     "--axis", "2", "--at", "-0.5,0", "--range", "0:1:0.5",
+                     "--out", str(spaced)]) == 0
+        assert main(["plot-data", "--report", path, "--component", "a12",
+                     "--axis", "2", "--at=-0.5,0", "--range", "0:1:0.5",
+                     "--out", str(joined)]) == 0
+        rows = np.array([[float(v) for v in r.split(",")]
+                         for r in spaced.read_text().splitlines()])
+        pts = np.column_stack([np.full(len(rows), -0.5), rows[:, 0]])
+        np.testing.assert_array_equal(
+            rows[:, 1], design_matrix(polynomial_dictionary(2, 1), pts)
+            @ np.array(self.A12))
+        assert spaced.read_bytes() == joined.read_bytes()
 
     def test_true_column_from_config(self, tmp_path):
         report = self._handmade_report(tmp_path)

@@ -17,8 +17,9 @@ from levysid import (
 )
 import levysid.rng
 import levysid.simulate
+from levysid.basis import design_matrix, example2_dictionary
 from levysid.rng import stream_key
-from levysid.simulate import map_chunks, worker_count
+from levysid.simulate import CHUNK_ROWS, map_chunks, worker_count
 
 from oracles import ks_two_sample, row_noise_oracle
 
@@ -240,6 +241,77 @@ class TestMapChunks:
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         blocks = map_chunks(lambda start, stop: (start, stop), 20, rows=8)
         assert blocks == [(0, 8), (8, 16), (16, 20)]
+
+
+@pytest.fixture
+def openblas():
+    """(set, get, procs) for the OpenBLAS thread count that map_chunks caps,
+    through the same symbols; skips where there are none. The count is
+    restored afterwards, and the once-per-process cap forgotten so the next
+    map_chunks caps again."""
+    import ctypes
+
+    found = levysid.simulate._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS thread-count setter found")
+    lib, name = found
+    setter = getattr(lib, name)
+    getter = getattr(lib, name.replace("_set_", "_get_"), None)
+    procs = getattr(lib, name.replace("set_num_threads", "get_num_procs"), None)
+    if getter is None or procs is None:
+        pytest.skip("no OpenBLAS thread-count getter found")
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    getter.restype = procs.restype = ctypes.c_int
+    before = getter()
+    yield setter, getter, procs
+    setter(before)
+    levysid.simulate._cap_blas_threads.cache_clear()
+
+
+class TestBlasThreadCap:
+    """map_chunks runs OpenBLAS on one thread, so its pool is the only
+    parallelism, and the Gram products do not depend on the count."""
+
+    @pytest.mark.parametrize("workers", ["1", None])
+    def test_one_thread_after_map_chunks(self, openblas, workers, monkeypatch):
+        set_threads, get_threads, _ = openblas
+        if workers is None:
+            monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        set_threads(2)
+        levysid.simulate._cap_blas_threads.cache_clear()
+        assert get_threads() == 2
+        assert map_chunks(lambda start, stop: stop - start, 10) == [10]
+        assert get_threads() == 1
+
+    @pytest.mark.parametrize("missing", ["library", "setter"])
+    def test_nothing_found_is_harmless(self, missing, monkeypatch):
+        if missing == "library":
+            monkeypatch.setattr(levysid.simulate, "_openblas", lambda: None)
+        else:  # the real scan, for a name no library exports
+            monkeypatch.setattr(levysid.simulate, "BLAS_SETTERS",
+                                ("no_such_set_num_threads",))
+            assert levysid.simulate._openblas() is None
+        levysid.simulate._cap_blas_threads.cache_clear()
+        try:
+            blocks = map_chunks(lambda start, stop: (start, stop), 20, rows=8)
+        finally:
+            levysid.simulate._cap_blas_threads.cache_clear()
+        assert blocks == [(0, 8), (8, 16), (16, 20)]
+
+    def test_gram_products_same_bytes_at_one_thread(self, openblas):
+        # one full block of genereg1d's regression: the example2 design
+        # matrix and two targets, as regression_tables multiplies them
+        set_threads, _, get_procs = openblas
+        Z = np.linspace(0.0, 5.0, CHUNK_ROWS)[:, None]
+        A = design_matrix(example2_dictionary(), Z)
+        B = np.random.default_rng(7).standard_normal((CHUNK_ROWS, 2))
+        set_threads(get_procs())
+        default = (A.T @ A).tobytes(), (A.T @ B).tobytes()
+        set_threads(1)
+        assert ((A.T @ A).tobytes(), (A.T @ B).tobytes()) == default
 
 
 class TestSingleStepMatchesBatch:
