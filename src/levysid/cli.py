@@ -24,7 +24,13 @@ from .basis import (
     example2_dictionary,
     polynomial_dictionary,
 )
-from .dataio import read_dataset, read_report, write_dataset, write_report
+from .dataio import (
+    DatasetFile,
+    read_dataset,
+    read_report,
+    write_dataset,
+    write_report,
+)
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -345,13 +351,18 @@ def cmd_pipeline(args):
     # exists
     model, bounds, mesh, h = _model_inputs(args.config)
     config, spec, dictionary = _estimation_inputs(args.est_config, model.n)
-    Z = generate_grid(bounds, mesh)
     t0 = time.perf_counter()
-    data = simulate_pairs(model, Z, h, args.seed)
+    # no local keeps the grid, so the pairs are freed once data is rebound
+    data = simulate_pairs(model, generate_grid(bounds, mesh), h, args.seed)
     t_sim = time.perf_counter() - t0
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    write_dataset(data, workdir / f"dataset.{args.format}", args.format)
+    path = workdir / f"dataset.{args.format}"
+    write_dataset(data, path, args.format)
+    if args.format == "bin":
+        # estimate from the page-cached file, block by block; its rows()
+        # checks every block, so read_dataset's check pass would be redundant
+        data = DatasetFile(str(path), data.n, data.M, data.h)
     levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
                                    workdir / "report.json")
 

@@ -19,6 +19,7 @@ read back and re-serialized is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -57,6 +58,9 @@ def write_dataset(data, path, fmt="bin"):
 
     Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer
     holds one block of the payload at a time, never a copy of all of it.
+    They go to a temporary file next to ``path``, which replaces ``path``
+    only once every block is written: a block that raises leaves neither
+    file behind, and an existing ``path`` unchanged.
     """
     if fmt == "csv":
         header = _header_line(data).encode("ascii")
@@ -66,11 +70,20 @@ def write_dataset(data, path, fmt="bin"):
         encode = _binary_block
     else:
         raise DomainError(f"unknown dataset format {fmt!r}; use 'csv' or 'bin'")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, data.M, CHUNK_ROWS):
-            block = data.rows(start, min(start + CHUNK_ROWS, data.M))
-            fh.write(encode(np.hstack(block)))
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for start in range(0, data.M, CHUNK_ROWS):
+                block = data.rows(start, min(start + CHUNK_ROWS, data.M))
+                fh.write(encode(np.hstack(block)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,10 @@ class DatasetFile:
 
     A row-block source like DatasetPair: the estimators read it only through
     ``rows``. ``read_dataset`` builds it after checking the header, the file
-    size and every entry.
+    size and every entry. Since ``rows`` checks every block it reads, it may
+    also be built directly, without that first pass, over a file whose
+    header this process wrote: ``levysid pipeline`` estimates that way from
+    the dataset it has just written.
     """
 
     path: str
@@ -93,8 +109,8 @@ class DatasetFile:
     def rows(self, start, stop):
         """Z and X of rows start..stop-1, read into a buffer of their own.
 
-        Every call checks its rows again: a non-finite entry, or a file that
-        has shrunk since read_dataset checked it, raises DataFormatError.
+        Every call checks its rows: a non-finite entry, or a file that ends
+        before them, raises DataFormatError.
         """
         block = np.empty((stop - start, 2 * self.n), dtype="<f8")
         with open(self.path, "rb") as fh:

@@ -3,8 +3,10 @@
 Each dataset row is an independent experiment: start at z, take a single
 Euler step of length h under dx = b(x)dt + Lambda(x)dB_t + sigma dL_t, and
 record (z, x). All randomness comes from counter-based per-row streams keyed
-by (seed, row index), so output bytes depend only on (model, Z, h, seed),
-never on chunking or worker count.
+by (seed, row index), so for one numpy build at one SIMD dispatch level the
+output bytes depend only on (model, Z, h, seed), never on chunking or worker
+count. Another build or dispatch level may round numpy's transcendental
+functions differently, and with them the last bits of some rows.
 """
 
 from __future__ import annotations
@@ -217,11 +219,15 @@ def generate_grid(bounds, mesh):
     if total > GRID_ROW_CAP:
         raise GridSizeError(
             f"grid would contain {total} rows, cap is {GRID_ROW_CAP}")
-    axes = [np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
-            for (lo, hi), m in zip(bounds, mesh)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.ascontiguousarray(
-        np.stack([g.reshape(-1) for g in grids], axis=1))
+    # each column is written from its axis in place, with no meshgrid or
+    # stack temporaries; the floats are exactly meshgrid's
+    Z = np.empty((total, len(mesh)))
+    repeat = total
+    for k, ((lo, hi), m) in enumerate(zip(bounds, mesh)):
+        repeat //= m
+        axis = np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
+        Z.reshape(-1, m, repeat, len(mesh))[:, :, :, k] = axis[:, None]
+    return Z
 
 
 def _noise(model, keys, h):

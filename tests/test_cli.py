@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from levysid import (
     write_dataset,
     write_report,
 )
+import levysid.cli
 import levysid.simulate
 from levysid.cli import main, parse_component, parse_range
 from levysid.dataio import DatasetFile
@@ -571,7 +573,7 @@ class TestPlotDataCommand:
 
 
 class TestPipelineCommand:
-    def _run(self, tmp_path, workdir, seed="5"):
+    def _run(self, tmp_path, workdir, seed="5", *extra):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d",
             "grid": {"bounds": [[0, 5]], "mesh": [200_000]},
@@ -581,7 +583,57 @@ class TestPipelineCommand:
             "dictionary": "example2",
         })
         return main(["pipeline", "--config", cfg, "--est-config", est,
-                     "--workdir", str(workdir), "--seed", seed])
+                     "--workdir", str(workdir), "--seed", seed, *extra])
+
+    def test_csv_and_bin_write_the_same_results(self, tmp_path):
+        # csv estimates from the pairs in memory, bin from the file it wrote
+        assert self._run(tmp_path, tmp_path / "csv", "5", "--format", "csv") == 0
+        assert self._run(tmp_path, tmp_path / "bin") == 0
+        assert (tmp_path / "csv" / "dataset.csv").exists()
+        for name in ("report.json", "plot_b1.csv", "plot_a11.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (
+                tmp_path / "bin" / name).read_bytes()
+
+    def test_bin_estimate_does_not_hold_the_pairs(self, tmp_path, monkeypatch):
+        """The estimate reads dataset.bin, so its peak holds the cube
+        survivors and one block's buffers but not the simulated pairs."""
+        M = 400_000
+        cfg = _write_json(tmp_path / "model.json", {
+            "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [M]}})
+        # poly:1 keeps the regression buffers (about 3 MB) below the pairs
+        est = _est_config(tmp_path, cube_epsilon=1.0)
+        sources = {}
+        sizes = {}
+
+        def recording(name, fn):
+            def wrapper(data, *args):
+                sources[name] = type(data)
+                return fn(data, *args)
+            return wrapper
+
+        def tables(data, *args):
+            sizes["survivors"] = 2 * data.Z.nbytes
+            tracemalloc.reset_peak()
+            try:
+                return real_tables(data, *args)
+            finally:
+                sizes["peak"] = tracemalloc.get_traced_memory()[1]
+
+        real_tables = levysid.cli.regression_tables
+        for name in ("estimate_levy", "cube_filter"):
+            monkeypatch.setattr(levysid.cli, name,
+                                recording(name, getattr(levysid.cli, name)))
+        monkeypatch.setattr(levysid.cli, "regression_tables", tables)
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--config", cfg, "--est-config", est,
+                         "--workdir", str(tmp_path / "wd")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert sources == {"estimate_levy": DatasetFile,
+                           "cube_filter": DatasetFile}
+        pairs = 2 * M * 8
+        assert sizes["peak"] < pairs + sizes["survivors"]
 
     def test_artifacts_present(self, tmp_path, capsys):
         workdir = tmp_path / "run"

@@ -267,6 +267,30 @@ class TestChunkedWriter:
         np.testing.assert_array_equal(Z, data.Z)
         np.testing.assert_array_equal(X, data.X)
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failing_block_leaves_no_file(self, tmp_path, fmt, existing):
+        data = _sample_pair(M=CHUNK_ROWS + 5, n=2, seed=4)
+
+        class FailsInSecondBlock:
+            n, M, h = data.n, data.M, data.h
+
+            def rows(self, start, stop):
+                if start > 0:
+                    raise DataFormatError("block failed")
+                return data.rows(start, stop)
+
+        path = tmp_path / f"pairs.{fmt}"
+        if existing:
+            path.write_bytes(b"earlier file")
+        with pytest.raises(DataFormatError, match="block failed"):
+            write_dataset(FailsInSecondBlock(), path, fmt)
+        # no temporary file is left next to the target either
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [path.name] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"earlier file"
+
 
 # -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches
 # between positional and exponent notation

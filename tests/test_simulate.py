@@ -55,6 +55,23 @@ class TestGenerateGrid:
         Z = generate_grid([[0.0, 5.0]], [1])
         np.testing.assert_array_equal(Z, [[0.0]])
 
+    @pytest.mark.parametrize("bounds,mesh", [
+        ([[0.0, 5.0]], [1001]),
+        ([[-0.3, 0.7]], [1]),
+        ([[-2.0, 2.0], [0.1, 0.9], [-1e-3, 3.7]], [7, 5, 11]),
+        ([[-2.0, 2.0], [0.1, 0.9], [-1e-3, 3.7]], [1, 6, 1]),
+        ([[0.0, 1.0], [-5.0, 5.0], [2.0, 3.0]], [4, 1, 9]),
+    ], ids=["1d", "1d-mesh1", "3d", "3d-mesh1-outer", "3d-mesh1-middle"])
+    def test_bytes_match_meshgrid(self, bounds, mesh):
+        axes = [np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
+                for (lo, hi), m in zip(bounds, mesh)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        want = np.stack([g.reshape(-1) for g in grids], axis=1)
+        Z = generate_grid(bounds, mesh)
+        assert Z.dtype == np.float64 and Z.flags.c_contiguous
+        assert Z.shape == want.shape
+        assert Z.tobytes() == want.tobytes()
+
     def test_row_cap(self):
         with pytest.raises(GridSizeError):
             generate_grid([[0, 1]] * 3, [10_000, 10_000, 10])
