@@ -290,8 +290,10 @@ def _report_coefficients(report, parsed, K):
         if not match:
             raise ConfigError(f"report has no diffusion entry a{i}{j}")
         values = match[0].get("coefficients")
+    # no bools, as in errors.number; NaN, inf and too large ints fail the bound
     if not (isinstance(values, list) and len(values) == K
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in values)):
         raise DataFormatError(
             f"report {parsed[0]} coefficients must be a list of {K} finite numbers")
     return np.asarray(values, dtype=np.float64)
@@ -360,8 +362,8 @@ def cmd_pipeline(args):
     path = workdir / f"dataset.{args.format}"
     write_dataset(data, path, args.format)
     if args.format == "bin":
-        # estimate from the page-cached file, block by block; its rows()
-        # checks every block, so read_dataset's check pass would be redundant
+        # estimate from the page-cached file, block by block, as estimate
+        # does; this process wrote its header, so read_dataset is not needed
         data = DatasetFile(str(path), data.n, data.M, data.h)
     levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
                                    workdir / "report.json")

@@ -9,9 +9,9 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
   the 25-byte header plus M*2n*8 payload bytes; a short file and trailing
   bytes are both rejected.
 
-A text file is read into a DatasetPair. A binary file is read as a
-DatasetFile, which reads its rows from the file one block at a time, so the
-estimators never hold the whole payload.
+A text file is read into a DatasetPair, every entry checked. A binary file
+is read as a DatasetFile, which reads and checks its rows one block at a
+time, so the estimators never hold the whole payload.
 
 Reports are JSON with sorted keys and two-space indentation, so a report
 read back and re-serialized is byte-identical.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError
-from .simulate import CHUNK_ROWS, DatasetPair, check_header, map_chunks
+from .simulate import CHUNK_ROWS, DatasetPair, check_header
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -91,11 +91,9 @@ class DatasetFile:
     """A binary dataset file, read one block of rows at a time.
 
     A row-block source like DatasetPair: the estimators read it only through
-    ``rows``. ``read_dataset`` builds it after checking the header, the file
-    size and every entry. Since ``rows`` checks every block it reads, it may
-    also be built directly, without that first pass, over a file whose
-    header this process wrote: ``levysid pipeline`` estimates that way from
-    the dataset it has just written.
+    ``rows``, which checks every block it reads. ``read_dataset`` builds it
+    after checking the header and the file size; ``levysid pipeline``
+    builds it directly over the dataset it has just written.
     """
 
     path: str
@@ -152,11 +150,6 @@ def _read_binary(path):
         raise DataFormatError(
             f"{path}: found {size - count * 8} trailing bytes after "
             f"the {count} payload values")
-
-    def check(start, stop):
-        source.rows(start, stop)
-
-    map_chunks(check, M)
     return source
 
 
@@ -188,8 +181,9 @@ def _read_csv(path):
 def read_dataset(path):
     """Read a dataset file, sniffing the binary magic to pick the decoder.
 
-    Returns a DatasetFile for a binary file and a DatasetPair for a text
-    file. Either way every entry has been checked to be finite.
+    Returns a DatasetPair for a text file, every entry checked to be
+    finite. For a binary file only the header and the file size are read:
+    the DatasetFile it returns checks each block of rows as it reads it.
     """
     try:
         with open(path, "rb") as fh:

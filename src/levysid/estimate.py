@@ -7,8 +7,9 @@ basis dictionary, after filtering to the small-increment cube and removing
 the closed-form jump corrections R and S.
 
 The regressions never materialize the full design matrix: chunks of rows are
-turned into Gram updates A^T A and A^T B and reduced in fixed chunk order, so
-results are identical for any worker count.
+turned into Gram updates A^T A and A^T B and reduced in fixed chunk order on
+the calling thread. The bin counts and the cube filter run on
+``map_chunks``' worker pool; every result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -317,7 +318,9 @@ def regression_tables(data, fraction, dictionary, levy, config):
     """Drift and diffusion regressions sharing one design-matrix pass.
 
     ``data`` must already be cube-filtered; ``fraction`` is the survival
-    fraction M_hat/M that scales every target. Returns a CoefficientTable.
+    fraction M_hat/M that scales every target. Its CHUNK_ROWS blocks are
+    filled and reduced in order on the calling thread, which starts no
+    pool. Returns a CoefficientTable.
     """
     n = data.n
     K = dictionary.K
@@ -348,34 +351,32 @@ def regression_tables(data, fraction, dictionary, levy, config):
 
     # one set of buffers per call, refilled for every block: A and B hold a
     # block, and their C-order prefixes give the BLAS calls and reductions
-    # of fresh arrays; D and the scratch column give each CACHE_ROWS
-    # sub-block rows of its own. The worker threads fill a block's
-    # sub-blocks, then this thread makes its Gram parts, so the buffers do
-    # not multiply with the workers; map_chunks has capped OpenBLAS at one
-    # thread, so those BLAS calls use this thread alone
+    # of fresh arrays; D and the scratch column hold one CACHE_ROWS
+    # sub-block. This thread fills a block's sub-blocks in turn and makes
+    # its Gram parts, with OpenBLAS capped at one thread
+    simulate._cap_blas_threads()
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
     A_buf = np.empty((rows, K))
     B_buf = np.empty((rows, n + P))
-    D_buf = np.empty((rows, n))
-    col_buf = np.empty(rows)
-
-    def fill(start, lo, hi):
-        Zc, Xc = data.rows(start + lo, start + hi)
-        design_matrix(dictionary, Zc, out=A_buf[lo:hi])
-        D = np.subtract(Xc, Zc, out=D_buf[lo:hi])
-        col = col_buf[lo:hi]
-        for t, (i, j) in enumerate(targets):
-            np.multiply(D[:, i], scale, out=col)
-            if j is not None:
-                np.multiply(col, D[:, j], out=col)
-            np.subtract(col, shift[t], out=col)
-            B_buf[lo:hi, t] = col
+    D_buf = np.empty((sub_rows, n))
+    col_buf = np.empty(sub_rows)
 
     def chunk_part(start, stop):
         m = stop - start
         A, B = A_buf[:m], B_buf[:m]
-        map_chunks(lambda lo, hi: fill(start, lo, hi), m, rows=sub_rows)
+        for lo in range(0, m, sub_rows):
+            hi = min(lo + sub_rows, m)
+            Zc, Xc = data.rows(start + lo, start + hi)
+            design_matrix(dictionary, Zc, out=A[lo:hi])
+            D = np.subtract(Xc, Zc, out=D_buf[:hi - lo])
+            col = col_buf[:hi - lo]
+            for t, (i, j) in enumerate(targets):
+                np.multiply(D[:, i], scale, out=col)
+                if j is not None:
+                    np.multiply(col, D[:, j], out=col)
+                np.subtract(col, shift[t], out=col)
+                B[lo:hi, t] = col
         AtA, AtB = A.T @ A, A.T @ B
         # B is squared in place only once A.T @ B has read it
         return AtA, AtB, np.multiply(B, B, out=B).sum(axis=0)

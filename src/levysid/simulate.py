@@ -126,11 +126,12 @@ def _openblas():
 def _cap_blas_threads():
     """Run OpenBLAS on one thread, once per process.
 
-    ``map_chunks``' pool is then the only parallelism. Otherwise OpenBLAS
-    threads the calling thread's Gram products, and after each one its
-    idle threads spin-wait on the cores the pool's workers need. The
-    products are the same bytes either way. Where no OpenBLAS with one of
-    ``BLAS_SETTERS`` is found this does nothing.
+    ``map_chunks`` and ``regression_tables`` call it, so ``map_chunks``'
+    pool is the only parallelism. Otherwise OpenBLAS threads the Gram
+    products, and after each one its idle threads spin-wait on the cores
+    the pool's workers need. The products are the same bytes either way.
+    Where no OpenBLAS with one of ``BLAS_SETTERS`` is found this does
+    nothing.
     """
     import ctypes
 
@@ -285,16 +286,15 @@ def _step_block(model, Z_block, h, keys, out, row0):
             f"non-finite state at row {row0 + r}, component {c + 1}")
 
 
-def map_chunks(fn, M, rows=None):
+def map_chunks(fn, M):
     """``[fn(start, stop) for each block of range(M)]``, in block order; the
-    blocks have ``rows`` rows (default CHUNK_ROWS), the last one fewer.
+    blocks have CHUNK_ROWS rows, the last one fewer.
 
     With more than one block the calls run on ``worker_count()`` threads.
     The blocks do not depend on the worker count, so neither do the results.
     """
-    rows = CHUNK_ROWS if rows is None else rows
-    starts = range(0, M, rows)
-    stops = [min(start + rows, M) for start in starts]
+    starts = range(0, M, CHUNK_ROWS)
+    stops = [min(start + CHUNK_ROWS, M) for start in starts]
     # read even for one block, so a malformed LEVYSID_WORKERS always fails
     workers = worker_count()
     _cap_blas_threads()

@@ -327,8 +327,8 @@ MALFORMED = {
 
 
 class TestMalformedDatasets:
-    """Every malformed file fails in the reader and exits 3 from the CLI,
-    leaving no report."""
+    """Every malformed file fails in the reader, read_dataset or the rows()
+    of a block, and exits 3 from the CLI, leaving no report."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected(self, tmp_path, monkeypatch, capsys, case):
@@ -336,7 +336,9 @@ class TestMalformedDatasets:
         path = tmp_path / "pairs"
         path.write_bytes(MALFORMED[case]())
         with pytest.raises(DataFormatError):
-            read_dataset(path)
+            source = read_dataset(path)
+            for start in range(0, source.M, BLOCK):
+                source.rows(start, min(start + BLOCK, source.M))
         report = tmp_path / "r.json"
         assert main(["estimate", str(path), "--est-config", _est_config(tmp_path),
                      "--report", str(report)]) == 3
@@ -391,8 +393,28 @@ class TestBinaryFileSource:
         monkeypatch.setattr(DatasetFile, "rows", block_rows)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
-        # validation, bin counts, and the cube filter's two passes
-        assert sum(spans) == 4 * 8000
+        # bin counts, and the cube filter's two passes
+        assert sum(spans) == 3 * 8000
+
+    def test_one_pool_per_pass(self, tmp_path, monkeypatch):
+        # each regression block of 500 rows has 5 sub-blocks of 100, and
+        # the calling thread fills them all
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 100)
+        monkeypatch.setenv("LEVYSID_WORKERS", "2")
+        path, est = _lorenz_data(tmp_path)
+        pool = levysid.simulate.ThreadPoolExecutor
+        pools = []
+
+        def counted(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(levysid.simulate, "ThreadPoolExecutor", counted)
+        assert main(["estimate", str(path), "--est-config", est,
+                     "--report", str(tmp_path / "r.json")]) == 0
+        # bin counts, and the cube filter's mask and fill
+        assert pools == [2, 2, 2]
 
 
 class TestPlotDataCommand:
@@ -554,11 +576,16 @@ class TestPlotDataCommand:
         ("b1", lambda r: r["drift"][0].pop()),
         ("a11", lambda r: r["diffusion"][0].pop("i")),
         ("b1", lambda r: r["drift"][0].__setitem__(0, math.nan)),
+        ("b1", lambda r: r.update(drift=[[True, 0.0, False]])),
+        ("a11", lambda r: r["diffusion"][0]["coefficients"].__setitem__(1, True)),
+        ("b1", lambda r: r["drift"][0].__setitem__(1, 10 ** 400)),
         ("b1", lambda r: r["dictionary"].update(names=["1", "x1 +", "x1^2"])),
         ("b1", lambda r: r["dictionary"].update(names=[])),
         ("b1", lambda r: r["dictionary"].update(names=["1", "x1", "x1"])),
     ], ids=["no-dictionary-n", "names-not-a-list", "short-drift-row",
-            "diffusion-without-i", "nan-drift-coefficient", "unparsable-name",
+            "diffusion-without-i", "nan-drift-coefficient",
+            "bool-drift-coefficients", "bool-diffusion-coefficient",
+            "int-beyond-float-range", "unparsable-name",
             "empty-names", "duplicate-names"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, component, corrupt):
         path = self._handmade_report(tmp_path)

@@ -17,7 +17,8 @@ from levysid import (
 )
 import levysid.rng
 import levysid.simulate
-from levysid.basis import design_matrix, example2_dictionary
+from levysid.basis import design_matrix, example2_dictionary, polynomial_dictionary
+from levysid.estimate import EstimationConfig, regression_tables
 from levysid.rng import stream_key
 from levysid.simulate import CHUNK_ROWS, map_chunks, worker_count
 
@@ -253,12 +254,6 @@ class TestMapChunks:
         covered = [r for start, stop in blocks for r in range(start, stop)]
         assert covered == list(range(50))
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_row_size_argument(self, workers, monkeypatch):
-        monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        blocks = map_chunks(lambda start, stop: (start, stop), 20, rows=8)
-        assert blocks == [(0, 8), (8, 16), (16, 20)]
-
 
 @pytest.fixture
 def openblas():
@@ -287,8 +282,9 @@ def openblas():
 
 
 class TestBlasThreadCap:
-    """map_chunks runs OpenBLAS on one thread, so its pool is the only
-    parallelism, and the Gram products do not depend on the count."""
+    """map_chunks and regression_tables run OpenBLAS on one thread, so the
+    pool is the only parallelism, and the Gram products do not depend on
+    the count."""
 
     @pytest.mark.parametrize("workers", ["1", None])
     def test_one_thread_after_map_chunks(self, openblas, workers, monkeypatch):
@@ -303,6 +299,19 @@ class TestBlasThreadCap:
         assert map_chunks(lambda start, stop: stop - start, 10) == [10]
         assert get_threads() == 1
 
+    def test_one_thread_after_regression_tables(self, openblas):
+        # a library caller whose first pass is the regression: it starts
+        # no pool, but its Gram products still run on one OpenBLAS thread
+        set_threads, get_threads, _ = openblas
+        Z = np.linspace(0.0, 1.0, 50)[:, None]
+        data = DatasetPair.from_arrays(Z, Z + 0.01 * Z ** 2, 0.01)
+        set_threads(2)
+        levysid.simulate._cap_blas_threads.cache_clear()
+        assert get_threads() == 2
+        regression_tables(data, 1.0, polynomial_dictionary(1, 2), None,
+                          EstimationConfig(1.0, 5.0, 1))
+        assert get_threads() == 1
+
     @pytest.mark.parametrize("missing", ["library", "setter"])
     def test_nothing_found_is_harmless(self, missing, monkeypatch):
         if missing == "library":
@@ -311,9 +320,10 @@ class TestBlasThreadCap:
             monkeypatch.setattr(levysid.simulate, "BLAS_SETTERS",
                                 ("no_such_set_num_threads",))
             assert levysid.simulate._openblas() is None
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 8)
         levysid.simulate._cap_blas_threads.cache_clear()
         try:
-            blocks = map_chunks(lambda start, stop: (start, stop), 20, rows=8)
+            blocks = map_chunks(lambda start, stop: (start, stop), 20)
         finally:
             levysid.simulate._cap_blas_threads.cache_clear()
         assert blocks == [(0, 8), (8, 16), (16, 20)]
