@@ -302,7 +302,9 @@ def _report_coefficients(report, parsed, K):
 def _true_values(model, kind, indices, pts):
     if kind == "drift":
         return evaluate_block(model.drift[indices[0] - 1], pts)
-    lam = model.gaussian_at(pts)
+    # einsum's sums depend on the layout of its inputs; the curves keep the
+    # bits of row-major Lambda
+    lam = np.ascontiguousarray(model.gaussian_at(pts))
     i, j = indices
     return np.einsum("rk,rk->r", lam[:, i - 1, :], lam[:, j - 1, :])
 

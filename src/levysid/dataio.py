@@ -77,8 +77,7 @@ def write_dataset(data, path, fmt="bin"):
         with open(tmp, "wb") as fh:
             fh.write(header)
             for start in range(0, data.M, CHUNK_ROWS):
-                block = data.rows(start, min(start + CHUNK_ROWS, data.M))
-                fh.write(encode(np.hstack(block)))
+                fh.write(encode(data.block(start, min(start + CHUNK_ROWS, data.M))))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -90,10 +89,11 @@ def write_dataset(data, path, fmt="bin"):
 class DatasetFile:
     """A binary dataset file, read one block of rows at a time.
 
-    A row-block source like DatasetPair: the estimators read it only through
-    ``rows``, which checks every block it reads. ``read_dataset`` builds it
-    after checking the header and the file size; ``levysid pipeline``
-    builds it directly over the dataset it has just written.
+    A row-block source like DatasetPair. ``block`` is the one method that
+    reads the file, and it checks every block it reads; ``rows`` splits a
+    block into Z and X. ``read_dataset`` builds it after checking the header
+    and the file size; ``levysid pipeline`` builds it directly over the
+    dataset it has just written.
     """
 
     path: str
@@ -104,8 +104,9 @@ class DatasetFile:
     def __post_init__(self):
         check_header(self.n, self.M, self.h)
 
-    def rows(self, start, stop):
-        """Z and X of rows start..stop-1, read into a buffer of their own.
+    def block(self, start, stop):
+        """Rows start..stop-1 as they are stored, one (rows, 2n) array with
+        z before x, read into a buffer of their own.
 
         Every call checks its rows: a non-finite entry, or a file that ends
         before them, raises DataFormatError.
@@ -121,6 +122,11 @@ class DatasetFile:
             raise DataFormatError(
                 f"{self.path}: dataset entries must all be finite; "
                 f"rows {start}..{stop - 1} hold a non-finite value")
+        return block
+
+    def rows(self, start, stop):
+        """Z and X of rows start..stop-1: the column halves of ``block``."""
+        block = self.block(start, stop)
         return block[:, :self.n], block[:, self.n:]
 
 

@@ -81,7 +81,9 @@ class GridSizeError(DomainError):
 
 
 class SimulationError(LevysidError):
-    """An Euler step failed; the message names the rows and component."""
+    """An Euler step produced a non-finite state; the message names the row
+    and the component. A coefficient that cannot be evaluated raises
+    EvaluationDomainError instead."""
 
 
 class InsufficientDataError(LevysidError):

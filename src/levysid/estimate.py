@@ -204,6 +204,14 @@ def estimate_sigma(counts, alpha_hat, config):
     return float(np.mean(vals))
 
 
+def _increments(Z, X, out=None):
+    """X - Z of a block, component-major: row i of the (n, rows) result
+    holds component i. Written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty(Z.shape[::-1])
+    return np.subtract(X.T, Z.T, out=out)
+
+
 def estimate_levy(data, config):
     """Identify (alpha, beta, sigma) for every component of a dataset.
 
@@ -212,9 +220,8 @@ def estimate_levy(data, config):
     sums do not depend on the order, so neither does the result.
     """
     def block_counts(start, stop):
-        Z, X = data.rows(start, stop)
-        D = X - Z
-        return [bin_counts(D[:, i], config) for i in range(data.n)]
+        D = _increments(*data.rows(start, stop))
+        return [bin_counts(row, config) for row in D]
 
     parts = map_chunks(block_counts, data.M)
     out = []
@@ -230,10 +237,12 @@ def estimate_levy(data, config):
 
 
 def _cube_mask(Z, X, half_width):
-    """max_i |x_i - z_i| <= half_width per row, built one column at a time."""
-    keep = np.abs(X[:, 0] - Z[:, 0]) <= half_width
-    for i in range(1, Z.shape[1]):
-        keep &= np.abs(X[:, i] - Z[:, i]) <= half_width
+    """max_i |x_i - z_i| <= half_width per row, one component row at a time."""
+    D = _increments(Z, X)
+    np.abs(D, out=D)
+    keep = D[0] <= half_width
+    for row in D[1:]:
+        keep &= row <= half_width
     return keep
 
 
@@ -242,8 +251,10 @@ def cube_filter(data, half_width):
     max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction).
 
     ``data`` is a row-block source. A first pass over its blocks builds the
-    masks; the survivors then fill arrays of exactly their size from a
-    second pass, each block at the prefix sum of the counts before it.
+    masks; a second pass copies the kept rows of each whole ``block`` of
+    stored rows, z before x, into a single (kept, 2n) array, at the prefix
+    sum of the counts before it. The filtered DatasetPair's Z and X are the
+    column halves of that array.
     """
     positive("half_width", half_width)
 
@@ -260,16 +271,18 @@ def cube_filter(data, half_width):
     if kept == 0:
         raise InsufficientDataError(
             f"no rows survive the cube filter at half width {half_width}")
-    Z = np.empty((kept, data.n))
-    X = np.empty((kept, data.n))
+    survivors = np.empty((kept, 2 * data.n))
 
+    # np.compress with out= writes through a temporary copy of out, in case
+    # an index is out of range; take's "clip" mode writes in place, and the
+    # indices of the kept rows are all in range
     def fill(start, stop):
-        Zb, Xb = data.rows(start, stop)
-        np.compress(masks[start], Zb, axis=0, out=Z[spans[start]])
-        np.compress(masks[start], Xb, axis=0, out=X[spans[start]])
+        np.take(data.block(start, stop), np.flatnonzero(masks[start]), axis=0,
+                out=survivors[spans[start]], mode="clip")
 
     map_chunks(fill, data.M)
-    return DatasetPair(data.n, kept, data.h, Z, X), kept / data.M
+    return DatasetPair(data.n, kept, data.h, survivors[:, :data.n],
+                       survivors[:, data.n:]), kept / data.M
 
 
 # The drift correction's alpha != 1 branch carries a 1/(1-alpha) pole: the
@@ -320,7 +333,11 @@ def regression_tables(data, fraction, dictionary, levy, config):
     ``data`` must already be cube-filtered; ``fraction`` is the survival
     fraction M_hat/M that scales every target. Its CHUNK_ROWS blocks are
     filled and reduced in order on the calling thread, which starts no
-    pool. Returns a CoefficientTable.
+    pool. Each CACHE_ROWS sub-block is evaluated component-major in one
+    (max(K, n + P), CACHE_ROWS) scratch, design-matrix rows first and then
+    the n + P targets; the block's A and B stay in C order, so the products
+    A^T A and A^T B and the sum of B*B are those of fresh row-major arrays.
+    Returns a CoefficientTable.
     """
     n = data.n
     K = dictionary.K
@@ -343,24 +360,20 @@ def regression_tables(data, fraction, dictionary, levy, config):
                       for i, p in enumerate(snapped)])
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     P = len(pairs)
-    # target column t of B is scale*D_i - R_i for the drift (j is None) and
-    # (scale*D_i)*D_j - S_ij for the diffusion pairs
-    targets = [(i, None) for i in range(n)] + pairs
+    # target t < n is scale*D_t - R_t, the drift, and target n + p is
+    # (scale*D_i)*D_j - S_ij for the diffusion pair p = (i, j)
     shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
-    # one set of buffers per call, refilled for every block: A and B hold a
-    # block, and their C-order prefixes give the BLAS calls and reductions
-    # of fresh arrays; D and the scratch column hold one CACHE_ROWS
-    # sub-block. This thread fills a block's sub-blocks in turn and makes
-    # its Gram parts, with OpenBLAS capped at one thread
+    # one set of buffers per call, refilled for every block; the bits of
+    # the BLAS products and of the axis-0 sum of B*B depend on A and B being
+    # in C order. OpenBLAS is capped at one thread
     simulate._cap_blas_threads()
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
     A_buf = np.empty((rows, K))
     B_buf = np.empty((rows, n + P))
-    D_buf = np.empty((sub_rows, n))
-    col_buf = np.empty(sub_rows)
+    scratch = np.empty((max(K, n + P), sub_rows))
 
     def chunk_part(start, stop):
         m = stop - start
@@ -368,15 +381,18 @@ def regression_tables(data, fraction, dictionary, levy, config):
         for lo in range(0, m, sub_rows):
             hi = min(lo + sub_rows, m)
             Zc, Xc = data.rows(start + lo, start + hi)
-            design_matrix(dictionary, Zc, out=A[lo:hi])
-            D = np.subtract(Xc, Zc, out=D_buf[:hi - lo])
-            col = col_buf[:hi - lo]
-            for t, (i, j) in enumerate(targets):
-                np.multiply(D[:, i], scale, out=col)
-                if j is not None:
-                    np.multiply(col, D[:, j], out=col)
-                np.subtract(col, shift[t], out=col)
-                B[lo:hi, t] = col
+            sub = scratch[:, :hi - lo]
+            A[lo:hi] = design_matrix(dictionary, Zc, out=sub[:K].T)
+            # rows 0..n-1 hold D until the diffusion targets have read it
+            D = _increments(Zc, Xc, out=sub[:n])
+            for t, (i, j) in enumerate(pairs, start=n):
+                np.multiply(D[i], scale, out=sub[t])
+                np.multiply(sub[t], D[j], out=sub[t])
+                np.subtract(sub[t], shift[t], out=sub[t])
+            for i in range(n):
+                np.multiply(D[i], scale, out=sub[i])
+                np.subtract(sub[i], shift[i], out=sub[i])
+            B[lo:hi] = sub[:n + P].T
         AtA, AtB = A.T @ A, A.T @ B
         # B is squared in place only once A.T @ B has read it
         return AtA, AtB, np.multiply(B, B, out=B).sum(axis=0)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, ExpressionError, number
 from .expr import ExpressionTree, evaluate_trees, parse_expression
 from .stable import StableParams
@@ -48,12 +50,18 @@ class SdeModel:
         return any(t.root != ("c", 0.0) for row in self.gaussian for t in row)
 
     def drift_at(self, points):
-        """Evaluate b at an (M, n) block; returns (M, n)."""
-        return evaluate_trees(self.drift, points)
+        """Evaluate b at an (M, n) block; returns (M, n), the transpose of
+        component-major rows, so that each component is written contiguously."""
+        return evaluate_trees(self.drift, points,
+                              out=np.empty((self.n, len(points))).T)
 
     def gaussian_at(self, points):
-        """Evaluate Lambda at an (M, n) block; returns (M, n, n)."""
-        flat = evaluate_trees([t for row in self.gaussian for t in row], points)
+        """Evaluate Lambda at an (M, n) block; returns (M, n, n), a view of
+        one contiguous row per entry as in ``drift_at``. einsum's sums depend
+        on the layout: give it ``np.ascontiguousarray`` of this view for the
+        bits of a row-major Lambda."""
+        flat = evaluate_trees([t for row in self.gaussian for t in row], points,
+                              out=np.empty((self.n * self.n, len(points))).T)
         return flat.reshape(-1, self.n, self.n)
 
 

@@ -18,6 +18,10 @@ per-row counter layout is written down. For a simulated row of dimension n:
   counters 0 .. 2n-1    -> n Box-Muller normals (2 per draw)
   counters 2n .. 4n-1   -> n stable draws (angle uniform, exponential uniform)
 
+For a block of rows the uniforms are held counter by counter, each counter
+one contiguous row, so Box-Muller and CMS run over contiguous rows. Every
+draw's bits are those of the same transform applied row by row.
+
 NumPy generators were deliberately not used here: their normal sampler
 consumes a data-dependent number of words (ziggurat rejection), which makes
 fixed per-row counter layouts impossible. Box-Muller from two counters per
@@ -65,15 +69,21 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def raw_block(key, start: int, count: int) -> np.ndarray:
-    """uint64 hash values for counters start .. start+count-1 of a stream
-    (one row per key when ``key`` is an array of keys)."""
+    """uint64 hash values for counters start .. start+count-1 of a stream.
+
+    For an array of keys the counters run along the first axis: entry
+    ``[j, r]`` is counter start+j of stream ``key[r]``, so each counter of
+    a block of rows is one contiguous row.
+    """
+    keys = np.asarray(key, dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _mix64_np(np.asarray(key, dtype=np.uint64)[..., None]
-                     + idx * np.uint64(GAMMA))
+    return _mix64_np(idx.reshape((count,) + (1,) * keys.ndim)
+                     * np.uint64(GAMMA) + keys)
 
 
 def uniform_block(key, start: int, count: int) -> np.ndarray:
-    """Doubles in the open interval (0,1), one per counter (and per key).
+    """Doubles in the open interval (0,1), one per counter (and per key),
+    laid out as in ``raw_block``: counters first.
 
     Mapping keeps 53 bits and centers on the grid: u = ((raw >> 11) + 0.5)/2^53,
     so 0.0 and 1.0 are unreachable and downstream log/tan transforms stay finite.
@@ -120,17 +130,23 @@ def row_normals(keys: np.ndarray, n: int) -> np.ndarray:
     """rows x n standard normals of the rows whose streams have the given
     uint64 keys, from counters 0..2n-1."""
     u = uniform_block(keys, 0, 2 * n)
-    return _box_muller(u[:, 0::2], u[:, 1::2])
+    return np.ascontiguousarray(_box_muller(u[0::2], u[1::2]).T)
+
+
+def component_jumps(keys: np.ndarray, n: int, alphas, betas) -> np.ndarray:
+    """n x rows standard stable draws of the rows whose streams have the
+    given uint64 keys, from counters 2n..4n-1: one contiguous row per
+    component."""
+    u = uniform_block(keys, 2 * n, 2 * n)
+    jumps = np.empty((n, u.shape[1]))
+    for i in range(n):
+        jumps[i] = _cms(u[2 * i], u[2 * i + 1], alphas[i], betas[i])
+    return jumps
 
 
 def row_jumps(keys: np.ndarray, n: int, alphas, betas) -> np.ndarray:
-    """rows x n standard stable draws of the rows whose streams have the
-    given uint64 keys, from counters 2n..4n-1."""
-    u = uniform_block(keys, 2 * n, 2 * n)
-    jumps = np.empty((u.shape[0], n))
-    for i in range(n):
-        jumps[:, i] = _cms(u[:, 2 * i], u[:, 2 * i + 1], alphas[i], betas[i])
-    return jumps
+    """rows x n standard stable draws: ``component_jumps`` in row order."""
+    return np.ascontiguousarray(component_jumps(keys, n, alphas, betas).T)
 
 
 def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):

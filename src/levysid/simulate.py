@@ -27,7 +27,7 @@ from .errors import (
     number,
     positive,
 )
-from .rng import row_jumps, row_keys, row_normals, stream_key
+from .rng import component_jumps, row_keys, row_normals, stream_key
 from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
@@ -158,8 +158,8 @@ class DatasetPair:
     """Initial points Z and their one-step images X, with the step size h.
 
     Like a binary ``dataio.DatasetFile`` it is a row-block source: it has
-    ``n``, ``M``, ``h`` and ``rows(start, stop)``, which is all the
-    estimators read.
+    ``n``, ``M``, ``h``, ``rows(start, stop)`` and ``block(start, stop)``,
+    which is all the estimators and the dataset writer read.
     """
 
     n: int
@@ -178,6 +178,10 @@ class DatasetPair:
     def rows(self, start, stop):
         """Z and X of rows start..stop-1, as views of the arrays."""
         return self.Z[start:stop], self.X[start:stop]
+
+    def block(self, start, stop):
+        """Rows start..stop-1 as one new (rows, 2n) array, z before x."""
+        return np.hstack(self.rows(start, stop))
 
     @classmethod
     def from_arrays(cls, Z, X, h):
@@ -236,48 +240,55 @@ def _noise(model, keys, h):
     have the given keys. Without a Gaussian term no normals are drawn and
     the normals are None; without Levy noise no stable draws are made and
     the jump term is 0.0. Otherwise component i of the standard stable
-    draws is scaled by sigma_i h^(1/alpha_i). Each kind reads only its own
-    counters, so skipping one leaves the other unchanged."""
+    draws is scaled by sigma_i h^(1/alpha_i), one contiguous component row
+    at a time, and the jump term is the rows x n transpose of those rows.
+    Each kind reads only its own counters, so skipping one leaves the other
+    unchanged."""
     gauss = row_normals(keys, model.n) if model.gaussian_enabled else None
     if model.levy is None:
         return gauss, 0.0
     alphas = np.array([p.alpha for p in model.levy])
     betas = np.array([p.beta for p in model.levy])
-    jumps = row_jumps(keys, model.n, alphas, betas)
+    jumps = component_jumps(keys, model.n, alphas, betas)
     for i, p in enumerate(model.levy):
         scale = h ** (1.0 / alphas[i])
-        jumps[:, i] = p.sigma * scale_stable(jumps[:, i], alphas[i], betas[i], scale)
-    return gauss, jumps
+        jumps[i] = p.sigma * scale_stable(jumps[i], alphas[i], betas[i], scale)
+    return gauss, jumps.T
 
 
 def _step_block(model, Z_block, h, keys, out, row0):
     """One Euler step for a block of rows whose streams have the given keys.
 
-    Writes the new states into ``out`` and raises SimulationError if a
-    coefficient cannot be evaluated or a state is not finite. ``row0``, the
-    dataset index of the block's first row, only locates those errors.
+    Writes the new states into ``out``. A coefficient that cannot be
+    evaluated raises EvaluationDomainError and a state that is not finite
+    SimulationError. ``row0``, the dataset index of the block's first row,
+    only locates those errors.
     """
     m, n = Z_block.shape
     try:
         drift = model.drift_at(Z_block)
         lam = model.gaussian_at(Z_block) if model.gaussian_enabled else None
     except EvaluationDomainError as exc:
-        raise SimulationError(f"coefficient evaluation failed on rows "
-                              f"{row0}..{row0 + m - 1}: {exc}") from exc
+        raise EvaluationDomainError(
+            f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: "
+            f"{exc}") from exc
 
     gauss, jump_term = _noise(model, keys, h)
 
-    # n == 1 stays off einsum, whose sums can differ in the sign of a zero;
-    # datasets must stay bit-identical. Without a Gaussian term, lam @ gauss
-    # would be a zero that leaves every nonzero sum unchanged
-    if gauss is None:
-        out[:] = Z_block + drift * h
-    elif n == 1:
-        gpart = lam[:, 0, 0] * gauss[:, 0]
-        out[:, 0] = Z_block[:, 0] + drift[:, 0] * h + np.sqrt(h) * gpart
-    else:
-        gpart = np.einsum("rij,rj->ri", lam, gauss)
-        out[:] = Z_block + drift * h + np.sqrt(h) * gpart
+    # the drift and the jump term come component-major and are each read
+    # once into the row-major ``out``; IEEE addition commutes, so drift*h +
+    # Z has the bits of Z + drift*h. Datasets must stay bit-identical, so
+    # n == 1 stays off einsum, whose sums can differ in the sign of a zero,
+    # and einsum gets lam in the row order its sums were fixed in. Without
+    # a Gaussian term, lam @ gauss would be a zero that leaves every
+    # nonzero sum unchanged
+    np.multiply(drift, h, out=out)
+    out += Z_block
+    if gauss is not None and n == 1:
+        out[:, 0] += np.sqrt(h) * (lam[:, 0, 0] * gauss[:, 0])
+    elif gauss is not None:
+        out += np.sqrt(h) * np.einsum("rij,rj->ri", np.ascontiguousarray(lam),
+                                      gauss)
     out += jump_term
 
     if not np.all(np.isfinite(out)):

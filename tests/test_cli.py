@@ -15,6 +15,7 @@ from levysid import (
     DataFormatError,
     DatasetPair,
     design_matrix,
+    model_from_config,
     polynomial_dictionary,
     read_dataset,
     read_report,
@@ -26,6 +27,7 @@ import levysid.cli
 import levysid.simulate
 from levysid.cli import main, parse_component, parse_range
 from levysid.dataio import DatasetFile
+from levysid.expr import evaluate_trees
 from levysid.rng import stream_key
 
 
@@ -191,6 +193,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "error category=config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_coefficient_domain_fault_exits_2(self, tmp_path, capsys):
+        # sqrt(x1) faults on the negative half of the grid: a config error,
+        # as in estimate, and no dataset file or temporary file is left
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["sqrt(x1)"], "gaussian": None,
+            "levy": None, "grid": {"bounds": [[-1, 1]], "mesh": [11]},
+            "h": 0.01})
+        out = tmp_path / "pairs.bin"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err
+        assert "coefficient evaluation failed on rows 0..10" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 class TestEstimateCommand:
@@ -380,17 +396,18 @@ class TestBinaryFileSource:
             tmp_path / "r_memory.json").read_bytes()
 
     def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
+        # block is the one method that reads the file; rows splits a block
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
         path, est = _lorenz_data(tmp_path)
-        read_rows = DatasetFile.rows
+        read_block = DatasetFile.block
         spans = []
 
-        def block_rows(self, start, stop):
-            assert stop - start <= 500, f"rows({start}, {stop}) spans more than a block"
+        def counted_block(self, start, stop):
+            assert stop - start <= 500, f"block({start}, {stop}) spans more than a block"
             spans.append(stop - start)
-            return read_rows(self, start, stop)
+            return read_block(self, start, stop)
 
-        monkeypatch.setattr(DatasetFile, "rows", block_rows)
+        monkeypatch.setattr(DatasetFile, "block", counted_block)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
         # bin counts, and the cube filter's two passes
@@ -430,6 +447,24 @@ class TestPlotDataCommand:
         path = tmp_path / "report.json"
         write_report(report, path)
         return str(path)
+
+    def test_true_diffusion_uses_row_major_lambda(self):
+        # gaussian_at returns a view of component-major rows; at n = 4
+        # einsum's sums over that layout differ in the last bits, and the
+        # true curve keeps those of a row-major Lambda
+        n = 4
+        model = model_from_config({
+            "dimension": n, "drift": ["0"] * n, "levy": None,
+            "gaussian": [[f"x{(i + j) % n + 1}*{i + 1}.{j + 3} + x{j + 1}"
+                          for j in range(n)] for i in range(n)]})
+        pts = np.random.default_rng(4).uniform(-2.0, 2.0, (2001, n))
+        lam = evaluate_trees([t for row in model.gaussian for t in row],
+                             pts).reshape(-1, n, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                want = np.einsum("rk,rk->r", lam[:, i - 1, :], lam[:, j - 1, :])
+                got = levysid.cli._true_values(model, "diffusion", (i, j), pts)
+                assert got.tobytes() == want.tobytes(), (i, j)
 
     def test_constant_drift_curve(self, tmp_path):
         report = self._handmade_report(tmp_path)
@@ -727,8 +762,10 @@ class TestPipelineCommand:
             "epsilon": 0.25, "m": 5.0, "N": 2, "dictionary": "poly:1"})
         workdir = tmp_path / "wd"
         assert main(["pipeline", "--config", cfg, "--est-config", est,
-                     "--workdir", str(workdir)]) == 1
-        assert "coefficient evaluation failed" in capsys.readouterr().err
+                     "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err
+        assert "coefficient evaluation failed on rows 0..10" in err
         assert not workdir.exists()
 
 

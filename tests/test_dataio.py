@@ -282,10 +282,10 @@ class TestChunkedWriter:
         class FailsInSecondBlock:
             n, M, h = data.n, data.M, data.h
 
-            def rows(self, start, stop):
+            def block(self, start, stop):
                 if start > 0:
                     raise DataFormatError("block failed")
-                return data.rows(start, stop)
+                return data.block(start, stop)
 
         path = tmp_path / f"pairs.{fmt}"
         if existing:

@@ -23,10 +23,13 @@ from levysid import (
     estimate_beta,
     estimate_levy,
     estimate_sigma,
+    example2_dictionary,
     model_from_config,
     polynomial_dictionary,
+    read_dataset,
     regression_tables,
     simulate_pairs,
+    write_dataset,
 )
 from levysid.numeric import solve_gram
 
@@ -260,7 +263,8 @@ class TestCubeFilter:
 
 class TestBlockwisePasses:
     """estimate_levy and cube_filter read CHUNK_ROWS blocks; the results must
-    equal whole-array references for any block size and worker count."""
+    equal whole-array references for any block size and worker count, from
+    an in-memory pair and from a binary dataset file alike."""
 
     @staticmethod
     def _data():
@@ -269,29 +273,42 @@ class TestBlockwisePasses:
         X = Z + 0.3 * rng.standard_cauchy((500, 3))
         return DatasetPair.from_arrays(Z, X, 0.001)
 
+    @classmethod
+    def _sources(cls, tmp_path):
+        """The in-memory pair, and the same pair as a binary dataset file."""
+        data = cls._data()
+        path = tmp_path / "pairs.bin"
+        write_dataset(data, path, "bin")
+        return data, read_dataset(path)
+
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
-    def test_cube_filter_matches_whole_mask(self, monkeypatch, workers):
-        data = self._data()
+    def test_cube_filter_matches_whole_mask(self, monkeypatch, tmp_path, workers):
+        sources = self._sources(tmp_path)
+        data = sources[0]
         keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        kept, fraction = cube_filter(data, 0.5)
-        assert kept.M == int(keep.sum()) and fraction == keep.sum() / 500
-        np.testing.assert_array_equal(kept.Z, data.Z[keep])
-        np.testing.assert_array_equal(kept.X, data.X[keep])
+        for source in sources:
+            kept, fraction = cube_filter(source, 0.5)
+            assert kept.M == int(keep.sum()) and fraction == keep.sum() / 500
+            np.testing.assert_array_equal(kept.Z, data.Z[keep])
+            np.testing.assert_array_equal(kept.X, data.X[keep])
 
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
-    def test_levy_counts_match_whole_increments(self, monkeypatch, workers):
-        data = self._data()
+    def test_levy_counts_match_whole_increments(self, monkeypatch, tmp_path,
+                                                workers):
+        sources = self._sources(tmp_path)
+        data = sources[0]
         config = _config(epsilon=0.2, m=3.0, N=2)
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        for est in estimate_levy(data, config):
-            Y = data.X[:, est.component - 1] - data.Z[:, est.component - 1]
-            want = bin_counts(Y, config, h=data.h)
-            np.testing.assert_array_equal(est.counts.pos, want.pos)
-            np.testing.assert_array_equal(est.counts.neg, want.neg)
-            assert (est.counts.M, est.counts.h) == (500, 0.001)
+        for source in sources:
+            for est in estimate_levy(source, config):
+                Y = data.X[:, est.component - 1] - data.Z[:, est.component - 1]
+                want = bin_counts(Y, config, h=data.h)
+                np.testing.assert_array_equal(est.counts.pos, want.pos)
+                np.testing.assert_array_equal(est.counts.neg, want.neg)
+                assert (est.counts.M, est.counts.h) == (500, 0.001)
 
 
 class TestDimensionalIndependence:
@@ -479,6 +496,30 @@ class TestRegressionOracle:
             np.testing.assert_array_equal(table.diffusion[(i + 1, j + 1)],
                                           coef[:, n + col])
             assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
+
+    def test_example2_blocks_match_fresh_blocks(self):
+        # the layout contract at K = 19: two full CHUNK_ROWS blocks and a
+        # partial one, each filled through the component-major sub-block
+        # scratch, give the bits of fresh row-major blocks. A Fortran-order
+        # design-matrix block changes the Gram products' bits here
+        block = levysid.simulate.CHUNK_ROWS
+        M = 2 * block + 1234
+        rng = np.random.default_rng(22)
+        Z = rng.uniform(0.0, 5.0, (M, 1))
+        X = Z + 0.05 * rng.standard_normal((M, 1))
+        data = DatasetPair.from_arrays(Z, X, 0.001)
+        dictionary = example2_dictionary()
+        levy = [StableParams(1.5, -0.5, 0.5)]
+        config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
+
+        table = regression_tables(data, 0.9, dictionary, levy, config)
+
+        coef, res, _ = self._fresh_block_reference(
+            data, 0.9, dictionary, levy, config.cube_half_width, block)
+        assert table.drift.tobytes() == coef[:, :1].T.tobytes()
+        assert table.diffusion[(1, 1)].tobytes() == coef[:, 1].tobytes()
+        assert table.drift_residuals.tobytes() == res[:1].tobytes()
+        assert table.diffusion_residuals[(1, 1)] == res[1]
 
 
 class TestRegressionMemory:

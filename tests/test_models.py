@@ -14,6 +14,7 @@ from levysid import (
     model_from_config,
     resolve_config,
 )
+from levysid.expr import evaluate_trees
 
 
 class TestBuiltinLorenz:
@@ -49,6 +50,20 @@ class TestBuiltinLorenz:
         np.testing.assert_allclose(
             a, [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
             rtol=0, atol=0)
+
+    def test_component_major_values_bitwise(self):
+        # drift_at and gaussian_at fill component-major scratch; every
+        # value keeps the bits of a row-major evaluate_trees, on a block
+        # whose length is no multiple of a SIMD width
+        model = builtin_model("lorenz3d")
+        Z = np.random.default_rng(3).uniform(-2.0, 2.0, (1001, 3))
+        drift = model.drift_at(Z)
+        assert drift.shape == (1001, 3)
+        assert drift.tobytes() == evaluate_trees(model.drift, Z).tobytes()
+        lam = model.gaussian_at(Z)
+        flat = evaluate_trees([t for row in model.gaussian for t in row], Z)
+        assert lam.shape == (1001, 3, 3)
+        assert lam.tobytes() == flat.reshape(-1, 3, 3).tobytes()
 
     def test_grid_defaults(self):
         cfg = builtin_config("lorenz3d")

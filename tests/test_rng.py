@@ -5,8 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from levysid.rng import (
+    _box_muller,
+    _cms,
     mix64,
     raw_block,
+    row_jumps,
     row_keys,
     row_normals,
     sim_noise_block,
@@ -107,12 +110,13 @@ class TestNoiseKernelOracle:
         n = len(self.ALPHAS)
         for row0, nrows in self.BLOCKS:
             keys = row_keys(base, row0, nrows)
+            # counters run along the first axis: column r is row r's stream
             u = uniform_block(keys, 0, 4 * n)
             for r in range(nrows):
                 assert int(keys[r]) == row_key_oracle(base, row0 + r)
                 assert int(keys[r]) == split_key(base, row0 + r)
                 want, _, _ = row_noise_oracle(base, row0 + r, self.ALPHAS, self.BETAS)
-                assert u[r].tolist() == want
+                assert u[:, r].tolist() == want
 
     def test_sim_noise_block_matches_oracle(self):
         base = stream_key(2024, 3)
@@ -124,3 +128,23 @@ class TestNoiseKernelOracle:
                                                        self.ALPHAS, self.BETAS)
                 assert_allclose(gauss[r], normals, rtol=1e-12, atol=0)
                 assert_allclose(jumps[r], stables, rtol=1e-12, atol=0)
+
+    def test_component_rows_match_row_major_reference(self):
+        # the kernel runs Box-Muller and CMS over contiguous component
+        # rows; the reference applies the same transforms to strided
+        # columns of per-row uniforms. 1001 rows leave a SIMD tail
+        keys = row_keys(stream_key(2024, 3), 5, 1001)
+        alphas, betas = np.array(self.ALPHAS), np.array(self.BETAS)
+        n = len(alphas)
+        per_row = np.ascontiguousarray(uniform_block(keys, 0, 4 * n).T)
+        normals = _box_muller(per_row[:, 0:2 * n:2], per_row[:, 1:2 * n:2])
+        jumps = np.empty((len(keys), n))
+        for i in range(n):
+            jumps[:, i] = _cms(per_row[:, 2 * n + 2 * i],
+                               per_row[:, 2 * n + 2 * i + 1], alphas[i], betas[i])
+        got_normals = row_normals(keys, n)
+        got_jumps = row_jumps(keys, n, alphas, betas)
+        for got in (got_normals, got_jumps):
+            assert got.shape == (len(keys), n) and got.flags.c_contiguous
+        assert got_normals.tobytes() == normals.tobytes()
+        assert got_jumps.tobytes() == jumps.tobytes()

@@ -7,6 +7,7 @@ from levysid import (
     ConfigError,
     DatasetPair,
     DomainError,
+    EvaluationDomainError,
     GridSizeError,
     SimulationError,
     generate_grid,
@@ -469,10 +470,22 @@ class TestErrors:
                            0.001, seed=1)
 
     def test_domain_fault_carries_row(self):
+        # a coefficient domain fault is the model's, not the step's: it
+        # raises EvaluationDomainError, naming the rows of its sub-block
         model = _model(1, ["ln(x1)"], None, None)
         Z = np.array([[1.0], [2.0], [-1.0], [3.0]])
-        with pytest.raises(SimulationError):
+        with pytest.raises(EvaluationDomainError,
+                           match=r"coefficient evaluation failed on rows 0\.\.3"):
             simulate_pairs(model, Z, 0.001, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_state_is_simulation_error(self):
+        # finite coefficients whose Euler step overflows: the step fails
+        model = _model(1, ["x1"], None, None)
+        Z = np.array([[1.0], [1.7e308]])
+        with pytest.raises(SimulationError,
+                           match="non-finite state at row 1, component 1"):
+            simulate_pairs(model, Z, 0.5, seed=0)
 
     def test_empty_points_rejected(self):
         model = builtin_model("genereg1d")
