@@ -23,7 +23,6 @@ from .errors import (
     GridSizeError,
     InsufficientDataError,
     LevysidError,
-    NonSymmetricError,
     NumericError,
     RankDeficiencyError,
     SimulationError,
@@ -46,7 +45,6 @@ from .estimate import (
 from .dataio import DatasetFile, read_dataset, read_report, write_dataset, write_report
 from .expr import ExpressionTree, evaluate_block, parse_expression
 from .models import SdeModel, builtin_config, builtin_model, model_from_config, resolve_config
-from .numeric import sym_eigen
 from .simulate import DatasetPair, generate_grid, simulate_pairs
 from .stable import (
     StableParams,
@@ -55,7 +53,6 @@ from .stable import (
     correction_S,
     k_alpha,
     kernel_W,
-    sample_stable,
 )
 
 __version__ = "0.1.0"

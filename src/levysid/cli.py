@@ -205,7 +205,7 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
     dt = time.perf_counter() - t0
-    fmt = args.format or ("csv" if Path(args.out).suffix == ".csv" else "bin")
+    fmt = "csv" if Path(args.out).suffix == ".csv" else "bin"
     write_dataset(data, args.out, fmt)
     rate = data.M / dt if dt > 0 else float("inf")
     print(f"simulated M={data.M} n={data.n} h={data.h} "
@@ -361,12 +361,11 @@ def cmd_pipeline(args):
     t_sim = time.perf_counter() - t0
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    path = workdir / f"dataset.{args.format}"
-    write_dataset(data, path, args.format)
-    if args.format == "bin":
-        # estimate from the page-cached file, block by block, as estimate
-        # does; this process wrote its header, so read_dataset is not needed
-        data = DatasetFile(str(path), data.n, data.M, data.h)
+    path = workdir / "dataset.bin"
+    write_dataset(data, path, "bin")
+    # estimate from the page-cached file, block by block, as estimate does;
+    # this process wrote its header, so read_dataset is not needed
+    data = DatasetFile(str(path), data.n, data.M, data.h)
     levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
                                    workdir / "report.json")
 
@@ -418,11 +417,9 @@ def make_parser():
 
     p = sub.add_parser("simulate", help="generate a pair dataset from a model config")
     p.add_argument("--config", required=True, help="model config JSON path")
-    p.add_argument("--out", required=True, help="dataset output path")
+    p.add_argument("--out", required=True,
+                   help="dataset output path: csv if it ends in .csv, else bin")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "bin"), default=None,
-                   help="dataset encoding (default: csv if --out ends in "
-                        ".csv, else bin)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="identify noise, drift and diffusion")
@@ -451,8 +448,6 @@ def make_parser():
     p.add_argument("--est-config", required=True)
     p.add_argument("--workdir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "bin"), default="bin",
-                   help="dataset encoding (default: bin)")
     p.set_defaults(fn=cmd_pipeline)
     return parser
 

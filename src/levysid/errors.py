@@ -98,10 +98,6 @@ class RankDeficiencyError(NumericError):
     """No stable least-squares solution."""
 
 
-class NonSymmetricError(NumericError):
-    """Matrix handed to a symmetric routine is not symmetric."""
-
-
 class ConfigError(LevysidError, ValueError):
     """Invalid configuration document; the message names the field."""
 

@@ -1,12 +1,10 @@
-"""Dense numeric kernels: the Gram least-squares solve and symmetric
-eigendecomposition.
+"""The Gram least-squares solve.
 
-Every factorization is LAPACK through numpy. ``sym_eigen`` is ``eigh`` with a
-fixed order and sign convention. ``solve_gram`` is the one least-squares
-solve: the chunked regressions never materialize A and accumulate only
-G = AᵀA and C = AᵀB. It solves by Cholesky of G, which loses cond(A)² digits,
-and one eigendecomposition of G gives its rank check and its condition
-estimate.
+The chunked regressions never materialize A and accumulate only G = AᵀA and
+C = AᵀB, so ``solve_gram`` is the one least-squares solve. It solves by
+Cholesky of G, which loses cond(A)² digits. One LAPACK ``eigh`` of G gives
+its rank check and its condition estimate. G is a sum of AᵀA products, so it
+is symmetric as accumulated.
 
 ConditioningWarning means the estimated cond(A) exceeds COND_THRESHOLD, or
 Cholesky broke down on rounding, and the solve took the eigendecomposition
@@ -20,12 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    ConditioningWarning,
-    DomainError,
-    NonSymmetricError,
-    RankDeficiencyError,
-)
+from .errors import ConditioningWarning, DomainError, RankDeficiencyError
 
 COND_THRESHOLD = 1e10
 
@@ -38,32 +31,6 @@ def _check_finite(X, what):
         raise DomainError(f"{what} is empty, shape {X.shape}")
     if not np.isfinite(X).all():
         raise DomainError(f"{what} has non-finite entries")
-
-
-def sym_eigen(a):
-    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
-
-    Returns (Q, w): orthogonal Q and eigenvalues w in descending order with
-    a = Q diag(w) Q^T. Sign convention: the first entry of each eigenvector
-    whose magnitude exceeds 1e-12 is made positive.
-    """
-    A = np.asarray(a, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {A.shape}")
-    _check_finite(A, "matrix")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-10 * scale:
-        raise NonSymmetricError(
-            "matrix is not symmetric within 1e-10 relative tolerance")
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    # stable on the negated values: tied eigenvalues keep LAPACK's order
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    cols = np.arange(V.shape[1])
-    lead = np.argmax(np.abs(V) > 1e-12, axis=0)
-    V[:, V[lead, cols] < 0.0] *= -1.0
-    return V, w
 
 
 def _back_substitute(U, Y):
@@ -91,7 +58,13 @@ def solve_gram(G, C):
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     _check_finite(C, "right-hand side")
-    Q, w = sym_eigen(G)
+    _check_finite(G, "Gram matrix")
+    w, Q = np.linalg.eigh(G)
+    # descending; stable on the negated values, so tied eigenvalues keep
+    # LAPACK's order and the pseudo-inverse its bits
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    Q = Q[:, order]
     wmax = float(w[0])
     wmin = float(w[-1])
     if wmax <= 0.0 or wmin <= wmax * _SINGULAR_RATIO:

@@ -120,12 +120,6 @@ def _cms(ua, ue, alpha, beta):
             * (np.cos(phi - ap) / w) ** ((1.0 - alpha) / alpha))
 
 
-def cms_block(key: int, start: int, count: int, alpha: float, beta: float) -> np.ndarray:
-    """count standard S_alpha(1, beta, 0) draws, two counters per draw."""
-    u = uniform_block(key, start, 2 * count)
-    return _cms(u[0::2], u[1::2], alpha, beta)
-
-
 def row_normals(keys: np.ndarray, n: int) -> np.ndarray:
     """rows x n standard normals of the rows whose streams have the given
     uint64 keys, from counters 0..2n-1."""
@@ -144,16 +138,13 @@ def component_jumps(keys: np.ndarray, n: int, alphas, betas) -> np.ndarray:
     return jumps
 
 
-def row_jumps(keys: np.ndarray, n: int, alphas, betas) -> np.ndarray:
-    """rows x n standard stable draws: ``component_jumps`` in row order."""
-    return np.ascontiguousarray(component_jumps(keys, n, alphas, betas).T)
-
-
 def sim_noise_block(base_key: int, row0: int, nrows: int, alphas, betas):
     """Per-row noise for rows row0..row0+nrows-1 of a simulation.
 
     Each row reads its own (seed, row)-derived stream, so the result is
-    independent of how rows are batched across workers.
+    independent of how rows are batched across workers. Returns rows x n
+    normals and rows x n standard stable draws.
     """
     keys = row_keys(base_key, row0, nrows)
-    return row_normals(keys, len(alphas)), row_jumps(keys, len(alphas), alphas, betas)
+    jumps = component_jumps(keys, len(alphas), alphas, betas)
+    return row_normals(keys, len(alphas)), np.ascontiguousarray(jumps.T)

@@ -273,23 +273,24 @@ def _step_block(model, Z_block, h, keys, out, row0):
             f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: "
             f"{exc}") from exc
 
-    gauss, jump_term = _noise(model, keys, h)
-
     # the drift and the jump term come component-major and are each read
     # once into the row-major ``out``; IEEE addition commutes, so drift*h +
     # Z has the bits of Z + drift*h. Datasets must stay bit-identical, so
     # n == 1 stays off einsum, whose sums can differ in the sign of a zero,
     # and einsum gets lam in the row order its sums were fixed in. Without
     # a Gaussian term, lam @ gauss would be a zero that leaves every
-    # nonzero sum unchanged
-    np.multiply(drift, h, out=out)
-    out += Z_block
-    if gauss is not None and n == 1:
-        out[:, 0] += np.sqrt(h) * (lam[:, 0, 0] * gauss[:, 0])
-    elif gauss is not None:
-        out += np.sqrt(h) * np.einsum("rij,rj->ri", np.ascontiguousarray(lam),
-                                      gauss)
-    out += jump_term
+    # nonzero sum unchanged. An overflow raises SimulationError below, so
+    # numpy does not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss, jump_term = _noise(model, keys, h)
+        np.multiply(drift, h, out=out)
+        out += Z_block
+        if gauss is not None and n == 1:
+            out[:, 0] += np.sqrt(h) * (lam[:, 0, 0] * gauss[:, 0])
+        elif gauss is not None:
+            out += np.sqrt(h) * np.einsum("rij,rj->ri",
+                                          np.ascontiguousarray(lam), gauss)
+        out += jump_term
 
     if not np.all(np.isfinite(out)):
         r, c = (int(v) for v in np.argwhere(~np.isfinite(out))[0])

@@ -11,7 +11,8 @@ with intensity sigma scales the measure to sigma^{-1} W(sigma^{-1} y) in
 increment space. Everything here is the exact calculus of that density:
 interval masses, the truncated first-moment correction R used by drift
 estimation, the truncated second-moment correction S used by diffusion
-estimation, and the exact stable variate sampler.
+estimation, and the map of standard stable draws (``rng``'s
+Chambers-Mallows-Stuck transform) to a given intensity.
 
 The corrections are closed forms of piecewise integrals whose branches change
 at alpha = 1; the test suite checks them against adaptive quadrature of the
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, positive
-from .rng import cms_block
 
 
 @dataclass(frozen=True)
@@ -125,28 +125,14 @@ def correction_S(params: StableParams, epsilon: float, i: int, j: int) -> float:
     return s**a * k_alpha(a) * epsilon ** (2.0 - a) / (2.0 - a)
 
 
-def sample_stable(alpha: float, beta: float, scale: float, count: int,
-                  key: int) -> np.ndarray:
-    """count i.i.d. draws from S_alpha(scale, beta, 0).
-
-    Chambers-Mallows-Stuck transform of one uniform angle and one exponential
-    per draw (counters 2t, 2t+1 of the stream with key ``key`` for draw t; see
-    ``rng.stream_key`` and ``rng.split_key``). For alpha = 1 the scaling family
-    is not closed under bare multiplication, so the log shift
-    (2/pi) beta scale ln(scale) is added to keep the zero-shift parametrization
-    exact at every scale.
-    """
-    StableParams(alpha, beta, 1.0)
-    positive("scale", scale)
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
-    draws = cms_block(key, 0, int(count), float(alpha), float(beta))
-    return scale_stable(draws, alpha, beta, scale)
-
-
 def scale_stable(standard_draws: np.ndarray, alpha: float, beta: float,
                  scale: float) -> np.ndarray:
-    """Map standard S_alpha(1, beta, 0) draws to S_alpha(scale, beta, 0)."""
+    """Map standard S_alpha(1, beta, 0) draws to S_alpha(scale, beta, 0).
+
+    For alpha = 1 the scaling family is not closed under bare
+    multiplication, so the log shift (2/pi) beta scale ln(scale) is added to
+    keep the zero-shift parametrization exact at every scale.
+    """
     if alpha == 1.0:
         return scale * standard_draws + (2.0 / math.pi) * beta * scale * math.log(scale)
     return scale * standard_draws

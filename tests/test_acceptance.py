@@ -29,7 +29,6 @@ from levysid import (
     estimate_levy,
     generate_grid,
     regression_tables,
-    sample_stable,
     simulate_pairs,
     write_dataset,
 )
@@ -45,6 +44,7 @@ from levysid.numeric import solve_gram
 from levysid.rng import stream_key
 
 from oracles import ks_one_sample, ks_two_sample, quad_mass, quad_R, quad_S
+from stable_draws import sample_stable
 
 GENE_SEEDS = (1, 2, 3)
 LORENZ_SEEDS = (4, 5, 6)

@@ -19,7 +19,6 @@ from levysid import (
     polynomial_dictionary,
     read_dataset,
     read_report,
-    sample_stable,
     write_dataset,
     write_report,
 )
@@ -29,6 +28,8 @@ from levysid.cli import main, parse_component, parse_range
 from levysid.dataio import DatasetFile
 from levysid.expr import evaluate_trees
 from levysid.rng import stream_key
+
+from stable_draws import sample_stable
 
 
 def _write_json(path, doc):
@@ -106,14 +107,6 @@ class TestSimulateCommand:
         data = read_dataset(out)
         assert data.n == 1 and data.M == 100_000
 
-    def test_binary_format_flag(self, tmp_path):
-        cfg = _small_lorenz(tmp_path, mesh=5)
-        out = tmp_path / "data.bin"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--format", "bin"]) == 0
-        assert out.read_bytes()[:4] == b"LSID"
-        assert read_dataset(out).M == 125
-
     def test_binary_is_default_at_small_m(self, tmp_path):
         cfg = _small_lorenz(tmp_path, mesh=5)
         out = tmp_path / "data"
@@ -127,13 +120,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"#levy-sid-pairs")
         assert read_dataset(out).M == 125
-
-    def test_explicit_format_beats_suffix(self, tmp_path):
-        cfg = _small_lorenz(tmp_path, mesh=5)
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--format", "bin"]) == 0
-        assert out.read_bytes()[:4] == b"LSID"
 
     def test_malformed_expression_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "model.json", {
@@ -207,6 +193,20 @@ class TestSimulateCommand:
         assert "error category=config" in err
         assert "coefficient evaluation failed on rows 0..10" in err
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_overflowing_step_prints_one_line(self, tmp_path):
+        # x1 + h*x1 overflows on the second grid point; the failure is the
+        # one error line, with no numpy RuntimeWarning before it
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["x1"], "gaussian": None, "levy": None,
+            "grid": {"bounds": [[1e308, 1.7e308]], "mesh": [2]}, "h": 0.5})
+        proc = subprocess.run(
+            [sys.executable, "-m", "levysid.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "pairs.bin")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error category=error: non-finite state at row 1, component 1"]
 
 
 class TestEstimateCommand:
@@ -635,7 +635,7 @@ class TestPlotDataCommand:
 
 
 class TestPipelineCommand:
-    def _run(self, tmp_path, workdir, seed="5", *extra):
+    def _run(self, tmp_path, workdir):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d",
             "grid": {"bounds": [[0, 5]], "mesh": [200_000]},
@@ -645,16 +645,26 @@ class TestPipelineCommand:
             "dictionary": "example2",
         })
         return main(["pipeline", "--config", cfg, "--est-config", est,
-                     "--workdir", str(workdir), "--seed", seed, *extra])
+                     "--workdir", str(workdir), "--seed", "5"])
 
-    def test_csv_and_bin_write_the_same_results(self, tmp_path):
-        # csv estimates from the pairs in memory, bin from the file it wrote
-        assert self._run(tmp_path, tmp_path / "csv", "5", "--format", "csv") == 0
-        assert self._run(tmp_path, tmp_path / "bin") == 0
-        assert (tmp_path / "csv" / "dataset.csv").exists()
-        for name in ("report.json", "plot_b1.csv", "plot_a11.csv"):
-            assert (tmp_path / "csv" / name).read_bytes() == (
-                tmp_path / "bin" / name).read_bytes()
+    def _simulate_then_estimate(self, tmp_path, pairs):
+        report = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(tmp_path / "model.json"),
+                     "--out", str(pairs), "--seed", "5"]) == 0
+        assert main(["estimate", str(pairs), "--est-config",
+                     str(tmp_path / "est.json"), "--report", str(report),
+                     "--seed", "5"]) == 0
+        return report
+
+    def test_csv_estimate_writes_the_same_report(self, tmp_path):
+        # estimate of a csv dataset holds the pairs in memory, pipeline
+        # reads the dataset.bin it wrote; both write the same report
+        workdir = tmp_path / "run"
+        assert self._run(tmp_path, workdir) == 0
+        pairs = tmp_path / "pairs.csv"
+        report = self._simulate_then_estimate(tmp_path, pairs)
+        assert pairs.read_bytes().startswith(b"#levy-sid-pairs")
+        assert report.read_bytes() == (workdir / "report.json").read_bytes()
 
     def test_bin_estimate_does_not_hold_the_pairs(self, tmp_path, monkeypatch):
         """The estimate reads dataset.bin, so its peak holds the cube
@@ -726,12 +736,8 @@ class TestPipelineCommand:
     def test_matches_simulate_then_estimate(self, tmp_path):
         workdir = tmp_path / "run"
         assert self._run(tmp_path, workdir) == 0
-        pairs, report = tmp_path / "pairs.bin", tmp_path / "report.json"
-        assert main(["simulate", "--config", str(tmp_path / "model.json"),
-                     "--out", str(pairs), "--seed", "5"]) == 0
-        assert main(["estimate", str(pairs), "--est-config",
-                     str(tmp_path / "est.json"), "--report", str(report),
-                     "--seed", "5"]) == 0
+        pairs = tmp_path / "pairs.bin"
+        report = self._simulate_then_estimate(tmp_path, pairs)
         assert pairs.read_bytes() == (workdir / "dataset.bin").read_bytes()
         assert report.read_bytes() == (workdir / "report.json").read_bytes()
 

@@ -1,18 +1,14 @@
-"""Gram least-squares solve and symmetric eigensolver."""
+"""Gram least-squares solve and the symmetric eigendecomposition inside it."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from levysid import (
-    ConditioningWarning,
-    DomainError,
-    NonSymmetricError,
-    RankDeficiencyError,
-    sym_eigen,
-)
-from levysid.numeric import solve_gram
+import levysid.numeric
+from levysid import ConditioningWarning, DomainError, RankDeficiencyError
+from levysid.numeric import COND_THRESHOLD, solve_gram
 
 
 class TestSolveGram:
@@ -48,97 +44,132 @@ class TestSolveGram:
             solve_gram(G, C)
 
 
-class TestSymEigen:
-    def test_two_by_two_known(self):
-        Q, w = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [3.0, 1.0], rtol=0, atol=1e-14)
-        recon = Q @ np.diag(w) @ Q.T
-        np.testing.assert_allclose(recon, [[2.0, 1.0], [1.0, 2.0]],
-                                   rtol=0, atol=1e-14)
+def _sign_convention_reference(G, C):
+    """The eigendecomposition fallback as first written: ``eigh`` of the
+    symmetrized G, eigenvalues descending, each eigenvector's first entry
+    above 1e-12 in magnitude made positive, then Q diag(1/w) Qᵀ C."""
+    w, Q = np.linalg.eigh((G + G.T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    w, Q = w[order], Q[:, order]
+    lead = np.argmax(np.abs(Q) > 1e-12, axis=0)
+    Q[:, Q[lead, np.arange(Q.shape[1])] < 0.0] *= -1.0
+    return Q @ ((Q.T @ C).T / w).T
 
-    def test_descending_order(self):
+
+def _random_gram(rng, n):
+    A = rng.standard_normal((3 * n + 2, n))
+    return A.T @ A
+
+
+class TestSymEigen:
+    """The symmetric eigendecomposition of G inside ``solve_gram``: its
+    condition estimate and the pseudo-inverse the solve falls back to.
+    ``eigen_path`` sets COND_THRESHOLD to 0, so that every solve takes the
+    fallback, and returns the solution and the estimated cond(A)."""
+
+    @pytest.fixture
+    def eigen_path(self, monkeypatch):
+        monkeypatch.setattr(levysid.numeric, "COND_THRESHOLD", 0.0)
+
+        def solve(G, C):
+            with pytest.warns(ConditioningWarning) as records:
+                x = solve_gram(G, C)
+            cond = re.search(r"cond ~ (\S+)\)", str(records[0].message))
+            return x, float(cond.group(1))
+
+        return solve
+
+    def test_two_by_two_known(self, eigen_path):
+        x, cond = eigen_path(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                             np.array([3.0, 0.0]))
+        np.testing.assert_allclose(x, [2.0, -1.0], rtol=0, atol=1e-14)
+        assert cond == pytest.approx(np.sqrt(3.0), rel=1e-3)
+
+    def test_descending_order(self, eigen_path):
+        # the estimate is sqrt(largest / smallest eigenvalue), never below 1
         rng = np.random.default_rng(5)
-        A = rng.standard_normal((6, 6))
-        A = A + A.T
-        _, w = sym_eigen(A)
-        assert np.all(np.diff(w) <= 1e-12)
+        for trial in range(10):
+            _, cond = eigen_path(_random_gram(rng, 6), np.ones(6))
+            assert cond > 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_reconstruction_and_orthogonality(self, n):
+    def test_reconstruction_and_orthogonality(self, eigen_path, n):
+        # Q diag(1/w) Qᵀ inverts G only if Q is orthogonal
         rng = np.random.default_rng(100 + n)
         for trial in range(25):
-            A = rng.standard_normal((n, n))
-            A = 0.5 * (A + A.T)
-            Q, w = sym_eigen(A)
-            fro = max(np.linalg.norm(A), 1e-300)
-            assert np.linalg.norm(Q @ np.diag(w) @ Q.T - A) <= 1e-12 * fro
-            np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-12)
+            G = _random_gram(rng, n)
+            C = rng.standard_normal((n, 2))
+            x, _ = eigen_path(G, C)
+            tol = 1e-13 * np.linalg.norm(G) * np.linalg.norm(x)
+            np.testing.assert_allclose(G @ x, C, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_eigenvalues_match_lapack(self, n):
+    def test_eigenvalues_match_lapack(self, eigen_path, n):
         rng = np.random.default_rng(200 + n)
         for trial in range(10):
-            A = rng.standard_normal((n, n))
-            A = 0.5 * (A + A.T)
-            _, w = sym_eigen(A)
-            w_ref = np.linalg.eigvalsh(A)[::-1]
-            scale = max(1.0, np.abs(w_ref).max())
-            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12 * scale)
+            G = _random_gram(rng, n)
+            _, cond = eigen_path(G, np.ones(n))
+            w_ref = np.linalg.eigvalsh(G)
+            assert cond == pytest.approx(np.sqrt(w_ref[-1] / w_ref[0]), rel=1e-3)
 
-    def test_identity(self):
-        Q, w = sym_eigen(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4), rtol=0, atol=0)
-        np.testing.assert_allclose(np.abs(Q), np.eye(4), rtol=0, atol=0)
-
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(NonSymmetricError):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_identity(self, eigen_path):
+        C = np.random.default_rng(6).standard_normal(4)
+        x, cond = eigen_path(np.eye(4), C)
+        assert np.array_equal(x, C) and cond == 1.0
 
     def test_nonsquare_rejected(self):
         with pytest.raises(Exception):
-            sym_eigen(np.ones((2, 3)))
+            solve_gram(np.ones((2, 3)), np.ones(2))
 
-    @pytest.mark.parametrize("a", [
-        np.array([[1.0, np.inf], [np.inf, 1.0]]),
-        np.array([[np.nan]]),
-        np.zeros((0, 0)),
+    @pytest.mark.parametrize("G,C", [
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), np.ones(2)),
+        (np.array([[np.nan]]), np.ones(1)),
+        (np.zeros((0, 0)), np.ones(1)),
     ], ids=["inf", "nan", "empty"])
-    def test_nonfinite_or_empty_rejected(self, a):
+    def test_nonfinite_or_empty_rejected(self, G, C):
         with pytest.raises(DomainError):
-            sym_eigen(a)
+            solve_gram(G, C)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_householder_closed_form(self, n):
+    def test_householder_closed_form(self, eigen_path, n):
         # H = I - 2vv^T/v^Tv is symmetric and orthogonal, so H diag(w) H has
-        # eigenvalue w[k] with eigenvector H[:, k]
+        # the inverse H diag(1/w) H
         rng = np.random.default_rng(300 + n)
         v = rng.standard_normal(n)
         H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-        w = np.linspace(3.0, -2.0, n)
-        Q, w_hat = sym_eigen(H @ np.diag(w) @ H)
-        np.testing.assert_allclose(w_hat, w, rtol=0, atol=1e-13)
-        for k in range(n):
-            ref = H[:, k]
-            if ref[np.flatnonzero(np.abs(ref) > 1e-12)[0]] < 0.0:
-                ref = -ref
-            np.testing.assert_allclose(Q[:, k], ref, rtol=0, atol=1e-12)
+        w = np.linspace(3.0, 0.5, n)
+        C = rng.standard_normal(n)
+        x, cond = eigen_path(H @ np.diag(w) @ H, C)
+        np.testing.assert_allclose(x, H @ ((H @ C) / w), rtol=0, atol=1e-13)
+        assert cond == pytest.approx(np.sqrt(6.0), rel=1e-3)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_sign_convention(self, n):
+        # the fallback once fixed each eigenvector's sign; the sign cancels
+        # in Q diag(1/w) Qᵀ C, so dropping it moves no bit. G and C are
+        # summed over three row blocks, as the chunked regressions
+        # accumulate them, from columns scaled down to 1e-10.5 .. 1e-13,
+        # so cond(A) is past COND_THRESHOLD and the solve falls back
         rng = np.random.default_rng(400 + n)
-        for trial in range(20):
-            A = rng.standard_normal((n, n))
-            Q, _ = sym_eigen(A + A.T)
-            for k in range(n):
-                col = Q[:, k]
-                assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0.0
+        for trial in range(10):
+            A = rng.standard_normal((600, n)) * np.geomspace(
+                1.0, 10.0 ** -rng.uniform(10.5, 13.0), n)
+            B = rng.standard_normal((600, 2))
+            assert np.linalg.cond(A) > COND_THRESHOLD
+            blocks = [slice(lo, lo + 200) for lo in range(0, 600, 200)]
+            G = sum(A[rows].T @ A[rows] for rows in blocks)
+            C = sum(A[rows].T @ B[rows] for rows in blocks)
+            assert np.array_equal(G, G.T)
+            with pytest.warns(ConditioningWarning):
+                x = solve_gram(G, C)
+            assert x.tobytes() == _sign_convention_reference(G, C).tobytes()
 
     def test_tiny_asymmetry_tolerated(self):
-        A = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-        Q, w = sym_eigen(A)
-        np.testing.assert_allclose(w, [3.0, 1.0], rtol=0, atol=1e-12)
+        x = solve_gram(np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]]),
+                       np.array([3.0, 3.0]))
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
 
     def test_no_warnings_on_clean_input(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sym_eigen(np.diag([3.0, 2.0, 1.0]))
+            solve_gram(np.diag([3.0, 2.0, 1.0]), np.ones(3))

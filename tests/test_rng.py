@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from levysid.rng import (
     _box_muller,
     _cms,
+    component_jumps,
     mix64,
     raw_block,
-    row_jumps,
     row_keys,
     row_normals,
     sim_noise_block,
@@ -133,7 +133,8 @@ class TestNoiseKernelOracle:
         # the kernel runs Box-Muller and CMS over contiguous component
         # rows; the reference applies the same transforms to strided
         # columns of per-row uniforms. 1001 rows leave a SIMD tail
-        keys = row_keys(stream_key(2024, 3), 5, 1001)
+        base = stream_key(2024, 3)
+        keys = row_keys(base, 5, 1001)
         alphas, betas = np.array(self.ALPHAS), np.array(self.BETAS)
         n = len(alphas)
         per_row = np.ascontiguousarray(uniform_block(keys, 0, 4 * n).T)
@@ -142,8 +143,11 @@ class TestNoiseKernelOracle:
         for i in range(n):
             jumps[:, i] = _cms(per_row[:, 2 * n + 2 * i],
                                per_row[:, 2 * n + 2 * i + 1], alphas[i], betas[i])
-        got_normals = row_normals(keys, n)
-        got_jumps = row_jumps(keys, n, alphas, betas)
+        # simulation reads row_normals and component_jumps, one component
+        # row per stable component
+        assert row_normals(keys, n).tobytes() == normals.tobytes()
+        assert component_jumps(keys, n, alphas, betas).T.tobytes() == jumps.tobytes()
+        got_normals, got_jumps = sim_noise_block(base, 5, 1001, alphas, betas)
         for got in (got_normals, got_jumps):
             assert got.shape == (len(keys), n) and got.flags.c_contiguous
         assert got_normals.tobytes() == normals.tobytes()

