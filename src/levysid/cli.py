@@ -26,6 +26,7 @@ from .basis import (
 )
 from .dataio import (
     DatasetFile,
+    csv_block,
     read_dataset,
     read_report,
     write_dataset,
@@ -205,11 +206,10 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     data = simulate_pairs(model, Z, h, args.seed)
     dt = time.perf_counter() - t0
-    fmt = "csv" if Path(args.out).suffix == ".csv" else "bin"
-    write_dataset(data, args.out, fmt)
+    write_dataset(data, args.out)
     rate = data.M / dt if dt > 0 else float("inf")
     print(f"simulated M={data.M} n={data.n} h={data.h} "
-          f"({fmt}, {dt:.2f}s, {rate:.0f} rows/s)")
+          f"({dt:.2f}s, {rate:.0f} rows/s)")
     return 0
 
 
@@ -309,43 +309,46 @@ def _true_values(model, kind, indices, pts):
     return np.einsum("rk,rk->r", lam[:, i - 1, :], lam[:, j - 1, :])
 
 
-def _write_curve(path, columns):
-    """One CSV row per point: the columns' values as shortest round-trip floats."""
-    with open(path, "w", encoding="ascii") as fh:
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+def write_curve(report, model, parsed, xs, axis, at, path):
+    """Write one report component's curve to ``path``: rows (x, learned)
+    and, when ``model`` is given, its true value as a third column.
 
-
-def cmd_plot_data(args):
-    report = read_report(args.report)
+    ``parsed`` is a ``parse_component`` result; ``xs`` sweeps coordinate
+    ``axis`` (1-based) while the others are held at ``at``, n values or
+    None for zeros.
+    """
     dictionary = _report_dictionary(report)
     n = dictionary.n
-    parsed = parse_component(args.component)
-    xs = parse_range(args.range)
-
-    at = [0.0] * n
-    if args.at:
-        try:
-            at = [float(v) for v in args.at.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--at: {exc}") from exc
-        if len(at) != n or not all(math.isfinite(v) for v in at):
-            raise ConfigError(f"--at needs {n} comma-separated finite values")
-    axis = args.axis if args.axis is not None else parsed[1]
+    at = [0.0] * n if at is None else at
+    if len(at) != n or not all(math.isfinite(v) for v in at):
+        raise ConfigError(f"--at needs {n} comma-separated finite values")
     if not 1 <= axis <= n:
         raise ConfigError(f"--axis must be in 1..{n}")
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
 
     coefs = _report_coefficients(report, parsed, dictionary.K)
-    learned = design_matrix(dictionary, pts) @ coefs
+    columns = [xs, design_matrix(dictionary, pts) @ coefs]
+    if model is not None:
+        columns.append(_true_values(model, parsed[0], parsed[1:], pts))
+    Path(path).write_bytes(csv_block(np.column_stack(columns)))
 
-    columns = [xs, learned]
+
+def cmd_plot_data(args):
+    report = read_report(args.report)
+    parsed = parse_component(args.component)
+    xs = parse_range(args.range)
+    at = None
+    if args.at:
+        try:
+            at = [float(v) for v in args.at.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--at: {exc}") from exc
+    model = None
     if args.config:
         model = model_from_config(_load_json(args.config, "model config"))
-        columns.append(_true_values(model, parsed[0], parsed[1:], pts))
-    _write_curve(args.out, columns)
+    axis = args.axis if args.axis is not None else parsed[1]
+    write_curve(report, model, parsed, xs, axis, at, args.out)
     print(f"wrote {xs.size} rows to {args.out}")
     return 0
 
@@ -362,24 +365,26 @@ def cmd_pipeline(args):
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / "dataset.bin"
-    write_dataset(data, path, "bin")
+    write_dataset(data, path)
     # estimate from the page-cached file, block by block, as estimate does;
     # this process wrote its header, so read_dataset is not needed
     data = DatasetFile(str(path), data.n, data.M, data.h)
-    levy, table, t_est = _estimate(data, config, spec, dictionary, args.seed,
-                                   workdir / "report.json")
+    report_path = workdir / "report.json"
+    levy, _, t_est = _estimate(data, config, spec, dictionary, args.seed,
+                               report_path)
 
-    # emit drift/diffusion curves per component along that component's axis
-    for i in range(1, model.n + 1):
-        lo, hi = (float(v) for v in bounds[i - 1])
+    # plot-data's curves of each b<i> and a<i><i> along axis i, read from
+    # the report just written; the other coordinates sit mid-grid, where
+    # lo/2 + hi/2 cannot overflow
+    report = read_report(report_path)
+    grid = [(float(lo), float(hi)) for lo, hi in bounds]
+    middle = [lo / 2 + hi / 2 for lo, hi in grid]
+    for i, (lo, hi) in enumerate(grid, start=1):
         xs = np.linspace(lo, hi, 501)
-        pts = np.zeros((xs.size, model.n))
-        pts[:, i - 1] = xs
-        _write_curve(workdir / f"plot_b{i}.csv", (
-            xs, table.drift_value(i, pts), _true_values(model, "drift", (i,), pts)))
-        _write_curve(workdir / f"plot_a{i}{i}.csv", (
-            xs, table.diffusion_value(i, i, pts),
-            _true_values(model, "diffusion", (i, i), pts)))
+        for name, parsed in ((f"b{i}", ("drift", i)),
+                             (f"a{i}{i}", ("diffusion", i, i))):
+            write_curve(report, model, parsed, xs, i, middle,
+                        workdir / f"plot_{name}.csv")
 
     _print_levy(levy)
     print(f"pipeline done: simulate {t_sim:.2f}s, estimate {t_est:.2f}s, "

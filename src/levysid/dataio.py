@@ -42,7 +42,8 @@ def _header_line(data):
     return f"#levy-sid-pairs v1 n={data.n} M={data.M} h={data.h!r}\n"
 
 
-def _csv_block(block):
+def csv_block(block):
+    """The rows of a 2-D float block as ASCII CSV lines, newline-ended."""
     # float.__repr__ is the shortest round-trip text, the same as repr(v)
     columns = [map(float.__repr__, block[:, k].tolist())
                for k in range(block.shape[1])]
@@ -53,8 +54,9 @@ def _binary_block(block):
     return block.astype("<f8", copy=False)
 
 
-def write_dataset(data, path, fmt="bin"):
-    """Write a row-block source to ``path`` as 'csv' or 'bin'.
+def write_dataset(data, path):
+    """Write a row-block source to ``path``: the text encoding when the
+    path ends in ``.csv``, the binary encoding otherwise.
 
     Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer
     holds one block of the payload at a time, never a copy of all of it.
@@ -62,15 +64,13 @@ def write_dataset(data, path, fmt="bin"):
     only once every block is written: a block that raises leaves neither
     file behind, and an existing ``path`` unchanged.
     """
-    if fmt == "csv":
+    path = os.fspath(path)
+    if os.path.splitext(path)[1] == ".csv":
         header = _header_line(data).encode("ascii")
-        encode = _csv_block
-    elif fmt == "bin":
+        encode = csv_block
+    else:
         header = MAGIC + _BINARY_HEADER.pack(BINARY_VERSION, data.n, data.M, data.h)
         encode = _binary_block
-    else:
-        raise DomainError(f"unknown dataset format {fmt!r}; use 'csv' or 'bin'")
-    path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:

@@ -313,19 +313,6 @@ class CoefficientTable:
     drift_residuals: np.ndarray     # (n,)
     diffusion_residuals: dict       # {(i, j): float}
 
-    def diffusion_vector(self, i, j):
-        """d_ij including the symmetric read-back d_ji = d_ij."""
-        key = (i, j) if i <= j else (j, i)
-        return self.diffusion[key]
-
-    def drift_value(self, i, points):
-        A = design_matrix(self.dictionary, points)
-        return A @ self.drift[i - 1]
-
-    def diffusion_value(self, i, j, points):
-        A = design_matrix(self.dictionary, points)
-        return A @ self.diffusion_vector(i, j)
-
 
 def regression_tables(data, fraction, dictionary, levy, config):
     """Drift and diffusion regressions sharing one design-matrix pass.

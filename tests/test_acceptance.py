@@ -143,7 +143,7 @@ def gene_runs(tmp_path_factory):
         levy.append(estimate_levy(data, GENE_CFG)[0])
         if seed == GENE_SEEDS[0]:
             ds = root / "pairs.bin"
-            write_dataset(data, ds, "bin")
+            write_dataset(data, ds)
             est = root / "est.json"
             est.write_text(json.dumps({
                 "epsilon": 1.0, "m": 5.0, "N": 2, "cube_epsilon": 0.5,

@@ -50,7 +50,7 @@ def _cauchy_dataset(tmp_path, M=200_000):
     Z = np.linspace(0.0, 1.0, M)[:, None]
     data = DatasetPair.from_arrays(Z, Z + Y[:, None], 0.001)
     path = tmp_path / "pairs.csv"
-    write_dataset(data, path, "csv")
+    write_dataset(data, path)
     return str(path)
 
 
@@ -242,7 +242,7 @@ class TestEstimateCommand:
         Y = np.linspace(2.0, 3.0, 5)
         data = DatasetPair.from_arrays(np.zeros((5, 1)), Y[:, None], 0.001)
         path = tmp_path / "tiny.csv"
-        write_dataset(data, path, "csv")
+        write_dataset(data, path)
         code = main(["estimate", str(path),
                      "--est-config", _est_config(tmp_path, dictionary="poly:9"),
                      "--report", str(tmp_path / "r.json")])
@@ -291,7 +291,7 @@ class TestEstimateCommand:
         Z = np.linspace(-1.0, 1.0, 400)[:, None]
         Z[big_rows] = 1e100
         path = tmp_path / "pairs.bin"
-        write_dataset(DatasetPair.from_arrays(Z, Z + Y[:, None], h), path, "bin")
+        write_dataset(DatasetPair.from_arrays(Z, Z + Y[:, None], h), path)
         report = tmp_path / "r.json"
         assert main(["estimate", str(path),
                      "--est-config", _est_config(tmp_path, dictionary="poly:2"),
@@ -387,7 +387,7 @@ class TestBinaryFileSource:
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         path, est = _lorenz_data(tmp_path)
         text = tmp_path / "pairs.csv"
-        write_dataset(read_dataset(path), text, "csv")
+        write_dataset(read_dataset(path), text)
         assert isinstance(read_dataset(text), DatasetPair)
         for source, report in ((path, "r_file.json"), (text, "r_memory.json")):
             assert main(["estimate", str(source), "--est-config", est,
@@ -740,6 +740,60 @@ class TestPipelineCommand:
         report = self._simulate_then_estimate(tmp_path, pairs)
         assert pairs.read_bytes() == (workdir / "dataset.bin").read_bytes()
         assert report.read_bytes() == (workdir / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("model,component,spec", [
+        ("genereg1d", "b1", "0:5:0.01"),
+        ("lorenz3d", "a22", "-2:2:0.008"),
+    ])
+    def test_curves_are_plot_data_curves(self, tmp_path, model, component, spec):
+        # each range gives linspace(lo, hi, 501) bit for bit; on [-2, 2]^3
+        # the middle of the grid is plot-data's default --at, zeros
+        workdir = tmp_path / "run"
+        if model == "genereg1d":
+            assert self._run(tmp_path, workdir) == 0
+        else:
+            est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
+                              cube_epsilon=0.5, dictionary="poly:2")
+            assert main(["pipeline", "--config", _small_lorenz(tmp_path),
+                         "--est-config", est, "--workdir", str(workdir)]) == 0
+        out = tmp_path / "curve.csv"
+        assert main(["plot-data", "--report", str(workdir / "report.json"),
+                     "--config", str(tmp_path / "model.json"),
+                     "--component", component, "--range", spec,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (workdir / f"plot_{component}.csv").read_bytes()
+
+    def test_grid_without_zero_plots_mid_grid(self, tmp_path):
+        # ln(x2) is undefined at x2 = 0, outside the grid: each curve holds
+        # the other coordinate at the middle of the grid, x1 = 0 or x2 = 1.5
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 2, "drift": ["-x1", "1 - ln(x2)"],
+            "gaussian": [["0.5", "0"], ["0", "0.5"]],
+            "levy": [{"alpha": 1.5, "beta": 0, "sigma": 0.5}] * 2,
+            "grid": {"bounds": [[-1, 1], [1, 2]], "mesh": [300, 300]},
+            "h": 0.01})
+        names = ["1", "x1", "ln(x2)"]
+        est = _est_config(tmp_path, N=2, dictionary=names)
+        workdir = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(workdir), "--seed", "3"]) == 0
+        report = read_report(workdir / "report.json")
+        diffusion = {(d["i"], d["j"]): d["coefficients"]
+                     for d in report["diffusion"]}
+        dictionary = levysid.cli.build_dictionary(names, 2)
+        for i, (lo, hi), fixed in ((1, (-1.0, 1.0), 1.5), (2, (1.0, 2.0), 0.0)):
+            xs = np.linspace(lo, hi, 501)
+            pts = np.full((501, 2), fixed)
+            pts[:, i - 1] = xs
+            A = design_matrix(dictionary, pts)
+            for name, coefs, true in (
+                    (f"b{i}", report["drift"][i - 1],
+                     -xs if i == 1 else 1 - np.log(xs)),
+                    (f"a{i}{i}", diffusion[i, i], np.full(501, 0.25))):
+                rows = np.loadtxt(workdir / f"plot_{name}.csv", delimiter=",")
+                np.testing.assert_array_equal(rows[:, 0], xs)
+                np.testing.assert_array_equal(rows[:, 1], A @ np.array(coefs))
+                np.testing.assert_allclose(rows[:, 2], true, rtol=1e-15)
 
     @pytest.mark.parametrize("model,est", [
         ({"name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [2.5]}}, {}),

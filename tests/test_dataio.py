@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from levysid import (
     DataFormatError,
     DatasetPair,
-    DomainError,
     read_dataset,
     read_report,
     write_dataset,
@@ -37,7 +36,7 @@ class TestCsvFormat:
     def test_round_trip_exact(self, tmp_path):
         data = _sample_pair()
         path = tmp_path / "pairs.csv"
-        write_dataset(data, path, "csv")
+        write_dataset(data, path)
         back = read_dataset(path)
         assert back.n == data.n and back.M == data.M and back.h == data.h
         np.testing.assert_array_equal(back.Z, data.Z)
@@ -46,7 +45,7 @@ class TestCsvFormat:
     def test_header_line(self, tmp_path):
         data = _sample_pair(M=7, n=2)
         path = tmp_path / "pairs.csv"
-        write_dataset(data, path, "csv")
+        write_dataset(data, path)
         first = path.read_text().splitlines()[0]
         assert first == "#levy-sid-pairs v1 n=2 M=7 h=0.001"
 
@@ -54,7 +53,7 @@ class TestCsvFormat:
         # columns are z_1..z_n then x_1..x_n
         data = _sample_pair(M=3, n=2)
         path = tmp_path / "pairs.csv"
-        write_dataset(data, path, "csv")
+        write_dataset(data, path)
         row = path.read_text().splitlines()[1].split(",")
         assert len(row) == 4
         assert float(row[0]) == data.Z[0, 0]
@@ -83,7 +82,7 @@ class TestBinaryFormat:
     def test_round_trip_exact(self, tmp_path):
         data = _sample_pair(M=123, n=4, seed=9)
         path = tmp_path / "pairs.bin"
-        write_dataset(data, path, "bin")
+        write_dataset(data, path)
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
         Z, X = _arrays(back)
@@ -92,12 +91,12 @@ class TestBinaryFormat:
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_dataset(_sample_pair(M=2, n=1), path, "bin")
+        write_dataset(_sample_pair(M=2, n=1), path)
         assert path.read_bytes()[:4] == b"LSID"
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_dataset(_sample_pair(M=10, n=2), path, "bin")
+        write_dataset(_sample_pair(M=10, n=2), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(DataFormatError):
@@ -105,7 +104,7 @@ class TestBinaryFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_dataset(_sample_pair(M=10, n=2), path, "bin")
+        write_dataset(_sample_pair(M=10, n=2), path)
         with open(path, "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(DataFormatError, match="trailing"):
@@ -113,7 +112,7 @@ class TestBinaryFormat:
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_dataset(_sample_pair(M=2, n=1), path, "bin")
+        write_dataset(_sample_pair(M=2, n=1), path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99  # version byte
         path.write_bytes(bytes(blob))
@@ -130,7 +129,7 @@ class TestDatasetFile:
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         data = _sample_pair(M=M, n=n, seed=3)
         path = tmp_path / "pairs.bin"
-        write_dataset(data, path, "bin")
+        write_dataset(data, path)
         return data, path
 
     def test_binary_read_is_a_file_source(self, tmp_path, monkeypatch):
@@ -182,7 +181,7 @@ class TestMalformedFuzz:
     @staticmethod
     def _blob(fmt, tmp_path):
         path = tmp_path / f"good.{fmt}"
-        write_dataset(_sample_pair(M=20, n=2, seed=6), path, fmt)
+        write_dataset(_sample_pair(M=20, n=2, seed=6), path)
         return path.read_bytes()
 
     @settings(max_examples=60, deadline=None, database=None,
@@ -266,7 +265,7 @@ class TestChunkedWriter:
     def test_across_chunk_boundary(self, tmp_path, fmt):
         data = _sample_pair(M=CHUNK_ROWS + 5, n=2, seed=4)
         path = tmp_path / f"pairs.{fmt}"
-        write_dataset(data, path, fmt)
+        write_dataset(data, path)
         assert path.read_bytes() == _reference_bytes(data, fmt)
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
@@ -291,7 +290,7 @@ class TestChunkedWriter:
         if existing:
             path.write_bytes(b"earlier file")
         with pytest.raises(DataFormatError, match="block failed"):
-            write_dataset(FailsInSecondBlock(), path, fmt)
+            write_dataset(FailsInSecondBlock(), path)
         # no temporary file is left next to the target either
         assert [p.name for p in tmp_path.iterdir()] == (
             [path.name] if existing else [])
@@ -324,7 +323,7 @@ class TestRoundTripProperty:
     @given(data=_datasets())
     def test_bitwise_round_trip(self, tmp_path, fmt, data):
         path = tmp_path / f"pairs.{fmt}"
-        write_dataset(data, path, fmt)
+        write_dataset(data, path)
         assert path.read_bytes() == _reference_bytes(data, fmt)
         back = read_dataset(path)
         assert (back.n, back.M, back.h) == (data.n, data.M, data.h)
@@ -334,10 +333,18 @@ class TestRoundTripProperty:
 
 
 class TestDefaultFormat:
-    def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
-            write_dataset(_sample_pair(M=2, n=1), tmp_path / "x", "xml")
-        assert not (tmp_path / "x").exists()
+    @pytest.mark.parametrize("name,magic", [
+        ("pairs.csv", b"#levy-sid-pairs"), ("pairs.bin", b"LSID"),
+        ("pairs", b"LSID"), ("pairs.txt", b"LSID"), ("pairs.CSV", b"LSID"),
+        ("pairs.csv.bin", b"LSID"), (".csv", b"LSID"),
+    ])
+    def test_suffix_picks_encoding(self, tmp_path, name, magic):
+        data = _sample_pair(M=3, n=2)
+        write_dataset(data, tmp_path / name)
+        assert (tmp_path / name).read_bytes().startswith(magic)
+        Z, X = _arrays(read_dataset(tmp_path / name))
+        np.testing.assert_array_equal(Z, data.Z)
+        np.testing.assert_array_equal(X, data.X)
 
 
 class TestReports:
