@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError, ExpressionError
 from .expr import evaluate_trees, parse_expression
 
 _SIZE_CAP = 10_000
@@ -92,6 +93,27 @@ def example2_dictionary():
     """
     funcs = tuple(parse_expression(t, 1) for t in _EXAMPLE2_TEXT)
     return BasisDictionary(1, _EXAMPLE2_TEXT, funcs)
+
+
+def build_dictionary(spec, n):
+    """Resolve 'poly:<degree>', 'example2', or an expression list."""
+    if isinstance(spec, str):
+        if spec == "example2":
+            if n != 1:
+                raise ConfigError(f"dictionary 'example2' is 1-D, dataset has n={n}")
+            return example2_dictionary()
+        m = re.fullmatch(r"poly:(\d+)", spec)
+        if m:
+            return polynomial_dictionary(n, int(m.group(1)))
+        raise ConfigError(f"unknown dictionary spec {spec!r}")
+    if isinstance(spec, list) and spec and all(isinstance(s, str) for s in spec):
+        try:
+            funcs = tuple(parse_expression(text, n) for text in spec)
+        except ExpressionError as exc:
+            raise ConfigError(f"dictionary expression: {exc}") from exc
+        return BasisDictionary(n, tuple(spec), funcs)
+    raise ConfigError("dictionary must be 'poly:<d>', 'example2', or a list "
+                      "of expression strings")
 
 
 def design_matrix(dictionary, points, out=None):

@@ -18,14 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (
-    BasisDictionary,
-    design_matrix,
-    example2_dictionary,
-    polynomial_dictionary,
-)
+from .basis import build_dictionary, design_matrix
 from .dataio import (
     DatasetFile,
+    Report,
     csv_block,
     read_dataset,
     read_report,
@@ -44,8 +40,8 @@ from .errors import (
     number,
     positive,
 )
-from .estimate import EstimationConfig, cube_filter, estimate_levy, regression_tables
-from .expr import evaluate_block, parse_expression
+from .estimate import cube_filter, estimate_levy, load_est_config, regression_tables
+from .expr import evaluate_block
 from .models import model_from_config, resolve_config
 from .simulate import GRID_ROW_CAP, generate_grid, simulate_pairs
 
@@ -56,8 +52,8 @@ def _load_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot open {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _model_inputs(path):
@@ -76,122 +72,34 @@ def _model_inputs(path):
     return model, grid["bounds"], grid["mesh"], h
 
 
-def load_est_config(doc):
-    """EstimationConfig plus the dictionary spec from an est-config dict."""
-    if not isinstance(doc, dict):
-        raise ConfigError("estimation config must be a JSON object")
-    try:
-        config = EstimationConfig(
-            number("epsilon", doc["epsilon"]), number("m", doc["m"]),
-            number("N", doc["N"], whole=True),
-            None if doc.get("cube_epsilon") is None
-            else number("cube_epsilon", doc["cube_epsilon"]))
-    except KeyError as exc:
-        raise ConfigError(f"estimation config is missing {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(f"estimation config: {exc}") from exc
-    spec = doc.get("dictionary")
-    if spec is None:
-        raise ConfigError("estimation config needs a 'dictionary' entry")
-    return config, spec
-
-
-def build_dictionary(spec, n):
-    """Resolve 'poly:<degree>', 'example2', or an expression list."""
-    if isinstance(spec, str):
-        if spec == "example2":
-            if n != 1:
-                raise ConfigError(f"dictionary 'example2' is 1-D, dataset has n={n}")
-            return example2_dictionary()
-        m = re.fullmatch(r"poly:(\d+)", spec)
-        if m:
-            return polynomial_dictionary(n, int(m.group(1)))
-        raise ConfigError(f"unknown dictionary spec {spec!r}")
-    if isinstance(spec, list) and spec and all(isinstance(s, str) for s in spec):
-        try:
-            funcs = tuple(parse_expression(text, n) for text in spec)
-        except ExpressionError as exc:
-            raise ConfigError(f"dictionary expression: {exc}") from exc
-        return BasisDictionary(n, tuple(spec), funcs)
-    raise ConfigError("dictionary must be 'poly:<d>', 'example2', or a list "
-                      "of expression strings")
-
-
 def _estimation_inputs(path, n):
     """(config, dictionary spec, dictionary) from an est-config file."""
     config, spec = load_est_config(_load_json(path, "estimation config"))
     return config, spec, build_dictionary(spec, n)
 
 
-def _estimate_all(data, config, dictionary):
-    """Run the full estimator chain, collecting levysid warnings."""
-    caught = []
-    with _warnings.catch_warnings(record=True) as records:
-        _warnings.simplefilter("always")
-        levy = estimate_levy(data, config)
-        filtered, fraction = cube_filter(data, config.cube_half_width)
-        table = regression_tables(
-            filtered, fraction, dictionary, [e.params for e in levy], config)
-        for rec in records:
-            if isinstance(rec.message, UserWarning):
-                caught.append(str(rec.message))
-    return levy, table, caught
-
-
 def build_report(data, config, dict_spec, levy, table, warning_messages,
                  seed=None):
-    report = {
-        "format": "levy-sid-report v1",
-        "dataset": {"n": data.n, "M": data.M, "h": data.h},
-        "estimation": {
-            "epsilon": config.epsilon,
-            "m": config.m,
-            "N": config.N,
-            "cube_epsilon": config.cube_epsilon,
-        },
-        "dictionary": {
-            "kind": dict_spec if isinstance(dict_spec, str) else "custom",
-            "n": table.dictionary.n,
-            "names": list(table.dictionary.names),
-        },
-        "levy": [
-            {
-                "component": e.component,
-                "alpha": float(e.alpha),
-                "beta": float(e.beta),
-                "sigma": float(e.sigma),
-                "bins_positive": [int(v) for v in e.counts.pos],
-                "bins_negative": [int(v) for v in e.counts.neg],
-            }
-            for e in levy
-        ],
-        "survival_fraction": float(table.fraction),
-        "drift": [[float(v) for v in row] for row in table.drift],
-        "drift_residuals": [float(v) for v in table.drift_residuals],
-        "diffusion": [
-            {
-                "i": i,
-                "j": j,
-                "coefficients": [float(v) for v in table.diffusion[(i, j)]],
-                "residual": float(table.diffusion_residuals[(i, j)]),
-            }
-            for (i, j) in sorted(table.diffusion)
-        ],
-        "warnings": list(warning_messages),
-    }
-    if seed is not None:
-        report["seed"] = int(seed)
-    return report
+    """The Report of one estimate: ``dict_spec`` gives its dictionary kind."""
+    kind = dict_spec if isinstance(dict_spec, str) else "custom"
+    return Report(data.n, data.M, data.h, config, kind, tuple(levy), table,
+                  tuple(warning_messages), None if seed is None else int(seed))
 
 
 def _estimate(data, config, spec, dictionary, seed, report_path):
-    """Run the estimator chain and write its report; (levy, table, seconds)."""
+    """Run the estimator chain and write its report; (report, seconds)."""
     t0 = time.perf_counter()
-    levy, table, caught = _estimate_all(data, config, dictionary)
+    with _warnings.catch_warnings(record=True) as records:
+        _warnings.simplefilter("always")
+        levy = estimate_levy(data, config)
+        # no local keeps the cube survivors once the regressions are done
+        table = regression_tables(*cube_filter(data, config.cube_half_width),
+                                  dictionary, [e.params for e in levy], config)
     seconds = time.perf_counter() - t0
-    write_report(build_report(data, config, spec, levy, table, caught, seed=seed),
-                 report_path)
-    return levy, table, seconds
+    caught = [str(r.message) for r in records if isinstance(r.message, UserWarning)]
+    report = build_report(data, config, spec, levy, table, caught, seed=seed)
+    write_report(report, report_path)
+    return report, seconds
 
 
 def _print_levy(levy):
@@ -216,10 +124,9 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     data = read_dataset(args.data)
     config, spec, dictionary = _estimation_inputs(args.est_config, data.n)
-    levy, table, dt = _estimate(data, config, spec, dictionary, args.seed,
-                                args.report)
-    _print_levy(levy)
-    print(f"survival fraction {table.fraction:.6f}; estimated in {dt:.2f}s")
+    report, dt = _estimate(data, config, spec, dictionary, args.seed, args.report)
+    _print_levy(report.levy)
+    print(f"survival fraction {report.table.fraction:.6f}; estimated in {dt:.2f}s")
     return 0
 
 
@@ -257,46 +164,14 @@ def parse_range(spec):
     return start + step * np.arange(int(np.floor(steps)) + 1)
 
 
-def _report_dictionary(report):
-    doc = report.get("dictionary") if isinstance(report, dict) else None
-    if not isinstance(doc, dict):
-        raise DataFormatError("report carries no dictionary section")
-    n, names = doc.get("n"), doc.get("names")
-    if type(n) is not int or n < 1:
-        raise DataFormatError(
-            f"report dictionary.n must be a positive integer, got {n!r}")
-    if not isinstance(names, list) or not all(isinstance(t, str) for t in names):
-        raise DataFormatError("report dictionary.names must be a list of strings")
+def _grid_middle(bounds):
+    """The middle of a model grid, lo/2 + hi/2 on each axis, which cannot
+    overflow: where plot-data and pipeline hold the coordinates not swept."""
     try:
-        return build_dictionary(names, n)
-    except (ConfigError, DomainError) as exc:
-        raise DataFormatError(f"report dictionary.names: {exc}") from exc
-
-
-def _report_coefficients(report, parsed, K):
-    """Coefficient vector of one parsed drift or diffusion component."""
-    if parsed[0] == "drift":
-        i = parsed[1]
-        rows = report.get("drift", [])
-        if not 1 <= i <= len(rows):
-            raise ConfigError(f"report has no drift component b{i}")
-        values = rows[i - 1]
-    else:
-        i, j = sorted(parsed[1:])
-        entries = report.get("diffusion", [])
-        if not all(isinstance(d, dict) and "i" in d and "j" in d for d in entries):
-            raise DataFormatError("report diffusion entries need i and j")
-        match = [d for d in entries if d["i"] == i and d["j"] == j]
-        if not match:
-            raise ConfigError(f"report has no diffusion entry a{i}{j}")
-        values = match[0].get("coefficients")
-    # no bools, as in errors.number; NaN, inf and too large ints fail the bound
-    if not (isinstance(values, list) and len(values) == K
-            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                    for v in values)):
-        raise DataFormatError(
-            f"report {parsed[0]} coefficients must be a list of {K} finite numbers")
-    return np.asarray(values, dtype=np.float64)
+        return [number("grid bound", lo) / 2 + number("grid bound", hi) / 2
+                for lo, hi in bounds]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid bounds must be [lower, upper] pairs: {exc}") from exc
 
 
 def _true_values(model, kind, indices, pts):
@@ -317,18 +192,18 @@ def write_curve(report, model, parsed, xs, axis, at, path):
     ``axis`` (1-based) while the others are held at ``at``, n values or
     None for zeros.
     """
-    dictionary = _report_dictionary(report)
-    n = dictionary.n
+    n = report.n
     at = [0.0] * n if at is None else at
     if len(at) != n or not all(math.isfinite(v) for v in at):
-        raise ConfigError(f"--at needs {n} comma-separated finite values")
+        raise ConfigError(f"the fixed coordinates (--at, or the middle of the "
+                          f"model grid) need {n} finite values")
     if not 1 <= axis <= n:
         raise ConfigError(f"--axis must be in 1..{n}")
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
 
-    coefs = _report_coefficients(report, parsed, dictionary.K)
-    columns = [xs, design_matrix(dictionary, pts) @ coefs]
+    columns = [xs, design_matrix(report.table.dictionary, pts)
+               @ report.coefficients(parsed)]
     if model is not None:
         columns.append(_true_values(model, parsed[0], parsed[1:], pts))
     Path(path).write_bytes(csv_block(np.column_stack(columns)))
@@ -338,15 +213,18 @@ def cmd_plot_data(args):
     report = read_report(args.report)
     parsed = parse_component(args.component)
     xs = parse_range(args.range)
-    at = None
+    model = at = None
+    if args.config:
+        cfg = resolve_config(_load_json(args.config, "model config"))
+        model = model_from_config(cfg)
+        grid = cfg.get("grid")
+        if isinstance(grid, dict) and "bounds" in grid:
+            at = _grid_middle(grid["bounds"])
     if args.at:
         try:
             at = [float(v) for v in args.at.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--at: {exc}") from exc
-    model = None
-    if args.config:
-        model = model_from_config(_load_json(args.config, "model config"))
     axis = args.axis if args.axis is not None else parsed[1]
     write_curve(report, model, parsed, xs, axis, at, args.out)
     print(f"wrote {xs.size} rows to {args.out}")
@@ -370,23 +248,20 @@ def cmd_pipeline(args):
     # this process wrote its header, so read_dataset is not needed
     data = DatasetFile(str(path), data.n, data.M, data.h)
     report_path = workdir / "report.json"
-    levy, _, t_est = _estimate(data, config, spec, dictionary, args.seed,
-                               report_path)
+    t_est = _estimate(data, config, spec, dictionary, args.seed, report_path)[1]
 
     # plot-data's curves of each b<i> and a<i><i> along axis i, read from
-    # the report just written; the other coordinates sit mid-grid, where
-    # lo/2 + hi/2 cannot overflow
+    # the report just written, with the other coordinates mid-grid
     report = read_report(report_path)
-    grid = [(float(lo), float(hi)) for lo, hi in bounds]
-    middle = [lo / 2 + hi / 2 for lo, hi in grid]
-    for i, (lo, hi) in enumerate(grid, start=1):
-        xs = np.linspace(lo, hi, 501)
+    middle = _grid_middle(bounds)
+    for i, (lo, hi) in enumerate(bounds, start=1):
+        xs = np.linspace(float(lo), float(hi), 501)
         for name, parsed in ((f"b{i}", ("drift", i)),
                              (f"a{i}{i}", ("diffusion", i, i))):
             write_curve(report, model, parsed, xs, i, middle,
                         workdir / f"plot_{name}.csv")
 
-    _print_levy(levy)
+    _print_levy(report.levy)
     print(f"pipeline done: simulate {t_sim:.2f}s, estimate {t_est:.2f}s, "
           f"artifacts in {workdir}")
     return 0
@@ -445,7 +320,8 @@ def make_parser():
     p.add_argument("--axis", type=int, default=None,
                    help="axis to sweep for n > 1 (default: the component index)")
     p.add_argument("--at", default=None,
-                   help="comma-separated fixed coordinates for n > 1 (default zeros)")
+                   help="comma-separated fixed coordinates for n > 1 (default: "
+                        "the middle of the --config grid, else zeros)")
     p.set_defaults(fn=cmd_plot_data)
 
     p = sub.add_parser("pipeline", help="simulate, estimate and plot in one run")

@@ -13,8 +13,9 @@ A text file is read into a DatasetPair, every entry checked. A binary file
 is read as a DatasetFile, which reads and checks its rows one block at a
 time, so the estimators never hold the whole payload.
 
-Reports are JSON with sorted keys and two-space indentation, so a report
-read back and re-serialized is byte-identical.
+A report is the JSON text of a Report, with sorted keys and two-space
+indentation; its reader checks every section, and a report read back and
+written again is byte-identical.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError
+from .basis import build_dictionary
+from .errors import ConfigError, DataFormatError, DomainError, number
+from .estimate import (BinCounts, CoefficientTable, EstimationConfig,
+                       LevyEstimate, load_est_config)
 from .simulate import CHUNK_ROWS, DatasetPair, check_header
 
 MAGIC = b"LSID"
@@ -205,21 +210,159 @@ def read_dataset(path):
             f"{path}: neither a binary dataset nor ASCII text: {exc}") from exc
 
 
-def canonical_json(obj):
-    """Stable JSON encoding: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+REPORT_FORMAT = "levy-sid-report v1"
+
+
+def _numbers(values, shape, what, kinds=(int, float), inf=False):
+    """``values`` as an array of ``shape``, if it is nested lists of finite
+    JSON numbers of ``kinds``, or +inf where ``inf``; else DataFormatError.
+    The array is int64 for ``kinds`` (int,), float64 otherwise."""
+    cells = np.array(values, dtype=object)
+    # no bools, as in errors.number; NaN, -inf and too large ints fail
+    if cells.shape != shape or not all(
+            type(v) in kinds and (abs(v) <= sys.float_info.max or inf and v == np.inf)
+            for v in cells.flat):
+        raise DataFormatError(f"report {what} must be numbers of shape {shape}")
+    return cells.astype(np.int64 if kinds == (int,) else np.float64)
+
+
+def _field(doc, key, kind):
+    """``doc[key]``, if its JSON type is ``kind``; a bool is no int."""
+    if type(doc.get(key)) is not kind:
+        raise DataFormatError(f"report {key!r} must be a JSON {kind.__name__}")
+    return doc[key]
+
+
+def _columns(doc, key, count, names):
+    """The values of each of ``names`` across the list ``doc[key]`` of
+    ``count`` JSON objects."""
+    entries = _field(doc, key, list)
+    if len(entries) != count or not all(type(e) is dict for e in entries):
+        raise DataFormatError(f"report {key!r} must be a list of {count} objects")
+    return [[e.get(name) for e in entries] for name in names]
+
+
+@dataclass(frozen=True, eq=False)
+class Report:
+    """The identified law as ``report.json`` states it. ``kind`` is the
+    dictionary spec's kind, 'poly:<d>', 'example2' or 'custom'; ``seed`` is
+    None when none was given."""
+
+    n: int
+    M: int
+    h: float
+    config: EstimationConfig
+    kind: str
+    levy: tuple
+    table: CoefficientTable
+    warnings: tuple
+    seed: int | None = None
+
+    def to_json(self):
+        """The report's text: sorted keys, two-space indent, trailing newline."""
+        table = self.table
+        doc = {
+            "format": REPORT_FORMAT,
+            "dataset": {"n": self.n, "M": self.M, "h": self.h},
+            "estimation": asdict(self.config),
+            "dictionary": {"kind": self.kind, "n": table.dictionary.n,
+                           "names": list(table.dictionary.names)},
+            "levy": [{"component": e.component, "alpha": e.alpha, "beta": e.beta,
+                      "sigma": e.sigma, "bins_positive": e.counts.pos.tolist(),
+                      "bins_negative": e.counts.neg.tolist()} for e in self.levy],
+            "survival_fraction": table.fraction,
+            "drift": table.drift.tolist(),
+            "drift_residuals": table.drift_residuals.tolist(),
+            "diffusion": [{"i": i, "j": j,
+                           "coefficients": table.diffusion[i, j].tolist(),
+                           "residual": table.diffusion_residuals[i, j]}
+                          for i, j in sorted(table.diffusion)],
+            "warnings": list(self.warnings),
+        }
+        if self.seed is not None:
+            doc["seed"] = self.seed
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @classmethod
+    def from_json(cls, text):
+        """The Report that ``text`` states. Every section is checked, and
+        what to_json would not write raises DataFormatError."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DataFormatError(f"report is not valid JSON: {exc}") from exc
+        if type(doc) is not dict or doc.get("format") != REPORT_FORMAT:
+            raise DataFormatError(f"report format must be {REPORT_FORMAT!r}")
+        dataset, spec = _field(doc, "dataset", dict), _field(doc, "dictionary", dict)
+        n, M = _field(dataset, "n", int), _field(dataset, "M", int)
+        if _field(spec, "n", int) != n:
+            raise DataFormatError(f"report dictionary n must be the dataset's {n}")
+        # n comes from the file: the lengths are checked before pairs is built
+        component, alpha, beta, sigma, pos, neg = _columns(doc, "levy", n, (
+            "component", "alpha", "beta", "sigma", "bins_positive", "bins_negative"))
+        rows, cols, coefs, residuals = _columns(
+            doc, "diffusion", n * (n + 1) // 2, ("i", "j", "coefficients", "residual"))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        if component != list(range(1, n + 1)) or list(zip(rows, cols)) != pairs:
+            raise DataFormatError("report levy entries must be in component "
+                                  "order, and diffusion entries in (i, j) order")
+        kind = _field(spec, "kind", str)
+        try:
+            h = number("h", dataset.get("h"))
+            check_header(n, M, h)
+            # the estimation section is an estimation config without a dictionary
+            config, _ = load_est_config(
+                dict(_field(doc, "estimation", dict), dictionary=kind))
+            dictionary = build_dictionary(_field(spec, "names", list), n)
+            pos, neg = _numbers([pos, neg], (2, n, config.N + 1), "levy bins", (int,))
+            counts = [BinCounts(p, q, M, h) for p, q in zip(pos, neg)]
+        except (ConfigError, DomainError, OverflowError) as exc:
+            raise DataFormatError(f"report: {exc}") from exc
+        alpha, beta = _numbers([alpha, beta], (2, n), "levy alpha and beta").tolist()
+        # estimate_sigma gives inf when a clamped alpha overflows its exponent
+        sigma = _numbers(sigma, (n,), "levy sigma", inf=True).tolist()
+        levy = tuple(map(LevyEstimate, range(1, n + 1), alpha, beta, sigma, counts))
+
+        K = dictionary.K
+        table = CoefficientTable(
+            dictionary,
+            float(_numbers(doc.get("survival_fraction"), (), "survival_fraction")),
+            _numbers(doc.get("drift"), (n, K), "drift"),
+            dict(zip(pairs, _numbers(coefs, (len(pairs), K), "diffusion"))),
+            _numbers(doc.get("drift_residuals"), (n,), "drift_residuals"),
+            dict(zip(pairs, _numbers(residuals, (len(pairs),), "residuals").tolist())))
+        warnings = _field(doc, "warnings", list)
+        seed = _field(doc, "seed", int) if "seed" in doc else None
+        if not all(type(w) is str for w in warnings):
+            raise DataFormatError("report warnings must be strings")
+        return cls(n, M, h, config, kind, levy, table, tuple(warnings), seed)
+
+    def coefficients(self, parsed):
+        """The coefficient vector of a ``parse_component`` result:
+        ("drift", i) or ("diffusion", i, j), in either order of i and j."""
+        if parsed[0] == "drift":
+            i = parsed[1]
+            if not 1 <= i <= self.n:
+                raise ConfigError(f"report has no drift component b{i}")
+            return self.table.drift[i - 1]
+        key = tuple(sorted(parsed[1:]))
+        if key not in self.table.diffusion:
+            raise ConfigError(f"report has no diffusion entry a{key[0]}{key[1]}")
+        return self.table.diffusion[key]
 
 
 def write_report(report, path):
+    """Write a Report to ``path`` as its to_json text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
+        fh.write(report.to_json())
 
 
 def read_report(path):
+    """The Report in the file at ``path``, every section checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return Report.from_json(fh.read())
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -21,10 +21,12 @@ import numpy as np
 
 from .basis import design_matrix
 from .errors import (
+    ConfigError,
     DomainError,
     EstimationWarning,
     InsufficientDataError,
     NumericError,
+    number,
     positive,
 )
 from . import simulate
@@ -60,6 +62,26 @@ class EstimationConfig:
     @property
     def cube_half_width(self):
         return self.epsilon if self.cube_epsilon is None else self.cube_epsilon
+
+
+def load_est_config(doc):
+    """EstimationConfig plus the dictionary spec from an est-config dict."""
+    if not isinstance(doc, dict):
+        raise ConfigError("estimation config must be a JSON object")
+    try:
+        config = EstimationConfig(
+            number("epsilon", doc["epsilon"]), number("m", doc["m"]),
+            number("N", doc["N"], whole=True),
+            None if doc.get("cube_epsilon") is None
+            else number("cube_epsilon", doc["cube_epsilon"]))
+    except KeyError as exc:
+        raise ConfigError(f"estimation config is missing {exc}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"estimation config: {exc}") from exc
+    spec = doc.get("dictionary")
+    if spec is None:
+        raise ConfigError("estimation config needs a 'dictionary' entry")
+    return config, spec
 
 
 @dataclass(frozen=True, eq=False)

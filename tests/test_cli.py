@@ -14,6 +14,7 @@ from levysid import (
     ConfigError,
     DataFormatError,
     DatasetPair,
+    Report,
     design_matrix,
     model_from_config,
     polynomial_dictionary,
@@ -134,6 +135,18 @@ class TestSimulateCommand:
         assert "category=config" in err
         assert "offset 5" in err
 
+    @pytest.mark.parametrize("blob", [
+        b"\xff\xfe" + json.dumps({"name": "genereg1d"}).encode("utf-16-le"),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, blob):
+        cfg = tmp_path / "model.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "d.bin"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "d.csv")])
@@ -217,7 +230,7 @@ class TestEstimateCommand:
                      "--est-config", _est_config(tmp_path),
                      "--report", str(report_path)])
         assert code == 0
-        report = read_report(report_path)
+        report = json.loads(report_path.read_text())
         assert report["dataset"] == {"n": 1, "M": 200_000, "h": 0.001}
         assert len(report["levy"]) == 1
         entry = report["levy"][0]
@@ -434,19 +447,32 @@ class TestBinaryFileSource:
         assert pools == [2, 2, 2]
 
 
+def _v1_report(kind, names, drift, diffusion):
+    """A complete levy-sid-report v1 document: one drift row per component,
+    and the diffusion coefficients of each 1-based (i, j), i <= j."""
+    n = len(drift)
+    return {
+        "format": "levy-sid-report v1",
+        "dataset": {"n": n, "M": 1000, "h": 0.01},
+        "estimation": {"epsilon": 0.5, "m": 2.0, "N": 1, "cube_epsilon": None},
+        "dictionary": {"kind": kind, "n": n, "names": names},
+        "levy": [{"component": i, "alpha": 1.5, "beta": 0.0, "sigma": 0.5,
+                  "bins_positive": [40, 12], "bins_negative": [38, 13]}
+                 for i in range(1, n + 1)],
+        "survival_fraction": 0.9,
+        "drift": drift,
+        "drift_residuals": [0.0] * n,
+        "diffusion": [{"i": i, "j": j, "coefficients": c, "residual": 0.0}
+                      for (i, j), c in sorted(diffusion.items())],
+        "warnings": [],
+    }
+
+
 class TestPlotDataCommand:
     def _handmade_report(self, tmp_path):
-        report = {
-            "dictionary": {"kind": "poly:2", "n": 1,
-                           "names": ["1", "x1", "x1^2"]},
-            "drift": [[2.0, 0.0, 0.0]],
-            "diffusion": [{"i": 1, "j": 1,
-                           "coefficients": [1.0, 0.5, 0.0],
-                           "residual": 0.0}],
-        }
-        path = tmp_path / "report.json"
-        write_report(report, path)
-        return str(path)
+        return _write_json(tmp_path / "report.json", _v1_report(
+            "poly:2", ["1", "x1", "x1^2"], [[2.0, 0.0, 0.0]],
+            {(1, 1): [1.0, 0.5, 0.0]}))
 
     def test_true_diffusion_uses_row_major_lambda(self):
         # gaussian_at returns a view of component-major rows; at n = 4
@@ -494,21 +520,11 @@ class TestPlotDataCommand:
     def _planar_report(self, tmp_path):
         # 2-D poly:1 report whose entries differ in every coefficient, so a
         # wrong entry, sweep axis or fixed coordinate changes the values
-        dictionary = polynomial_dictionary(2, 1)
-        report = {
-            "dictionary": {"kind": "poly:1", "n": 2,
-                           "names": list(dictionary.names)},
-            "drift": [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]],
-            "diffusion": [
-                {"i": 1, "j": 1, "coefficients": [2.0, 0.5, -0.5],
-                 "residual": 0.0},
-                {"i": 1, "j": 2, "coefficients": self.A12, "residual": 0.0},
-                {"i": 2, "j": 2, "coefficients": [3.0, -0.25, 1.25],
-                 "residual": 0.0}],
-        }
-        path = str(tmp_path / "report.json")
-        write_report(report, path)
-        return path
+        names = list(polynomial_dictionary(2, 1).names)
+        return _write_json(tmp_path / "report.json", _v1_report(
+            "poly:1", names, [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]],
+            {(1, 1): [2.0, 0.5, -0.5], (1, 2): self.A12,
+             (2, 2): [3.0, -0.25, 1.25]}))
 
     def test_off_diagonal_curve_along_axis(self, tmp_path):
         dictionary = polynomial_dictionary(2, 1)
@@ -594,12 +610,8 @@ class TestPlotDataCommand:
         assert "error category=config" in capsys.readouterr().err
 
     def test_range_outside_dictionary_domain_exits_2(self, tmp_path, capsys):
-        path = self._handmade_report(tmp_path)
-        report = read_report(path)
-        report["dictionary"]["names"] = ["1", "ln(x1)"]
-        report["drift"] = [[2.0, 1.0]]
-        report["diffusion"][0]["coefficients"] = [1.0, 0.0]
-        write_report(report, path)
+        path = _write_json(tmp_path / "report.json", _v1_report(
+            "custom", ["1", "ln(x1)"], [[2.0, 1.0]], {(1, 1): [1.0, 0.0]}))
         assert main(["plot-data", "--report", path, "--component", "b1",
                      "--range", "0:1:0.5", "--out", str(tmp_path / "c.csv")]) == 2
         err = capsys.readouterr().err
@@ -617,18 +629,30 @@ class TestPlotDataCommand:
         ("b1", lambda r: r["dictionary"].update(names=["1", "x1 +", "x1^2"])),
         ("b1", lambda r: r["dictionary"].update(names=[])),
         ("b1", lambda r: r["dictionary"].update(names=["1", "x1", "x1"])),
+        ("b1", lambda r: r.update(drift=5)),
+        ("a11", lambda r: r.update(diffusion=5)),
+        ("b1", lambda r: b"\xff\xfe" + json.dumps(r).encode("utf-16-le")),
+        ("b1", lambda r: r.pop("levy")),
+        ("b1", lambda r: r["levy"][0]["bins_positive"].__setitem__(0, -1)),
+        ("b1", lambda r: r.update(format="levy-sid-report v2")),
+        ("b1", lambda r: b"[" * 100_000 + b"]" * 100_000),
     ], ids=["no-dictionary-n", "names-not-a-list", "short-drift-row",
             "diffusion-without-i", "nan-drift-coefficient",
             "bool-drift-coefficients", "bool-diffusion-coefficient",
             "int-beyond-float-range", "unparsable-name",
-            "empty-names", "duplicate-names"])
+            "empty-names", "duplicate-names", "drift-not-a-list",
+            "diffusion-not-a-list", "not-utf8", "no-levy",
+            "negative-bin-count", "format-v2", "nested-too-deep"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, component, corrupt):
-        path = self._handmade_report(tmp_path)
-        report = read_report(path)
-        corrupt(report)
-        write_report(report, path)
+        # each case corrupts the raw JSON of a complete v1 report; a case
+        # that returns bytes writes them in place of the JSON
+        self._handmade_report(tmp_path)
+        path = tmp_path / "report.json"
+        report = json.loads(path.read_text())
+        raw = corrupt(report)
+        path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(report).encode())
         out = tmp_path / "c.csv"
-        assert main(["plot-data", "--report", path, "--component", component,
+        assert main(["plot-data", "--report", str(path), "--component", component,
                      "--range", "0:1:0.5", "--out", str(out)]) == 3
         assert "error category=data" in capsys.readouterr().err
         assert not out.exists()
@@ -712,9 +736,9 @@ class TestPipelineCommand:
         assert self._run(tmp_path, workdir) == 0
         assert (workdir / "dataset.bin").exists()
         report = read_report(workdir / "report.json")
-        assert report["seed"] == 5
-        assert len(report["levy"]) == 1
-        assert len(report["drift"][0]) == 19
+        assert report.seed == 5
+        assert len(report.levy) == 1
+        assert report.table.drift.shape == (1, 19)
         for name in ("plot_b1.csv", "plot_a11.csv"):
             curve = (workdir / name).read_text().splitlines()
             assert len(curve) == 501
@@ -746,8 +770,8 @@ class TestPipelineCommand:
         ("lorenz3d", "a22", "-2:2:0.008"),
     ])
     def test_curves_are_plot_data_curves(self, tmp_path, model, component, spec):
-        # each range gives linspace(lo, hi, 501) bit for bit; on [-2, 2]^3
-        # the middle of the grid is plot-data's default --at, zeros
+        # each range gives linspace(lo, hi, 501) bit for bit; with --config,
+        # plot-data's default --at is the middle of the grid, zeros on [-2, 2]^3
         workdir = tmp_path / "run"
         if model == "genereg1d":
             assert self._run(tmp_path, workdir) == 0
@@ -763,37 +787,62 @@ class TestPipelineCommand:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (workdir / f"plot_{component}.csv").read_bytes()
 
-    def test_grid_without_zero_plots_mid_grid(self, tmp_path):
-        # ln(x2) is undefined at x2 = 0, outside the grid: each curve holds
-        # the other coordinate at the middle of the grid, x1 = 0 or x2 = 1.5
+    def _ln_plane(self, tmp_path, workdir):
+        """pipeline on a 2-D grid [-1, 1] x [1, 2] with ln(x2) in the
+        dictionary, undefined at x2 = 0, outside the grid; the model config."""
         cfg = _write_json(tmp_path / "model.json", {
             "dimension": 2, "drift": ["-x1", "1 - ln(x2)"],
             "gaussian": [["0.5", "0"], ["0", "0.5"]],
             "levy": [{"alpha": 1.5, "beta": 0, "sigma": 0.5}] * 2,
             "grid": {"bounds": [[-1, 1], [1, 2]], "mesh": [300, 300]},
             "h": 0.01})
-        names = ["1", "x1", "ln(x2)"]
-        est = _est_config(tmp_path, N=2, dictionary=names)
-        workdir = tmp_path / "run"
+        est = _est_config(tmp_path, N=2, dictionary=["1", "x1", "ln(x2)"])
         assert main(["pipeline", "--config", cfg, "--est-config", est,
                      "--workdir", str(workdir), "--seed", "3"]) == 0
+        return cfg
+
+    def test_grid_without_zero_plots_mid_grid(self, tmp_path):
+        # each curve holds the other coordinate at the middle of the grid,
+        # x1 = 0 or x2 = 1.5
+        workdir = tmp_path / "run"
+        self._ln_plane(tmp_path, workdir)
         report = read_report(workdir / "report.json")
-        diffusion = {(d["i"], d["j"]): d["coefficients"]
-                     for d in report["diffusion"]}
-        dictionary = levysid.cli.build_dictionary(names, 2)
+        diffusion = report.table.diffusion
+        dictionary = levysid.cli.build_dictionary(["1", "x1", "ln(x2)"], 2)
         for i, (lo, hi), fixed in ((1, (-1.0, 1.0), 1.5), (2, (1.0, 2.0), 0.0)):
             xs = np.linspace(lo, hi, 501)
             pts = np.full((501, 2), fixed)
             pts[:, i - 1] = xs
             A = design_matrix(dictionary, pts)
             for name, coefs, true in (
-                    (f"b{i}", report["drift"][i - 1],
+                    (f"b{i}", report.table.drift[i - 1],
                      -xs if i == 1 else 1 - np.log(xs)),
                     (f"a{i}{i}", diffusion[i, i], np.full(501, 0.25))):
                 rows = np.loadtxt(workdir / f"plot_{name}.csv", delimiter=",")
                 np.testing.assert_array_equal(rows[:, 0], xs)
                 np.testing.assert_array_equal(rows[:, 1], A @ np.array(coefs))
                 np.testing.assert_allclose(rows[:, 2], true, rtol=1e-15)
+
+    def test_plot_data_holds_mid_grid_by_default(self, tmp_path):
+        # with --config and no --at, plot-data holds x2 at the middle of the
+        # model grid, 1.5, as pipeline does; at 0, ln(x2) would fail
+        workdir = tmp_path / "run"
+        cfg = self._ln_plane(tmp_path, workdir)
+        out = tmp_path / "curve.csv"
+        assert main(["plot-data", "--report", str(workdir / "report.json"),
+                     "--config", cfg, "--component", "b1",
+                     "--range", "-1:1:0.004", "--out", str(out)]) == 0
+        assert out.read_bytes() == (workdir / "plot_b1.csv").read_bytes()
+
+    def test_report_round_trips(self, tmp_path):
+        # a 3-D report read back and written again gives the same text
+        est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
+                          cube_epsilon=0.5, dictionary="poly:2")
+        workdir = tmp_path / "run"
+        assert main(["pipeline", "--config", _small_lorenz(tmp_path),
+                     "--est-config", est, "--workdir", str(workdir)]) == 0
+        text = (workdir / "report.json").read_text()
+        assert Report.from_json(text).to_json() == text
 
     @pytest.mark.parametrize("model,est", [
         ({"name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [2.5]}}, {}),

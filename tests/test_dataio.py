@@ -1,5 +1,7 @@
 """Dataset and report serialization."""
 
+import json
+import math
 import struct
 
 import numpy as np
@@ -8,15 +10,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levysid import (
+    BinCounts,
+    CoefficientTable,
     DataFormatError,
     DatasetPair,
+    EstimationConfig,
+    LevyEstimate,
+    Report,
+    polynomial_dictionary,
     read_dataset,
     read_report,
     write_dataset,
-    write_report,
 )
 import levysid.simulate
-from levysid.dataio import DatasetFile, canonical_json
+from levysid.dataio import DatasetFile
 from levysid.simulate import CHUNK_ROWS
 
 
@@ -347,22 +354,56 @@ class TestDefaultFormat:
         np.testing.assert_array_equal(X, data.X)
 
 
-class TestReports:
-    def test_round_trip_byte_identical(self, tmp_path):
-        report = {"b": [1, 2, 3], "a": {"z": 0.5, "y": None},
-                  "text": "hello", "flag": True}
-        p1 = tmp_path / "r1.json"
-        p2 = tmp_path / "r2.json"
-        write_report(report, p1)
-        back = read_report(p1)
-        assert back == report
-        write_report(back, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
-    def test_canonical_json_sorts_keys(self):
-        text = canonical_json({"b": 1, "a": 2})
-        assert text.index('"a"') < text.index('"b"')
-        assert text.endswith("\n")
+
+@st.composite
+def _reports(draw):
+    """Reports of 1 to 3 components; sigma may be inf, as estimate_sigma
+    gives it when a clamped alpha overflows, cube_epsilon None and the seed
+    absent."""
+    n, N, M = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 10**12))
+    h = draw(st.floats(1e-9, 1e3))
+    config = EstimationConfig(draw(st.floats(1e-6, 1e3)), draw(st.floats(1.001, 1e3)), N,
+                              draw(st.none() | st.floats(1e-6, 1e3)))
+    dictionary = polynomial_dictionary(n, draw(st.integers(0, 2)))
+
+    def vector(size, values=_FINITE):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    levy = tuple(
+        LevyEstimate(i, draw(st.floats(1e-9, 2 - 1e-9)), draw(st.floats(-1, 1)),
+                     draw(st.floats(0, 1e300) | st.just(math.inf)),
+                     BinCounts(vector(N + 1, st.integers(0, M)),
+                               vector(N + 1, st.integers(0, M)), M, h))
+        for i in range(1, n + 1))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    table = CoefficientTable(
+        dictionary, draw(st.floats(0, 1, exclude_min=True)),
+        np.array([vector(dictionary.K) for _ in range(n)]),
+        {p: vector(dictionary.K) for p in pairs}, vector(n, st.floats(0, 1e300)),
+        {p: draw(st.floats(0, 1e300)) for p in pairs})
+    return Report(n, M, h, config, draw(st.sampled_from([f"poly:{n}", "custom"])),
+                  levy, table, tuple(draw(st.lists(st.text(), max_size=3))),
+                  draw(st.none() | st.integers()))
+
+
+class TestReports:
+    @settings(max_examples=60, deadline=None)
+    @given(report=_reports())
+    def test_round_trip_byte_identical(self, report):
+        text = report.to_json()
+        assert Report.from_json(text).to_json() == text
+
+    @settings(max_examples=30, deadline=None)
+    @given(report=_reports())
+    def test_canonical_json_sorts_keys(self, report):
+        # canonical text: sorted keys, two-space indent, trailing newline
+        text = report.to_json()
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+        keys = list(json.loads(text))
+        assert keys == sorted(keys)
+        assert text.index('"dataset"') < text.index('"levy"')
 
     def test_malformed_report_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
