@@ -10,6 +10,22 @@ triple (alpha, beta, sigma), the drift vector b, and the diffusion matrix
 a = Lambda Lambda^T, via nonlocal Kramers-Moyal estimators.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts its threads when numpy loads it, and an idle one
+# spin-waits on the cores that levysid's worker pool needs. If numpy is
+# imported here first, it loads OpenBLAS with one thread; a caller's own
+# OPENBLAS_NUM_THREADS wins, and the variable is gone again before any child
+# process could inherit it. Where numpy came first, simulate._cap_blas_threads
+# lowers the count at first use instead.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .basis import BasisDictionary, design_matrix, example2_dictionary, polynomial_dictionary
 from .errors import (
     ConditioningWarning,

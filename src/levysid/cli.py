@@ -43,7 +43,7 @@ from .errors import (
 from .estimate import cube_filter, estimate_levy, load_est_config, regression_tables
 from .expr import evaluate_block
 from .models import model_from_config, resolve_config
-from .simulate import GRID_ROW_CAP, generate_grid, simulate_pairs
+from .simulate import GRID_ROW_CAP, _cap_blas_threads, generate_grid, simulate_pairs
 
 
 def _load_json(path, what):
@@ -202,6 +202,10 @@ def write_curve(report, model, parsed, xs, axis, at, path):
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
 
+    # OpenBLAS splits a long product between its threads, and the rows
+    # after the split can round differently; on one thread the curve's
+    # bytes do not depend on the count OpenBLAS was loaded with
+    _cap_blas_threads()
     columns = [xs, design_matrix(report.table.dictionary, pts)
                @ report.coefficients(parsed)]
     if model is not None:

@@ -32,8 +32,8 @@ import numpy as np
 
 from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
-from .estimate import (BinCounts, CoefficientTable, EstimationConfig,
-                       LevyEstimate, load_est_config)
+from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
+                       EstimationConfig, LevyEstimate, load_est_config)
 from .simulate import CHUNK_ROWS, DatasetPair, check_header
 
 MAGIC = b"LSID"
@@ -226,6 +226,12 @@ def _numbers(values, shape, what, kinds=(int, float), inf=False):
     return cells.astype(np.int64 if kinds == (int,) else np.float64)
 
 
+def _require(ok, what, rule):
+    """DataFormatError unless ``ok`` holds everywhere."""
+    if not np.all(ok):
+        raise DataFormatError(f"report {what} must be {rule}")
+
+
 def _field(doc, key, kind):
     """``doc[key]``, if its JSON type is ``kind``; a bool is no int."""
     if type(doc.get(key)) is not kind:
@@ -318,19 +324,29 @@ class Report:
             counts = [BinCounts(p, q, M, h) for p, q in zip(pos, neg)]
         except (ConfigError, DomainError, OverflowError) as exc:
             raise DataFormatError(f"report: {exc}") from exc
-        alpha, beta = _numbers([alpha, beta], (2, n), "levy alpha and beta").tolist()
-        # estimate_sigma gives inf when a clamped alpha overflows its exponent
-        sigma = _numbers(sigma, (n,), "levy sigma", inf=True).tolist()
-        levy = tuple(map(LevyEstimate, range(1, n + 1), alpha, beta, sigma, counts))
+        alpha, beta = _numbers([alpha, beta], (2, n), "levy alpha and beta")
+        # estimate_sigma gives 0 or inf when a clamped alpha under- or
+        # overflows its exponent
+        sigma = _numbers(sigma, (n,), "levy sigma", inf=True)
+        _require((alpha >= ALPHA_CLAMP) & (alpha <= 2.0 - ALPHA_CLAMP), "levy alpha",
+                 f"in [{ALPHA_CLAMP}, {2.0 - ALPHA_CLAMP}]")
+        _require(np.abs(beta) <= 1.0, "levy beta", "in [-1, 1]")
+        _require(sigma >= 0.0, "levy sigma", ">= 0")
+        levy = tuple(map(LevyEstimate, range(1, n + 1), alpha.tolist(),
+                         beta.tolist(), sigma.tolist(), counts))
 
         K = dictionary.K
+        fraction = float(_numbers(doc.get("survival_fraction"), (), "survival_fraction"))
+        _require(0.0 < fraction <= 1.0, "survival_fraction", "in (0, 1]")
+        drift_res = _numbers(doc.get("drift_residuals"), (n,), "drift_residuals")
+        residuals = _numbers(residuals, (len(pairs),), "diffusion residuals")
+        _require(drift_res >= 0.0, "drift_residuals", ">= 0")
+        _require(residuals >= 0.0, "diffusion residuals", ">= 0")
         table = CoefficientTable(
-            dictionary,
-            float(_numbers(doc.get("survival_fraction"), (), "survival_fraction")),
+            dictionary, fraction,
             _numbers(doc.get("drift"), (n, K), "drift"),
             dict(zip(pairs, _numbers(coefs, (len(pairs), K), "diffusion"))),
-            _numbers(doc.get("drift_residuals"), (n,), "drift_residuals"),
-            dict(zip(pairs, _numbers(residuals, (len(pairs),), "residuals").tolist())))
+            drift_res, dict(zip(pairs, residuals.tolist())))
         warnings = _field(doc, "warnings", list)
         seed = _field(doc, "seed", int) if "seed" in doc else None
         if not all(type(w) is str for w in warnings):

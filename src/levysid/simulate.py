@@ -126,12 +126,18 @@ def _openblas():
 def _cap_blas_threads():
     """Run OpenBLAS on one thread, once per process.
 
-    ``map_chunks`` and ``regression_tables`` call it, so ``map_chunks``'
-    pool is the only parallelism. Otherwise OpenBLAS threads the Gram
-    products, and after each one its idle threads spin-wait on the cores
-    the pool's workers need. The products are the same bytes either way.
+    ``map_chunks``, ``regression_tables`` and ``cli.write_curve`` call it,
+    so ``map_chunks``' pool is the only parallelism. Otherwise OpenBLAS
+    threads the Gram products, and after each one its idle threads
+    spin-wait on the cores the pool's workers need. The Gram products are
+    the same bytes either way; a curve's long matrix-vector product is not.
     Where no OpenBLAS with one of ``BLAS_SETTERS`` is found this does
     nothing.
+
+    This is the cap for a process that imported numpy before levysid. It
+    only lowers the count: the thread OpenBLAS started at load stays, and
+    keeps spin-waiting. Where levysid imports numpy first,
+    ``levysid/__init__.py`` loads OpenBLAS with one thread instead.
     """
     import ctypes
 
@@ -266,8 +272,7 @@ def _step_block(model, Z_block, h, keys, out, row0):
     """
     m, n = Z_block.shape
     try:
-        drift = model.drift_at(Z_block)
-        lam = model.gaussian_at(Z_block) if model.gaussian_enabled else None
+        drift, lam = model.step_terms_at(Z_block)
     except EvaluationDomainError as exc:
         raise EvaluationDomainError(
             f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: "

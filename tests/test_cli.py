@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -491,6 +492,27 @@ class TestPlotDataCommand:
                 want = np.einsum("rk,rk->r", lam[:, i - 1, :], lam[:, j - 1, :])
                 got = levysid.cli._true_values(model, "diffusion", (i, j), pts)
                 assert got.tobytes() == want.tobytes(), (i, j)
+
+    def test_curve_bytes_independent_of_blas_threads(self, tmp_path):
+        # 50001 rows of the 19-entry example2 basis: OpenBLAS splits the
+        # product between its threads, and without the cap the rows from
+        # the split on rounded differently on two threads than on one
+        cfg = _write_json(tmp_path / "model.json", {
+            "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100_000]}})
+        est = _est_config(tmp_path, N=2, cube_epsilon=0.5, dictionary="example2")
+        workdir = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(workdir), "--seed", "4242"]) == 0
+        curves = []
+        for threads in ("1", "2"):
+            curves.append(tmp_path / f"a11_{threads}.csv")
+            subprocess.run(
+                [sys.executable, "-m", "levysid.cli", "plot-data", "--report",
+                 str(workdir / "report.json"), "--component", "a11",
+                 "--range", "0:5:0.0001", "--out", str(curves[-1])],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, timeout=60, check=True)
+        assert curves[0].read_bytes() == curves[1].read_bytes()
 
     def test_constant_drift_curve(self, tmp_path):
         report = self._handmade_report(tmp_path)

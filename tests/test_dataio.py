@@ -23,7 +23,9 @@ from levysid import (
     write_dataset,
 )
 import levysid.simulate
+from levysid.cli import main
 from levysid.dataio import DatasetFile
+from levysid.estimate import ALPHA_CLAMP
 from levysid.simulate import CHUNK_ROWS
 
 
@@ -388,7 +390,60 @@ def _reports(draw):
                   draw(st.none() | st.integers()))
 
 
+def _report_doc(**levy):
+    """A valid 1-D poly:1 report as a JSON document, with its one levy
+    entry's fields replaced by ``levy``."""
+    counts = BinCounts(np.array([5, 2, 1]), np.array([4, 1, 0]), 100, 0.01)
+    table = CoefficientTable(polynomial_dictionary(1, 1), 0.9, np.array([[0.1, -1.0]]),
+                             {(1, 1): np.array([1.0, 0.0])}, np.array([0.2]),
+                             {(1, 1): 0.3})
+    report = Report(1, 100, 0.01, EstimationConfig(1.0, 5.0, 2), "poly:1",
+                    (LevyEstimate(1, 1.5, -0.5, 0.5, counts),), table, ())
+    doc = json.loads(report.to_json())
+    doc["levy"][0].update(levy)
+    return doc
+
+
+# one value per field that estimate never writes
+_OUT_OF_RANGE = {
+    "alpha-above-clamp": lambda doc: doc["levy"][0].update(alpha=2.0),
+    "alpha-below-clamp": lambda doc: doc["levy"][0].update(alpha=0.0),
+    "beta": lambda doc: doc["levy"][0].update(beta=1.5),
+    "sigma": lambda doc: doc["levy"][0].update(sigma=-1.0),
+    "survival_fraction-zero": lambda doc: doc.update(survival_fraction=0.0),
+    "survival_fraction-above-one": lambda doc: doc.update(survival_fraction=7.5),
+    "drift_residuals": lambda doc: doc.update(drift_residuals=[-0.2]),
+    "diffusion residuals": lambda doc: doc["diffusion"][0].update(residual=-0.3),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+    def test_out_of_range_rejected(self, tmp_path, capsys, case):
+        doc = _report_doc()
+        _OUT_OF_RANGE[case](doc)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        field = case.split("-")[0]
+        with pytest.raises(DataFormatError, match=field):
+            read_report(path)
+        out = tmp_path / "curve.csv"
+        assert main(["plot-data", "--report", str(path), "--component", "b1",
+                     "--range", "0:1:0.5", "--out", str(out)]) == 3
+        assert "error category=data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_edges_accepted(self):
+        # a clamped alpha, and the sigma it can underflow to
+        doc = _report_doc(alpha=ALPHA_CLAMP, sigma=0.0)
+        doc.update(survival_fraction=1.0, drift_residuals=[0.0])
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert Report.from_json(text).to_json() == text
+        doc["levy"][0].update(alpha=2.0 - ALPHA_CLAMP, sigma=math.inf)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert Report.from_json(text).to_json() == text
+
+
     @settings(max_examples=60, deadline=None)
     @given(report=_reports())
     def test_round_trip_byte_identical(self, report):

@@ -65,6 +65,15 @@ class TestBuiltinLorenz:
         assert lam.shape == (1001, 3, 3)
         assert lam.tobytes() == flat.reshape(-1, 3, 3).tobytes()
 
+    def test_step_terms_are_drift_and_gaussian(self):
+        # one evaluation pass gives the bits and the strides of the two
+        model = builtin_model("lorenz3d")
+        Z = np.random.default_rng(5).uniform(-2.0, 2.0, (1001, 3))
+        drift, lam = model.step_terms_at(Z)
+        for got, want in ((drift, model.drift_at(Z)), (lam, model.gaussian_at(Z))):
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
     def test_grid_defaults(self):
         cfg = builtin_config("lorenz3d")
         assert cfg["grid"]["bounds"] == [[-2.0, 2.0]] * 3

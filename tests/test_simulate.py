@@ -1,5 +1,9 @@
 """Grid generation and one-step Euler pair simulation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -340,6 +344,39 @@ class TestBlasThreadCap:
         default = (A.T @ A).tobytes(), (A.T @ B).tobytes()
         set_threads(1)
         assert ((A.T @ A).tobytes(), (A.T @ B).tobytes()) == default
+
+
+def _threads_after_import(**env):
+    """The thread count and OPENBLAS_NUM_THREADS of a new interpreter right
+    after ``import levysid``, with the variable removed from this process's
+    environment and ``env`` added."""
+    env = dict({k: v for k, v in os.environ.items()
+                if k != "OPENBLAS_NUM_THREADS"}, **env)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, levysid; print(len(os.listdir("
+         "'/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout.split()
+
+
+class TestBlasThreadsAtImport:
+    """``import levysid`` before numpy loads OpenBLAS with one thread and
+    leaves no OPENBLAS_NUM_THREADS behind; a caller's value wins."""
+
+    @pytest.fixture(autouse=True)
+    def _threads_visible(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count threads in")
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts no extra thread on one CPU")
+        if levysid.simulate._openblas() is None:
+            pytest.skip("no OpenBLAS thread-count setter found")
+
+    def test_one_thread_and_no_variable(self):
+        assert _threads_after_import() == ["1", "None"]
+
+    def test_callers_value_wins(self):
+        assert _threads_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "2"]
 
 
 class TestSingleStepMatchesBatch:
