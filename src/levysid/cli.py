@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -92,7 +93,6 @@ def _estimate(data, config, spec, dictionary, seed, report_path):
     with _warnings.catch_warnings(record=True) as records:
         _warnings.simplefilter("always")
         levy = estimate_levy(data, config)
-        # no local keeps the cube survivors once the regressions are done
         table = regression_tables(*cube_filter(data, config.cube_half_width),
                                   dictionary, [e.params for e in levy], config)
     seconds = time.perf_counter() - t0
@@ -112,9 +112,10 @@ def cmd_simulate(args):
     model, bounds, mesh, h = _model_inputs(args.config)
     Z = generate_grid(bounds, mesh)
     t0 = time.perf_counter()
+    # the rows are stepped as they are written
     data = simulate_pairs(model, Z, h, args.seed)
-    dt = time.perf_counter() - t0
     write_dataset(data, args.out)
+    dt = time.perf_counter() - t0
     rate = data.M / dt if dt > 0 else float("inf")
     print(f"simulated M={data.M} n={data.n} h={data.h} "
           f"({dt:.2f}s, {rate:.0f} rows/s)")
@@ -235,19 +236,37 @@ def cmd_plot_data(args):
     return 0
 
 
+def _write_before_mkdir(data, path):
+    """``write_dataset(data, path)``, creating the directory of ``path``
+    only once every row is written. Until then the file is staged in the
+    nearest existing ancestor, so a failed simulation leaves no directory
+    behind."""
+    if path.parent.is_dir():
+        write_dataset(data, path)
+        return
+    home = next(p for p in path.parent.absolute().parents if p.is_dir())
+    staged = home / f".{path.parent.name}.{path.name}.{os.getpid()}"
+    write_dataset(data, staged)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
+
+
 def cmd_pipeline(args):
     # every input is checked, and the simulation done, before the workdir
     # exists
     model, bounds, mesh, h = _model_inputs(args.config)
     config, spec, dictionary = _estimation_inputs(args.est_config, model.n)
     t0 = time.perf_counter()
-    # no local keeps the grid, so the pairs are freed once data is rebound
+    # no local keeps the grid, so it is freed once data is rebound
     data = simulate_pairs(model, generate_grid(bounds, mesh), h, args.seed)
-    t_sim = time.perf_counter() - t0
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / "dataset.bin"
-    write_dataset(data, path)
+    _write_before_mkdir(data, path)
+    t_sim = time.perf_counter() - t0
     # estimate from the page-cached file, block by block, as estimate does;
     # this process wrote its header, so read_dataset is not needed
     data = DatasetFile(str(path), data.n, data.M, data.h)

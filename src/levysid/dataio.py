@@ -11,7 +11,8 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
 
 A text file is read into a DatasetPair, every entry checked. A binary file
 is read as a DatasetFile, which reads and checks its rows one block at a
-time, so the estimators never hold the whole payload.
+time, so the estimators never hold the whole payload. Any row-block source
+is written one block at a time, so the writer never holds it either.
 
 A report is the JSON text of a Report, with sorted keys and two-space
 indentation; its reader checks every section, and a report read back and
@@ -34,7 +35,7 @@ from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
 from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
                        EstimationConfig, LevyEstimate, load_est_config)
-from .simulate import CHUNK_ROWS, DatasetPair, check_header
+from .simulate import BlockRows, DatasetPair, check_header, map_chunks
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -63,11 +64,13 @@ def write_dataset(data, path):
     """Write a row-block source to ``path``: the text encoding when the
     path ends in ``.csv``, the binary encoding otherwise.
 
-    Rows are encoded and written in blocks of ``CHUNK_ROWS``, so the writer
-    holds one block of the payload at a time, never a copy of all of it.
-    They go to a temporary file next to ``path``, which replaces ``path``
-    only once every block is written: a block that raises leaves neither
-    file behind, and an existing ``path`` unchanged.
+    The source's blocks are read through ``map_chunks``, in block order,
+    and each is encoded and written as it comes while the workers read the
+    next ones: the writer holds a few blocks, never all the rows. A
+    ``Simulation`` is stepped here. The rows go to a temporary file next to
+    ``path``, which replaces ``path`` only once every block is written: a
+    block that raises leaves neither file behind, and an existing ``path``
+    unchanged.
     """
     path = os.fspath(path)
     if os.path.splitext(path)[1] == ".csv":
@@ -81,8 +84,8 @@ def write_dataset(data, path):
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for start in range(0, data.M, CHUNK_ROWS):
-                fh.write(encode(data.block(start, min(start + CHUNK_ROWS, data.M))))
+            for block in map_chunks(data.block, data.M):
+                fh.write(encode(block))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -91,7 +94,7 @@ def write_dataset(data, path):
 
 
 @dataclass(frozen=True)
-class DatasetFile:
+class DatasetFile(BlockRows):
     """A binary dataset file, read one block of rows at a time.
 
     A row-block source like DatasetPair. ``block`` is the one method that
@@ -128,11 +131,6 @@ class DatasetFile:
                 f"{self.path}: dataset entries must all be finite; "
                 f"rows {start}..{stop - 1} hold a non-finite value")
         return block
-
-    def rows(self, start, stop):
-        """Z and X of rows start..stop-1: the column halves of ``block``."""
-        block = self.block(start, stop)
-        return block[:, :self.n], block[:, self.n:]
 
 
 def _source(path, build, *args):

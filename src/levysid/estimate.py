@@ -31,7 +31,7 @@ from .errors import (
 )
 from . import simulate
 from .numeric import solve_gram
-from .simulate import DatasetPair, map_chunks
+from .simulate import BlockRows, map_chunks
 from .stable import StableParams, correction_R, correction_S, k_alpha
 
 ALPHA_CLAMP = 1e-9  # estimates are clamped into [ALPHA_CLAMP, 2 - ALPHA_CLAMP]
@@ -237,7 +237,7 @@ def _increments(Z, X, out=None):
 def estimate_levy(data, config):
     """Identify (alpha, beta, sigma) for every component of a dataset.
 
-    ``data`` is a row-block source (DatasetPair or DatasetFile). Each
+    ``data`` is a row-block source, such as a DatasetFile. Each
     component's bin counts are summed over its CHUNK_ROWS blocks; integer
     sums do not depend on the order, so neither does the result.
     """
@@ -245,7 +245,7 @@ def estimate_levy(data, config):
         D = _increments(*data.rows(start, stop))
         return [bin_counts(row, config) for row in D]
 
-    parts = map_chunks(block_counts, data.M)
+    parts = list(map_chunks(block_counts, data.M))
     out = []
     for i in range(data.n):
         pos = np.sum([p[i].pos for p in parts], axis=0)
@@ -268,43 +268,88 @@ def _cube_mask(Z, X, half_width):
     return keep
 
 
+class _ZHalf:
+    """``Z[lo:hi]`` of a source that holds no Z array: the Z half of
+    ``rows(lo, hi)``. Nothing in levysid reads it; perfbench's hooks slice
+    a filtered source's Z."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def __getitem__(self, rows):
+        start, stop, _ = rows.indices(self.source.M)
+        return self.source.rows(start, stop)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Survivors(BlockRows):
+    """The rows of a row-block source that survive the cube filter, read
+    through that source when they are asked for.
+
+    It holds one bool mask per block of the source, 1 byte per row; every
+    block but the last has as many rows as the first. ``before`` holds the
+    number of survivors in the blocks before each block; ``before[-1]`` is
+    M.
+    """
+
+    n: int
+    M: int
+    h: float
+    source: object
+    masks: list
+    before: np.ndarray
+
+    @property
+    def Z(self):
+        return _ZHalf(self)
+
+    def block(self, start, stop):
+        """Survivors start..stop-1 as one new (rows, 2n) array, z before x.
+
+        Each source block they lie in is read from its first to its last
+        survivor among them, never across a source block, and compacted.
+        """
+        out = np.empty((stop - start, 2 * self.n))
+        chunk = self.masks[0].size
+        b = int(np.searchsorted(self.before, start, side="right")) - 1
+        done = start
+        while done < stop:
+            offset = int(self.before[b])
+            keep = np.flatnonzero(self.masks[b])[done - offset:stop - offset]
+            if keep.size:
+                first = b * chunk + int(keep[0])
+                last = b * chunk + int(keep[-1])
+                # take's "clip" mode writes into out in place, where
+                # compress would write through a temporary copy of out
+                np.take(self.source.block(first, last + 1), keep - keep[0],
+                        axis=0, out=out[done - start:done - start + keep.size],
+                        mode="clip")
+                done += keep.size
+            b += 1
+        return out
+
+
 def cube_filter(data, half_width):
     """Keep rows whose increment stays inside the closed cube
     max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction).
 
-    ``data`` is a row-block source. A first pass over its blocks builds the
-    masks; a second pass copies the kept rows of each whole ``block`` of
-    stored rows, z before x, into a single (kept, 2n) array, at the prefix
-    sum of the counts before it. The filtered DatasetPair's Z and X are the
-    column halves of that array.
+    ``data`` is a row-block source. One pass over its blocks builds a mask
+    per block; the filtered source, a Survivors, holds the masks and reads
+    the kept rows from ``data`` whenever they are asked for, so no copy of
+    them is made here.
     """
     positive("half_width", half_width)
 
     def block_mask(start, stop):
-        return start, _cube_mask(*data.rows(start, stop), half_width)
+        return _cube_mask(*data.rows(start, stop), half_width)
 
-    masks = dict(map_chunks(block_mask, data.M))
-    spans = {}
-    kept = 0
-    for start, keep in masks.items():
-        count = int(np.count_nonzero(keep))
-        spans[start] = slice(kept, kept + count)
-        kept += count
+    masks = list(map_chunks(block_mask, data.M))
+    before = np.cumsum([0] + [np.count_nonzero(keep) for keep in masks])
+    kept = int(before[-1])
     if kept == 0:
         raise InsufficientDataError(
             f"no rows survive the cube filter at half width {half_width}")
-    survivors = np.empty((kept, 2 * data.n))
-
-    # np.compress with out= writes through a temporary copy of out, in case
-    # an index is out of range; take's "clip" mode writes in place, and the
-    # indices of the kept rows are all in range
-    def fill(start, stop):
-        np.take(data.block(start, stop), np.flatnonzero(masks[start]), axis=0,
-                out=survivors[spans[start]], mode="clip")
-
-    map_chunks(fill, data.M)
-    return DatasetPair(data.n, kept, data.h, survivors[:, :data.n],
-                       survivors[:, data.n:]), kept / data.M
+    return Survivors(data.n, kept, data.h, data, masks, before), kept / data.M
 
 
 # The drift correction's alpha != 1 branch carries a 1/(1-alpha) pole: the
@@ -341,12 +386,12 @@ def regression_tables(data, fraction, dictionary, levy, config):
 
     ``data`` must already be cube-filtered; ``fraction`` is the survival
     fraction M_hat/M that scales every target. Its CHUNK_ROWS blocks are
-    filled and reduced in order on the calling thread, which starts no
-    pool. Each CACHE_ROWS sub-block is evaluated component-major in one
-    (max(K, n + P), CACHE_ROWS) scratch, design-matrix rows first and then
-    the n + P targets; the block's A and B stay in C order, so the products
-    A^T A and A^T B and the sum of B*B are those of fresh row-major arrays.
-    Returns a CoefficientTable.
+    filled from ``data.rows`` and reduced in order on the calling thread,
+    which starts no pool. Each CACHE_ROWS sub-block is evaluated
+    component-major in one (max(K, n + P), CACHE_ROWS) scratch,
+    design-matrix rows first and then the n + P targets; the block's A and
+    B stay in C order, so the products A^T A and A^T B and the sum of B*B
+    are those of fresh row-major arrays. Returns a CoefficientTable.
     """
     n = data.n
     K = dictionary.K

@@ -11,6 +11,7 @@ functions differently, and with them the last bits of some rows.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -159,13 +160,24 @@ def check_header(n, M, h):
     positive("h", h)
 
 
+class BlockRows:
+    """``rows`` for a row-block source whose ``block`` reads or makes each
+    block of rows anew."""
+
+    def rows(self, start, stop):
+        """Z and X of rows start..stop-1: the column halves of ``block``."""
+        block = self.block(start, stop)
+        return block[:, :self.n], block[:, self.n:]
+
+
 @dataclass(frozen=True, eq=False)
 class DatasetPair:
     """Initial points Z and their one-step images X, with the step size h.
 
-    Like a binary ``dataio.DatasetFile`` it is a row-block source: it has
-    ``n``, ``M``, ``h``, ``rows(start, stop)`` and ``block(start, stop)``,
-    which is all the estimators and the dataset writer read.
+    A row-block source, like ``Simulation`` and a binary
+    ``dataio.DatasetFile``: it has ``n``, ``M``, ``h``, ``rows(start,
+    stop)`` and ``block(start, stop)``, which is all the estimators and the
+    dataset writer read.
     """
 
     n: int
@@ -304,31 +316,85 @@ def _step_block(model, Z_block, h, keys, out, row0):
 
 
 def map_chunks(fn, M):
-    """``[fn(start, stop) for each block of range(M)]``, in block order; the
-    blocks have CHUNK_ROWS rows, the last one fewer.
+    """An iterator over ``fn(start, stop)`` for each block of range(M), in
+    block order; the blocks have CHUNK_ROWS rows, the last one fewer.
 
     With more than one block the calls run on ``worker_count()`` threads.
-    The blocks do not depend on the worker count, so neither do the results.
+    At most that many calls run, and one more waits queued, ahead of the
+    result the caller has taken: a caller that writes each result as it
+    comes holds a few blocks, never all of them. The blocks do not depend on
+    the worker count, so neither do the results.
     """
     starts = range(0, M, CHUNK_ROWS)
     stops = [min(start + CHUNK_ROWS, M) for start in starts]
-    # read even for one block, so a malformed LEVYSID_WORKERS always fails
+    # read before any call, even for one block, so a malformed
+    # LEVYSID_WORKERS always fails here
     workers = worker_count()
     _cap_blas_threads()
     if workers <= 1 or len(starts) <= 1:
-        return list(map(fn, starts, stops))
+        return map(fn, starts, stops)
+    return _pooled(fn, zip(starts, stops), workers)
+
+
+def _pooled(fn, spans, workers):
     _cap_malloc_arenas()
+    pending = collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # list() drains the iterator so worker exceptions surface here
-        return list(pool.map(fn, starts, stops))
+        # one call waits in the queue, so no worker idles while the caller
+        # takes a result; a call that raises ends the iteration once the
+        # calls already started have finished
+        for start, stop in spans:
+            pending.append(pool.submit(fn, start, stop))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+@dataclass(frozen=True, eq=False)
+class Simulation(BlockRows):
+    """One Euler step of every row of Z, taken when the rows are read.
+
+    A row-block source: ``block(start, stop)`` steps exactly those rows,
+    each with the stream keyed by its absolute row index, so the bytes do
+    not depend on how the rows are read. Every read steps its rows again,
+    and a coefficient that cannot be evaluated or a state that is not
+    finite raises there. Write it with ``dataio.write_dataset``, or take
+    ``rows(0, M)`` once, before more than one pass over it.
+    """
+
+    n: int
+    M: int
+    h: float
+    Z: np.ndarray
+    model: object
+    key: int
+
+    def block(self, start, stop):
+        """Rows start..stop-1 as one new (rows, 2n) array, z before x; the
+        x half is stepped CACHE_ROWS rows at a time."""
+        n = self.n
+        block = np.empty((stop - start, 2 * n))
+        block[:, :n] = self.Z[start:stop]
+        # the step writes a contiguous scratch, which is then copied into
+        # the x half: numpy's loops over the strided half itself are
+        # several times slower
+        X = np.empty((min(CACHE_ROWS, stop - start), n))
+        for lo in range(start, stop, CACHE_ROWS):
+            m = min(CACHE_ROWS, stop - lo)
+            _step_block(self.model, self.Z[lo:lo + m], self.h,
+                        row_keys(self.key, lo, m), X[:m], lo)
+            block[lo - start:lo - start + m, n:] = X[:m]
+        return block
 
 
 def simulate_pairs(model, Z, h, seed):
-    """Apply one Euler step to every row of Z; returns a DatasetPair.
+    """One Euler step of every row of Z, as a Simulation that takes the
+    steps when its rows are read.
 
-    Parallel chunks write disjoint slices of the output, each stepped
-    CACHE_ROWS rows at a time; the per-row counter streams make the result
-    identical for any worker count or block size.
+    Z, h and ``LEVYSID_WORKERS`` are checked here. The per-row counter
+    streams make every row's step the same for any worker count, block
+    size or read order.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     if Z.ndim == 1:
@@ -339,15 +405,5 @@ def simulate_pairs(model, Z, h, seed):
     check_header(model.n, M, h)
     if not np.all(np.isfinite(Z)):
         raise DomainError("Z entries must all be finite")
-
-    base_key = stream_key(int(seed), 0)
-    X = np.empty_like(Z)
-
-    def run_chunk(start, stop):
-        for lo in range(start, stop, CACHE_ROWS):
-            hi = min(lo + CACHE_ROWS, stop)
-            _step_block(model, Z[lo:hi], h, row_keys(base_key, lo, hi - lo),
-                        X[lo:hi], lo)
-
-    map_chunks(run_chunk, M)
-    return DatasetPair(model.n, M, float(h), Z, X)
+    worker_count()
+    return Simulation(model.n, M, float(h), Z, model, stream_key(int(seed), 0))

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -222,6 +224,43 @@ class TestSimulateCommand:
         assert proc.stderr.splitlines() == [
             "error category=error: non-finite state at row 1, component 1"]
 
+    def test_summary_times_stepping_and_writing(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the rows are stepped while they are written: the seconds printed
+        # by simulate, and pipeline's simulate seconds, cover the write
+        def slow_write(data, path):
+            time.sleep(0.2)
+            write_dataset(data, path)
+
+        monkeypatch.setattr(levysid.cli, "write_dataset", slow_write)
+        cfg = _small_lorenz(tmp_path, mesh=5)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "data")]) == 0
+        seconds = re.search(r"\((\d+\.\d+)s, ", capsys.readouterr().out)
+        assert float(seconds.group(1)) >= 0.2
+        est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
+                          cube_epsilon=0.5, dictionary="poly:2")
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(tmp_path / "run")]) == 0
+        seconds = re.search(r"simulate (\d+\.\d+)s", capsys.readouterr().out)
+        assert float(seconds.group(1)) >= 0.2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_in_a_later_block_leaves_no_file(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # 300 rows in 100-row blocks on two workers: the first two blocks
+        # are written before row 211's step x + 0.5 x overflows
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
+        monkeypatch.setenv("LEVYSID_WORKERS", "2")
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["x1"], "gaussian": None, "levy": None,
+            "grid": {"bounds": [[0, 1.7e308]], "mesh": [300]}, "h": 0.5})
+        out = tmp_path / "pairs.bin"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error category=error: non-finite state at row 211, component 1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 class TestEstimateCommand:
     def test_report_written(self, tmp_path):
@@ -412,7 +451,12 @@ class TestBinaryFileSource:
     def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
         # block is the one method that reads the file; rows splits a block
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
-        path, est = _lorenz_data(tmp_path)
+        path, _ = _lorenz_data(tmp_path)
+        # a cube that drops rows in every block
+        est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
+                          cube_epsilon=0.05, dictionary="poly:2")
+        Z, X = read_dataset(path).rows(0, 8000)
+        survivors = np.flatnonzero(np.max(np.abs(X - Z), axis=1) <= 0.05)
         read_block = DatasetFile.block
         spans = []
 
@@ -424,8 +468,18 @@ class TestBinaryFileSource:
         monkeypatch.setattr(DatasetFile, "block", counted_block)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
-        # bin counts, and the cube filter's two passes
-        assert sum(spans) == 3 * 8000
+        # bin counts and the cube mask read every row once. The regression
+        # reads its 500-survivor blocks, and each is read from the file in
+        # one span per 500-row file block, from its first to its last
+        # survivor there
+        spans_read = 0
+        for start in range(0, survivors.size, 500):
+            rows = survivors[start:start + 500]
+            for block in np.unique(rows // 500):
+                inside = rows[rows // 500 == block]
+                spans_read += int(inside[-1] - inside[0]) + 1
+        assert spans_read < 8000
+        assert sum(spans) == 2 * 8000 + spans_read
 
     def test_one_pool_per_pass(self, tmp_path, monkeypatch):
         # each regression block of 500 rows has 5 sub-blocks of 100, and
@@ -444,8 +498,9 @@ class TestBinaryFileSource:
         monkeypatch.setattr(levysid.simulate, "ThreadPoolExecutor", counted)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
-        # bin counts, and the cube filter's mask and fill
-        assert pools == [2, 2, 2]
+        # bin counts, and the cube filter's mask; the survivors are read
+        # on the calling thread
+        assert pools == [2, 2]
 
 
 def _v1_report(kind, names, drift, diffusion):
@@ -713,8 +768,9 @@ class TestPipelineCommand:
         assert report.read_bytes() == (workdir / "report.json").read_bytes()
 
     def test_bin_estimate_does_not_hold_the_pairs(self, tmp_path, monkeypatch):
-        """The estimate reads dataset.bin, so its peak holds the cube
-        survivors and one block's buffers but not the simulated pairs."""
+        """The estimate reads dataset.bin one block at a time, and the cube
+        survivors through it, so from its first pass to its regressions it
+        holds less than the simulated pairs."""
         M = 400_000
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [M]}})
@@ -726,12 +782,12 @@ class TestPipelineCommand:
         def recording(name, fn):
             def wrapper(data, *args):
                 sources[name] = type(data)
+                if name == "estimate_levy":
+                    tracemalloc.reset_peak()
                 return fn(data, *args)
             return wrapper
 
         def tables(data, *args):
-            sizes["survivors"] = 2 * data.Z.nbytes
-            tracemalloc.reset_peak()
             try:
                 return real_tables(data, *args)
             finally:
@@ -751,7 +807,7 @@ class TestPipelineCommand:
         assert sources == {"estimate_levy": DatasetFile,
                            "cube_filter": DatasetFile}
         pairs = 2 * M * 8
-        assert sizes["peak"] < pairs + sizes["survivors"]
+        assert sizes["peak"] < pairs
 
     def test_artifacts_present(self, tmp_path, capsys):
         workdir = tmp_path / "run"

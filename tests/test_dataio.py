@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from levysid import (
     EstimationConfig,
     LevyEstimate,
     Report,
+    builtin_model,
     polynomial_dictionary,
     read_dataset,
     read_report,
+    simulate_pairs,
     write_dataset,
 )
 import levysid.simulate
@@ -305,6 +308,29 @@ class TestChunkedWriter:
             [path.name] if existing else [])
         if existing:
             assert path.read_bytes() == b"earlier file"
+
+
+class TestStreamedSimulation:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_writer_holds_a_few_blocks(self, tmp_path, monkeypatch, workers):
+        # numpy reports its data allocations to tracemalloc. 24 blocks of
+        # lorenz3d, whose states alone are 12 blocks of pairs: the writer
+        # holds the block it writes, and each worker the block it steps
+        # and its sub-block's temporaries
+        rows = 4096
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
+        monkeypatch.setenv("LEVYSID_WORKERS", str(workers))
+        Z = np.random.default_rng(3).uniform(-2.0, 2.0, (24 * rows, 3))
+        data = simulate_pairs(builtin_model("lorenz3d"), Z, 0.001, seed=5)
+        tracemalloc.start()
+        try:
+            write_dataset(data, tmp_path / "pairs.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = rows * 2 * 3 * 8
+        assert peak < (3 * workers + 2) * block, peak / block
 
 
 # -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches

@@ -244,14 +244,14 @@ class TestCubeFilter:
         kept, fraction = cube_filter(data, 1.0)
         assert kept.M == 1
         assert fraction == 0.5
-        assert kept.X[0, 0] == 1.0
+        assert kept.rows(0, 1)[1][0, 0] == 1.0
 
     def test_order_preserved(self):
         Z = np.zeros((4, 1))
         X = np.array([[0.1], [5.0], [0.3], [0.2]])
         data = DatasetPair.from_arrays(Z, X, 0.001)
         kept, fraction = cube_filter(data, 1.0)
-        np.testing.assert_array_equal(kept.X[:, 0], [0.1, 0.3, 0.2])
+        np.testing.assert_array_equal(kept.rows(0, 3)[1][:, 0], [0.1, 0.3, 0.2])
         assert fraction == 0.75
 
     @pytest.mark.parametrize("half_width", [np.nan, np.inf])
@@ -291,8 +291,9 @@ class TestBlockwisePasses:
         for source in sources:
             kept, fraction = cube_filter(source, 0.5)
             assert kept.M == int(keep.sum()) and fraction == keep.sum() / 500
-            np.testing.assert_array_equal(kept.Z, data.Z[keep])
-            np.testing.assert_array_equal(kept.X, data.X[keep])
+            Z, X = kept.rows(0, kept.M)
+            np.testing.assert_array_equal(Z, data.Z[keep])
+            np.testing.assert_array_equal(X, data.X[keep])
 
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
     def test_levy_counts_match_whole_increments(self, monkeypatch, tmp_path,
@@ -534,6 +535,32 @@ class TestRegressionMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[4] - peaks[1] < rows * dictionary.K * 8, peaks
+
+    def test_survivors_read_through_the_file(self, tmp_path, monkeypatch):
+        # eight blocks of lorenz3d's shape in a binary file: the filter
+        # keeps a mask byte per row, and the regression reads the
+        # survivors from the file one sub-block at a time
+        rows = 8192
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
+        rng = np.random.default_rng(14)
+        Z = rng.uniform(-2, 2, (8 * rows, 3))
+        path = tmp_path / "pairs.bin"
+        write_dataset(DatasetPair.from_arrays(
+            Z, Z + 0.2 * rng.standard_normal(Z.shape), 0.001), path)
+        source = read_dataset(path)
+        dictionary = polynomial_dictionary(3, 2)
+        levy = [StableParams(1.5, -0.5, 0.5)] * 3
+        tracemalloc.start()
+        try:
+            kept, fraction = cube_filter(source, 0.5)
+            regression_tables(kept, fraction, dictionary, levy,
+                              _config(cube_epsilon=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < fraction < 1.0
+        assert peak < kept.M * 2 * 3 * 8
 
 
 class TestCoefficientTableEvaluation:

@@ -30,6 +30,12 @@ from oracles import ks_two_sample, row_noise_oracle
 from stable_draws import sample_stable
 
 
+def _X(data):
+    """The stepped states of every row of a simulation, read as
+    write_dataset reads them: its blocks, drained through map_chunks."""
+    return np.concatenate(list(map_chunks(data.block, data.M)))[:, data.n:]
+
+
 def _model(dimension, drift, gaussian, levy):
     return model_from_config({
         "dimension": dimension, "drift": drift,
@@ -122,7 +128,7 @@ class TestDatasetPair:
 class TestDeterministicStep:
     def test_linear_decay(self):
         model = _model(1, ["-x1"], None, None)
-        x = simulate_pairs(model, np.array([[1.0]]), 0.001, seed=0).X[0]
+        x = _X(simulate_pairs(model, np.array([[1.0]]), 0.001, seed=0))[0]
         assert x[0] == pytest.approx(0.999, rel=1e-15)
 
     def test_noise_free_lorenz(self):
@@ -131,7 +137,8 @@ class TestDeterministicStep:
                          "-8/3*x3 + x1*x2"],
                "gaussian": None, "levy": None}
         model = model_from_config(cfg)
-        x = simulate_pairs(model, np.array([[1.0, 1.0, 1.0]]), 0.001, seed=0).X[0]
+        data = simulate_pairs(model, np.array([[1.0, 1.0, 1.0]]), 0.001, seed=0)
+        x = _X(data)[0]
         assert x[0] == pytest.approx(1.0, abs=0.0)
         assert x[1] == pytest.approx(1.002, rel=1e-12)
         assert x[2] == pytest.approx(0.9983333, abs=5e-8)
@@ -140,7 +147,7 @@ class TestDeterministicStep:
         model = _model(2, ["0", "0"], None, None)
         Z = generate_grid([[-1, 1], [-1, 1]], [5, 5])
         data = simulate_pairs(model, Z, 0.001, seed=3)
-        np.testing.assert_array_equal(data.X, data.Z)
+        np.testing.assert_array_equal(_X(data), Z)
 
     def test_pure_drift_rows(self):
         cfg = {"dimension": 3,
@@ -152,7 +159,7 @@ class TestDeterministicStep:
         h = 0.001
         data = simulate_pairs(model, Z, h, seed=1)
         want = Z + model.drift_at(Z) * h
-        np.testing.assert_allclose(data.X, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(_X(data), want, rtol=1e-15, atol=0.0)
 
 
 class TestDeterminism:
@@ -161,14 +168,14 @@ class TestDeterminism:
         Z = generate_grid([[-2, 2]] * 3, [6, 6, 6])
         d1 = simulate_pairs(model, Z, 0.001, seed=7)
         d2 = simulate_pairs(model, Z, 0.001, seed=7)
-        assert d1.X.tobytes() == d2.X.tobytes()
+        assert _X(d1).tobytes() == _X(d2).tobytes()
 
     def test_different_seeds_differ(self):
         model = builtin_model("lorenz3d")
         Z = generate_grid([[-2, 2]] * 3, [4, 4, 4])
         d1 = simulate_pairs(model, Z, 0.001, seed=7)
         d2 = simulate_pairs(model, Z, 0.001, seed=8)
-        assert d1.X.tobytes() != d2.X.tobytes()
+        assert _X(d1).tobytes() != _X(d2).tobytes()
 
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
     def test_worker_count_invariance(self, workers, monkeypatch):
@@ -177,9 +184,9 @@ class TestDeterminism:
         # 729 rows in 100-row blocks, so workers 2 and 5 start the pool
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
         monkeypatch.setenv("LEVYSID_WORKERS", "1")
-        base = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        base = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        again = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        again = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         assert base == again
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -192,14 +199,26 @@ class TestDeterminism:
         model = builtin_model(name)
         Z = generate_grid(bounds, mesh)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        base = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        base = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         # 100-row chunks stepped whole, then 7 rows at a time
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
-        chunked = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        chunked = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 7)
-        sub_blocked = simulate_pairs(model, Z, 0.001, seed=11).X.tobytes()
+        sub_blocked = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         assert chunked == base
         assert sub_blocked == base
+
+    def test_any_span_reads_the_same_rows(self):
+        # every row's stream is keyed by its absolute index, so a read of
+        # any span gives those rows of a read of all of them
+        model = builtin_model("lorenz3d")
+        Z = generate_grid([[-2, 2]] * 3, [9, 9, 9])
+        data = simulate_pairs(model, Z, 0.001, seed=11)
+        whole = data.block(0, data.M)
+        assert data.block(37, 411).tobytes() == whole[37:411].tobytes()
+        z, x = data.rows(5, 9)
+        assert z.tobytes() == Z[5:9].tobytes()
+        assert x.tobytes() == whole[5:9, 3:].tobytes()
 
     def test_row_order_independence(self):
         # each row draws from its own substream: permuting Z permutes X? no,
@@ -211,7 +230,7 @@ class TestDeterminism:
         Z2[500:, 0] = 1.234
         d1 = simulate_pairs(model, Z1, 0.001, seed=5)
         d2 = simulate_pairs(model, Z2, 0.001, seed=5)
-        np.testing.assert_array_equal(d1.X[:500], d2.X[:500])
+        np.testing.assert_array_equal(_X(d1)[:500], _X(d2)[:500])
 
 
 class TestWorkerCount:
@@ -254,10 +273,33 @@ class TestMapChunks:
     def test_blocks_in_order_cover_range(self, workers, monkeypatch):
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        blocks = map_chunks(lambda start, stop: (start, stop), 50)
+        blocks = list(map_chunks(lambda start, stop: (start, stop), 50))
         assert blocks == [(s, min(s + 7, 50)) for s in range(0, 50, 7)]
         covered = [r for start, stop in blocks for r in range(start, stop)]
         assert covered == list(range(50))
+
+    @pytest.mark.parametrize("workers", ["2", "5"])
+    def test_calls_start_at_most_a_window_ahead(self, workers, monkeypatch):
+        # while the caller holds result k, at most the workers' calls and
+        # one queued call have started beyond it, so a writer holds a few
+        # blocks, never all of them
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 1)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        started = []
+
+        def fn(start, stop):
+            started.append(start)
+            return start
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for taken, start in enumerate(map_chunks(fn, 100)):
+                assert start == taken
+                assert len(started) <= taken + int(workers) + 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(100))
 
 
 @pytest.fixture
@@ -301,7 +343,7 @@ class TestBlasThreadCap:
         set_threads(2)
         levysid.simulate._cap_blas_threads.cache_clear()
         assert get_threads() == 2
-        assert map_chunks(lambda start, stop: stop - start, 10) == [10]
+        assert list(map_chunks(lambda start, stop: stop - start, 10)) == [10]
         assert get_threads() == 1
 
     def test_one_thread_after_regression_tables(self, openblas):
@@ -328,7 +370,7 @@ class TestBlasThreadCap:
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 8)
         levysid.simulate._cap_blas_threads.cache_clear()
         try:
-            blocks = map_chunks(lambda start, stop: (start, stop), 20)
+            blocks = list(map_chunks(lambda start, stop: (start, stop), 20))
         finally:
             levysid.simulate._cap_blas_threads.cache_clear()
         assert blocks == [(0, 8), (8, 16), (16, 20)]
@@ -389,7 +431,7 @@ class TestSingleStepMatchesBatch:
         Z = generate_grid([[-2, 2]] * 3, [20, 20, 20])
         h = 0.001
         seed = 13
-        data = simulate_pairs(model, Z, h, seed)
+        X = _X(simulate_pairs(model, Z, h, seed))
         levy = [(0.5, 0.5, 2.0), (1.0, 0.0, 1.0), (1.5, -0.5, 0.5)]
         base = stream_key(seed, 0)
         for r, (x1, x2, x3) in enumerate(Z):
@@ -401,15 +443,14 @@ class TestSingleStepMatchesBatch:
             want = [Z[r, i] + h * b[i] + np.sqrt(h) * sum(lam[i][j] * g[j] for j in range(3))
                     + sigma * h ** (1 / alpha) * s[i]
                     for i, (alpha, _, sigma) in enumerate(levy)]
-            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(X[r], want, rtol=1e-12, atol=0)
 
 
 class TestNoiseDistributions:
     def test_gaussian_covariance(self):
         model = _model(2, ["0", "0"], [["1", "0"], ["0", "1"]], None)
         Z = np.zeros((1_000_000, 2))
-        data = simulate_pairs(model, Z, 0.001, seed=21)
-        G = (data.X - data.Z) / np.sqrt(0.001)
+        G = (_X(simulate_pairs(model, Z, 0.001, seed=21)) - Z) / np.sqrt(0.001)
         cov = np.cov(G.T)
         np.testing.assert_allclose(cov, np.eye(2), atol=0.02, rtol=0)
         np.testing.assert_allclose(G.mean(axis=0), [0.0, 0.0], atol=0.005)
@@ -421,12 +462,12 @@ class TestNoiseDistributions:
         model = _model(3, ["0", "0", "0"], None, levy)
         M = 1_000_000
         h = 0.001
-        data = simulate_pairs(model, np.zeros((M, 3)), h, seed=31)
+        X = _X(simulate_pairs(model, np.zeros((M, 3)), h, seed=31))
         for i, p in enumerate(levy):
             scale = p["sigma"] * h ** (1.0 / p["alpha"])
             ref = sample_stable(p["alpha"], p["beta"], scale, M,
                                 stream_key(1000 + i))
-            ks = ks_two_sample(data.X[:, i] - data.Z[:, i], ref)
+            ks = ks_two_sample(X[:, i], ref)
             assert ks < 0.003, f"component {i + 1}: KS={ks:.5f}"
 
 
@@ -438,7 +479,7 @@ class TestGaussianOnlyNoise:
         model = _model(2, self.DRIFT, self.GAUSSIAN, None)
         Z = np.array([[0.3, -1.2], [1.5, 0.25], [-0.7, 2.0], [0.0, 0.0]])
         h, seed = 0.01, 41
-        data = simulate_pairs(model, Z, h, seed)
+        X = _X(simulate_pairs(model, Z, h, seed))
         base = stream_key(seed, 0)
         for r, (z1, z2) in enumerate(Z):
             # the stable parameters only feed the oracle's unused stable draws
@@ -446,7 +487,7 @@ class TestGaussianOnlyNoise:
             b = np.array([-z1, z1 * z2])
             lam = np.array([[1.0 + z2, 0.5], [0.0, z1]])
             want = Z[r] + h * b + np.sqrt(h) * (lam @ np.array(g))
-            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(X[r], want, rtol=1e-12, atol=0)
 
     def test_no_stable_draws(self, monkeypatch):
         def fail(*args):
@@ -454,7 +495,7 @@ class TestGaussianOnlyNoise:
 
         monkeypatch.setattr(levysid.rng, "_cms", fail)
         model = _model(2, self.DRIFT, self.GAUSSIAN, None)
-        simulate_pairs(model, np.ones((10, 2)), 0.001, seed=3)
+        _X(simulate_pairs(model, np.ones((10, 2)), 0.001, seed=3))
 
 
 class TestPureJumpNoise:
@@ -473,7 +514,7 @@ class TestPureJumpNoise:
         model = _model(2, self.DRIFT, None, self.LEVY)
         Z = np.array([[0.3, -1.2], [1.5, 0.25], [-0.7, 2.0], [0.0, 0.0]])
         h, seed = 0.01, 41
-        data = simulate_pairs(model, Z, h, seed)
+        X = _X(simulate_pairs(model, Z, h, seed))
         alphas = [p["alpha"] for p in self.LEVY]
         betas = [p["beta"] for p in self.LEVY]
         base = stream_key(seed, 0)
@@ -484,7 +525,7 @@ class TestPureJumpNoise:
             jump = [1.5 * h ** (1 / 0.7) * s[0],
                     0.5 * (h * s[1] + 2 / np.pi * -0.5 * h * np.log(h))]
             want = Z[r] + h * np.array([-z1, z1 * z2]) + jump
-            np.testing.assert_allclose(data.X[r], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(X[r], want, rtol=1e-12, atol=0)
 
     def test_zero_gaussian_matches_drawn_normals(self, monkeypatch):
         # an explicit all-zero Lambda skips the normals too, and the bits of
@@ -493,9 +534,9 @@ class TestPureJumpNoise:
         drawn = _model(2, self.DRIFT, [["0*x1", "0"], ["0", "0"]], self.LEVY)
         assert not model.gaussian_enabled and drawn.gaussian_enabled
         Z = generate_grid([[-2, 2]] * 2, [30, 30])
-        want = simulate_pairs(drawn, Z, 0.001, seed=9).X
+        want = _X(simulate_pairs(drawn, Z, 0.001, seed=9))
         monkeypatch.setattr(levysid.rng, "_box_muller", None)
-        got = simulate_pairs(model, Z, 0.001, seed=9).X
+        got = _X(simulate_pairs(model, Z, 0.001, seed=9))
         assert got.tobytes() == want.tobytes()
 
 
@@ -511,18 +552,20 @@ class TestErrors:
         # raises EvaluationDomainError, naming the rows of its sub-block
         model = _model(1, ["ln(x1)"], None, None)
         Z = np.array([[1.0], [2.0], [-1.0], [3.0]])
+        data = simulate_pairs(model, Z, 0.001, seed=0)
         with pytest.raises(EvaluationDomainError,
                            match=r"coefficient evaluation failed on rows 0\.\.3"):
-            simulate_pairs(model, Z, 0.001, seed=0)
+            data.rows(0, 4)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_state_is_simulation_error(self):
         # finite coefficients whose Euler step overflows: the step fails
         model = _model(1, ["x1"], None, None)
         Z = np.array([[1.0], [1.7e308]])
+        data = simulate_pairs(model, Z, 0.5, seed=0)
         with pytest.raises(SimulationError,
                            match="non-finite state at row 1, component 1"):
-            simulate_pairs(model, Z, 0.5, seed=0)
+            data.rows(0, 2)
 
     def test_empty_points_rejected(self):
         model = builtin_model("genereg1d")
