@@ -239,12 +239,10 @@ def cmd_plot_data(args):
 def _write_before_mkdir(data, path):
     """``write_dataset(data, path)``, creating the directory of ``path``
     only once every row is written. Until then the file is staged in the
-    nearest existing ancestor, so a failed simulation leaves no directory
-    behind."""
-    if path.parent.is_dir():
-        write_dataset(data, path)
-        return
-    home = next(p for p in path.parent.absolute().parents if p.is_dir())
+    nearest existing directory on the way up from it, so a failed
+    simulation leaves no directory behind."""
+    parent = path.parent.absolute()
+    home = next(p for p in (parent, *parent.parents) if p.is_dir())
     staged = home / f".{path.parent.name}.{path.name}.{os.getpid()}"
     write_dataset(data, staged)
     try:

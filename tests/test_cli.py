@@ -825,6 +825,14 @@ class TestPipelineCommand:
             assert all(len(row) == 3 for row in values)
         assert "component 1:" in capsys.readouterr().out
 
+    def test_existing_workdir_holds_only_artifacts(self, tmp_path):
+        # the dataset is staged inside the workdir and renamed into place
+        workdir = tmp_path / "run"
+        workdir.mkdir()
+        assert self._run(tmp_path, workdir) == 0
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "dataset.bin", "plot_a11.csv", "plot_b1.csv", "report.json"]
+
     def test_fixed_seed_reproducible(self, tmp_path):
         w1 = tmp_path / "run1"
         w2 = tmp_path / "run2"
@@ -954,6 +962,19 @@ class TestPipelineCommand:
         assert "error category=config" in err
         assert "coefficient evaluation failed on rows 0..10" in err
         assert not workdir.exists()
+
+    def test_failed_simulation_leaves_existing_workdir_empty(self, tmp_path):
+        # the staged file sits in the workdir itself and is removed
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["1/x1"], "gaussian": None, "levy": None,
+            "grid": {"bounds": [[0, 1]], "mesh": [11]}, "h": 0.01})
+        est = _write_json(tmp_path / "est.json", {
+            "epsilon": 0.25, "m": 5.0, "N": 2, "dictionary": "poly:1"})
+        workdir = tmp_path / "wd"
+        workdir.mkdir()
+        assert main(["pipeline", "--config", cfg, "--est-config", est,
+                     "--workdir", str(workdir)]) == 2
+        assert list(workdir.iterdir()) == []
 
 
 class TestMalformedWorkerCount:
