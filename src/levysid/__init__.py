@@ -13,18 +13,25 @@ a = Lambda Lambda^T, via nonlocal Kramers-Moyal estimators.
 import os as _os
 import sys as _sys
 
-# OpenBLAS starts its threads when numpy loads it, and an idle one
-# spin-waits on the cores that levysid's worker pool needs. If numpy is
-# imported here first, it loads OpenBLAS with one thread; a caller's own
-# OPENBLAS_NUM_THREADS wins, and the variable is gone again before any child
-# process could inherit it. Where numpy came first, simulate._cap_blas_threads
-# lowers the count at first use instead.
+# This is the one place that sets the OpenBLAS thread count: levysid runs
+# OpenBLAS on one thread from import on. Its worker pool is the only
+# parallelism, and A^T B of a block can round differently on two threads
+# than on one, which would change a report. If numpy is imported here
+# first, it loads OpenBLAS with one thread, so no idle BLAS thread
+# spin-waits on the pool's cores; the variable is gone again before any
+# child process could inherit it. Where numpy came first, or the caller set
+# OPENBLAS_NUM_THREADS, the count is lowered to one before this import
+# returns, and the threads started at load stay.
 if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         __import__("numpy")
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    from . import simulate as _simulate
+
+    _simulate._cap_blas_threads()
 
 from .basis import BasisDictionary, design_matrix, example2_dictionary, polynomial_dictionary
 from .errors import (

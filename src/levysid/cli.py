@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -44,7 +43,7 @@ from .errors import (
 from .estimate import cube_filter, estimate_levy, load_est_config, regression_tables
 from .expr import evaluate_block
 from .models import model_from_config, resolve_config
-from .simulate import GRID_ROW_CAP, _cap_blas_threads, generate_grid, simulate_pairs
+from .simulate import GRID_ROW_CAP, generate_grid, simulate_pairs
 
 
 def _load_json(path, what):
@@ -202,11 +201,6 @@ def write_curve(report, model, parsed, xs, axis, at, path):
         raise ConfigError(f"--axis must be in 1..{n}")
     pts = np.tile(np.asarray(at, dtype=np.float64), (xs.size, 1))
     pts[:, axis - 1] = xs
-
-    # OpenBLAS splits a long product between its threads, and the rows
-    # after the split can round differently; on one thread the curve's
-    # bytes do not depend on the count OpenBLAS was loaded with
-    _cap_blas_threads()
     columns = [xs, design_matrix(report.table.dictionary, pts)
                @ report.coefficients(parsed)]
     if model is not None:
@@ -236,23 +230,6 @@ def cmd_plot_data(args):
     return 0
 
 
-def _write_before_mkdir(data, path):
-    """``write_dataset(data, path)``, creating the directory of ``path``
-    only once every row is written. Until then the file is staged in the
-    nearest existing directory on the way up from it, so a failed
-    simulation leaves no directory behind."""
-    parent = path.parent.absolute()
-    home = next(p for p in (parent, *parent.parents) if p.is_dir())
-    staged = home / f".{path.parent.name}.{path.name}.{os.getpid()}"
-    write_dataset(data, staged)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
-
-
 def cmd_pipeline(args):
     # every input is checked, and the simulation done, before the workdir
     # exists
@@ -263,7 +240,7 @@ def cmd_pipeline(args):
     data = simulate_pairs(model, generate_grid(bounds, mesh), h, args.seed)
     workdir = Path(args.workdir)
     path = workdir / "dataset.bin"
-    _write_before_mkdir(data, path)
+    write_dataset(data, path)
     t_sim = time.perf_counter() - t0
     # estimate from the page-cached file, block by block, as estimate does;
     # this process wrote its header, so read_dataset is not needed

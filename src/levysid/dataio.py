@@ -35,7 +35,7 @@ from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
 from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
                        EstimationConfig, LevyEstimate, load_est_config)
-from .simulate import BlockRows, DatasetPair, check_header, map_chunks
+from .simulate import BlockRows, DatasetPair, check_header, check_rows, map_chunks
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -67,10 +67,11 @@ def write_dataset(data, path):
     The source's blocks are read through ``map_chunks``, in block order,
     and each is encoded and written as it comes while the workers read the
     next ones: the writer holds a few blocks, never all the rows. A
-    ``Simulation`` is stepped here. The rows go to a temporary file next to
-    ``path``, which replaces ``path`` only once every block is written: a
-    block that raises leaves neither file behind, and an existing ``path``
-    unchanged.
+    ``Simulation`` is stepped here. The rows go to a temporary file in the
+    nearest existing directory on the way up from the directory of
+    ``path``, which replaces ``path`` only once every block is written; the
+    missing directories are made just before. A block that raises leaves
+    neither file nor directory behind, and an existing ``path`` unchanged.
     """
     path = os.fspath(path)
     if os.path.splitext(path)[1] == ".csv":
@@ -80,12 +81,16 @@ def write_dataset(data, path):
         header = MAGIC + _BINARY_HEADER.pack(BINARY_VERSION, data.n, data.M, data.h)
         encode = _binary_block
     head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    home = head or os.curdir
+    while not os.path.isdir(home):
+        home = os.path.dirname(os.path.abspath(home))
+    tmp = os.path.join(home, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
             for block in map_chunks(data.block, data.M):
                 fh.write(encode(block))
+        os.makedirs(head or os.curdir, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -119,6 +124,7 @@ class DatasetFile(BlockRows):
         Every call checks its rows: a non-finite entry, or a file that ends
         before them, raises DataFormatError.
         """
+        check_rows(start, stop, self.M)
         block = np.empty((stop - start, 2 * self.n), dtype="<f8")
         with open(self.path, "rb") as fh:
             fh.seek(_BINARY_HEADER_BYTES + 16 * self.n * start)

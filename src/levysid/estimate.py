@@ -31,7 +31,7 @@ from .errors import (
 )
 from . import simulate
 from .numeric import solve_gram
-from .simulate import BlockRows, map_chunks
+from .simulate import BlockRows, check_rows, map_chunks
 from .stable import StableParams, correction_R, correction_S, k_alpha
 
 ALPHA_CLAMP = 1e-9  # estimates are clamped into [ALPHA_CLAMP, 2 - ALPHA_CLAMP]
@@ -309,6 +309,7 @@ class Survivors(BlockRows):
         Each source block they lie in is read from its first to its last
         survivor among them, never across a source block, and compacted.
         """
+        check_rows(start, stop, self.M)
         out = np.empty((stop - start, 2 * self.n))
         chunk = self.masks[0].size
         b = int(np.searchsorted(self.before, start, side="right")) - 1
@@ -421,8 +422,7 @@ def regression_tables(data, fraction, dictionary, levy, config):
 
     # one set of buffers per call, refilled for every block; the bits of
     # the BLAS products and of the axis-0 sum of B*B depend on A and B being
-    # in C order. OpenBLAS is capped at one thread
-    simulate._cap_blas_threads()
+    # in C order
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
     A_buf = np.empty((rows, K))

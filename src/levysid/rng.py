@@ -7,10 +7,10 @@ generator state, which is what makes simulation output independent of worker
 scheduling: row ``r`` of a dataset always reads the same counters of the same
 derived stream no matter which thread computes it.
 
-A stream is named by its key alone: ``stream_key`` gives the root key of a
-(seed, stream-id) pair, and ``split_key`` derives a child key through a
-second finalizer pass with a distinct odd constant, so child draw sequences
-never alias the parent's.
+A stream is named by its key alone: ``row_keys`` derives the child keys of a
+key through a second finalizer pass with a distinct odd constant, so child
+draw sequences never alias the parent's, and ``stream_key`` gives the root
+key of a (seed, stream-id) pair as child ``stream`` of the finalized seed.
 
 This module also holds the vectorized noise kernel and the one place the
 per-row counter layout is written down. For a simulated row of dimension n:
@@ -43,26 +43,8 @@ _M2 = 0x94D049BB133111EB
 _HALF_PI = math.pi / 2.0
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a (masked) Python integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key(seed: int, stream: int = 0) -> int:
-    """Root key for (seed, stream-id)."""
-    return split_key(mix64((seed & _MASK) + GAMMA), stream)
-
-
-def split_key(key: int, index: int) -> int:
-    """Child-stream key; index may be any nonnegative integer (e.g. a row id)."""
-    return mix64((key + mix64(((index & _MASK) + 1) * SPLIT)) & _MASK)
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2^64, matching the masked scalar version
+    # the SplitMix64 finalizer; uint64 array arithmetic wraps mod 2^64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
     return z ^ (z >> np.uint64(31))
@@ -93,10 +75,19 @@ def uniform_block(key, start: int, count: int) -> np.ndarray:
 
 
 def row_keys(base_key: int, row0: int, nrows: int) -> np.ndarray:
-    """``split_key(base_key, row)`` for rows row0 .. row0+nrows-1, as uint64."""
+    """The child keys of ``base_key`` for rows row0 .. row0+nrows-1, as
+    uint64: row ``r`` has the finalizer of base_key + mix((r+1)*SPLIT)."""
     rows = np.arange(row0, row0 + nrows, dtype=np.uint64)
     return _mix64_np(np.uint64(base_key)
                      + _mix64_np((rows + np.uint64(1)) * np.uint64(SPLIT)))
+
+
+def stream_key(seed: int, stream: int = 0) -> int:
+    """Root key for (seed, stream-id): child ``stream`` of the finalized
+    seed. Both ints are taken modulo 2^64."""
+    # 1-element arrays: numpy's scalar uint64 arithmetic warns when it wraps
+    seed_key = _mix64_np(np.array([(seed + GAMMA) & _MASK], np.uint64))
+    return int(row_keys(seed_key[0], stream & _MASK, 1)[0])
 
 
 def _box_muller(u1, u2):

@@ -123,22 +123,17 @@ def _openblas():
     return None
 
 
-@functools.cache
 def _cap_blas_threads():
-    """Run OpenBLAS on one thread, once per process.
+    """Run OpenBLAS on one thread.
 
-    ``map_chunks``, ``regression_tables`` and ``cli.write_curve`` call it,
-    so ``map_chunks``' pool is the only parallelism. Otherwise OpenBLAS
-    threads the Gram products, and after each one its idle threads
-    spin-wait on the cores the pool's workers need. The Gram products are
-    the same bytes either way; a curve's long matrix-vector product is not.
-    Where no OpenBLAS with one of ``BLAS_SETTERS`` is found this does
-    nothing.
-
-    This is the cap for a process that imported numpy before levysid. It
-    only lowers the count: the thread OpenBLAS started at load stays, and
-    keeps spin-waiting. Where levysid imports numpy first,
-    ``levysid/__init__.py`` loads OpenBLAS with one thread instead.
+    ``levysid/__init__.py`` calls it once, when numpy was imported before
+    levysid or ``OPENBLAS_NUM_THREADS`` was set, so ``map_chunks``' pool is
+    the only parallelism and the products do not depend on the count
+    OpenBLAS was loaded with. On two threads, A^T B of a partial block and
+    a curve's long matrix-vector product can round differently than on one,
+    and so can a report. This only lowers the count: the threads OpenBLAS
+    started at load stay. Where no OpenBLAS with one of ``BLAS_SETTERS`` is
+    found this does nothing.
     """
     import ctypes
 
@@ -158,6 +153,14 @@ def check_header(n, M, h):
     if n < 1 or M < 1:
         raise DomainError(f"invalid dimensions n={n}, M={M}")
     positive("h", h)
+
+
+def check_rows(start, stop, M):
+    """What every row-block read asks for: rows start..stop-1 with
+    0 <= start <= stop <= M. Raises DomainError otherwise."""
+    if not 0 <= start <= stop <= M:
+        raise DomainError(f"rows {start}..{stop - 1} are not a range of the "
+                          f"{M} rows 0..{M - 1}")
 
 
 class BlockRows:
@@ -195,6 +198,7 @@ class DatasetPair:
 
     def rows(self, start, stop):
         """Z and X of rows start..stop-1, as views of the arrays."""
+        check_rows(start, stop, self.M)
         return self.Z[start:stop], self.X[start:stop]
 
     def block(self, start, stop):
@@ -330,7 +334,6 @@ def map_chunks(fn, M):
     # read before any call, even for one block, so a malformed
     # LEVYSID_WORKERS always fails here
     workers = worker_count()
-    _cap_blas_threads()
     if workers <= 1 or len(starts) <= 1:
         return map(fn, starts, stops)
     return _pooled(fn, zip(starts, stops), workers)
@@ -373,6 +376,7 @@ class Simulation(BlockRows):
     def block(self, start, stop):
         """Rows start..stop-1 as one new (rows, 2n) array, z before x; the
         x half is stepped CACHE_ROWS rows at a time."""
+        check_rows(start, stop, self.M)
         n = self.n
         block = np.empty((stop - start, 2 * n))
         block[:, :n] = self.Z[start:stop]

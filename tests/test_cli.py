@@ -261,6 +261,27 @@ class TestSimulateCommand:
             "error category=error: non-finite state at row 211, component 1\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    def test_out_creates_missing_directories(self, tmp_path):
+        out = tmp_path / "a" / "b" / "pairs.bin"
+        assert main(["simulate", "--config", _small_lorenz(tmp_path, 5),
+                     "--out", str(out), "--seed", "3"]) == 0
+        assert read_dataset(out).M == 125
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == [
+            "pairs.bin"]
+
+    def test_failed_simulation_creates_no_directory(self, tmp_path, capsys):
+        # the file is staged in tmp_path, the nearest existing directory,
+        # and a/b would be made only after the last block; 1/x1 faults at
+        # the grid point x1 = 0
+        cfg = _write_json(tmp_path / "model.json", {
+            "dimension": 1, "drift": ["1/x1"], "gaussian": None, "levy": None,
+            "grid": {"bounds": [[0, 1]], "mesh": [11]}, "h": 0.01})
+        out = tmp_path / "a" / "b" / "pairs.bin"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "coefficient evaluation failed on rows 0..10" in (
+            capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 class TestEstimateCommand:
     def test_report_written(self, tmp_path):
@@ -281,6 +302,32 @@ class TestEstimateCommand:
         assert isinstance(report["warnings"], list)
         assert len(report["drift"]) == 1
         assert report["diffusion"][0]["i"] == 1
+
+    def test_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # lorenz3d with poly:4 is K = 35: on two OpenBLAS threads, A^T B of
+        # a partial block of its survivors rounds differently than on one,
+        # so the report holds only because levysid runs OpenBLAS on one
+        # thread, however OpenBLAS was loaded
+        data = tmp_path / "pairs.bin"
+        assert main(["simulate", "--config", _small_lorenz(tmp_path, 30),
+                     "--out", str(data), "--seed", "7"]) == 0
+        est = _est_config(tmp_path, epsilon=0.2, m=3, N=2, cube_epsilon=0.5,
+                          dictionary="poly:4")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        runs = {"unset": ({}, ""), "1": ({"OPENBLAS_NUM_THREADS": "1"}, ""),
+                "2": ({"OPENBLAS_NUM_THREADS": "2"}, ""),
+                "numpy_first": ({}, "import numpy; ")}
+        reports = []
+        for name, (extra, first) in runs.items():
+            report = tmp_path / f"report_{name}.json"
+            subprocess.run(
+                [sys.executable, "-c", f"{first}import sys; from levysid.cli "
+                 "import main; sys.exit(main(sys.argv[1:]))", "estimate",
+                 str(data), "--est-config", est, "--report", str(report)],
+                env=dict(env, **extra), capture_output=True, timeout=120,
+                check=True)
+            reports.append(report.read_bytes())
+        assert reports[1:] == reports[:1] * 3
 
     def test_report_reserialization_byte_identical(self, tmp_path):
         data_path = _cauchy_dataset(tmp_path)

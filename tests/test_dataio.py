@@ -15,10 +15,12 @@ from levysid import (
     CoefficientTable,
     DataFormatError,
     DatasetPair,
+    DomainError,
     EstimationConfig,
     LevyEstimate,
     Report,
     builtin_model,
+    cube_filter,
     polynomial_dictionary,
     read_dataset,
     read_report,
@@ -182,6 +184,35 @@ class TestDatasetFile:
                              + struct.pack("<2d", 0.0, 0.0))
             with pytest.raises(DataFormatError, match="h must be positive"):
                 read_dataset(path)
+
+
+class TestRowRanges:
+    """Every row-block source reads rows start..stop-1 only for
+    0 <= start <= stop <= M, and raises one DomainError otherwise."""
+
+    @pytest.fixture(params=["pair", "simulation", "file", "survivors"])
+    def source(self, request, tmp_path):
+        data = _sample_pair(M=50, n=3, seed=3)
+        if request.param == "pair":
+            return data
+        if request.param == "simulation":
+            return simulate_pairs(builtin_model("lorenz3d"), data.Z, 0.001, 1)
+        write_dataset(data, tmp_path / "pairs.bin")
+        source = read_dataset(tmp_path / "pairs.bin")
+        # every increment is far inside the cube, so all 50 rows survive
+        return cube_filter(source, 1.0)[0] if request.param == "survivors" else source
+
+    @pytest.mark.parametrize("start,stop", [(0, 55), (-5, 3), (10, 5), (51, 52)])
+    def test_outside_rows_raise(self, source, start, stop):
+        assert source.M == 50
+        for read in (source.block, source.rows):
+            with pytest.raises(DomainError, match=rf"^rows {start}\.\.{stop - 1} "
+                               r"are not a range of the 50 rows 0\.\.49$"):
+                read(start, stop)
+
+    @pytest.mark.parametrize("start,stop", [(0, 50), (50, 50), (7, 7)])
+    def test_edge_ranges_read(self, source, start, stop):
+        assert source.block(start, stop).shape == (stop - start, 6)
 
 
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]

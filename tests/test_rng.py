@@ -7,28 +7,37 @@ from numpy.testing import assert_allclose
 from levysid.rng import (
     _box_muller,
     _cms,
+    _mix64_np,
     component_jumps,
-    mix64,
     raw_block,
     row_keys,
     row_normals,
     sim_noise_block,
-    split_key,
     stream_key,
     uniform_block,
 )
 
-from oracles import ks_one_sample, row_noise_oracle, row_key_oracle
+from oracles import _U64, _splitmix64, ks_one_sample, row_key_oracle, row_noise_oracle
 
 
 class TestMixing:
     def test_mix64_is_pure(self):
-        assert mix64(0) == mix64(0)
-        assert mix64(1) != mix64(2)
+        z = np.array([0, 0, 1, 2, 2**64 - 1], dtype=np.uint64)
+        assert _mix64_np(z).tolist() == [_splitmix64(v) for v in z.tolist()]
+        assert np.array_equal(_mix64_np(z), _mix64_np(z.copy()))
 
     def test_mask_to_64_bits(self):
-        assert 0 <= mix64(2**64 + 5) < 2**64
-        assert mix64(2**64 + 5) == mix64(5)
+        assert 0 <= stream_key(2**64 + 5) < 2**64
+        assert stream_key(2**64 + 5) == stream_key(5)
+        assert stream_key(-1) == stream_key(2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, -2**63, -2**70, 2**63,
+                                      2**64 - 1, 2**64, 2**64 + 5, 3**50])
+    def test_stream_key_matches_oracle(self, seed):
+        # the finalized seed is the parent whose child ``stream`` is the key
+        for stream in (0, 1, 3, 1000, 2**40, -1, 2**64 - 1, 2**64 + 3):
+            parent = _splitmix64((seed & _U64) + 0x9E3779B97F4A7C15)
+            assert stream_key(seed, stream) == row_key_oracle(parent, stream)
 
     def test_stream_keys_distinct(self):
         keys = {stream_key(7, i) for i in range(1000)}
@@ -39,7 +48,7 @@ class TestMixing:
 
     def test_split_distinct_from_parent(self):
         k = stream_key(42, 0)
-        children = {split_key(k, i) for i in range(1000)}
+        children = set(row_keys(k, 0, 1000).tolist())
         assert len(children) == 1000
         assert k not in children
 
@@ -67,8 +76,7 @@ class TestStreams:
 
     def test_split_children_independent(self):
         s = stream_key(9)
-        u0 = uniform_block(split_key(s, 0), 0, 8)
-        u1 = uniform_block(split_key(s, 1), 0, 8)
+        u0, u1 = (uniform_block(k, 0, 8) for k in row_keys(s, 0, 2))
         assert not np.array_equal(u0, u1)
 
     def test_uniform_offset_slicing(self):
@@ -114,7 +122,6 @@ class TestNoiseKernelOracle:
             u = uniform_block(keys, 0, 4 * n)
             for r in range(nrows):
                 assert int(keys[r]) == row_key_oracle(base, row0 + r)
-                assert int(keys[r]) == split_key(base, row0 + r)
                 want, _, _ = row_noise_oracle(base, row0 + r, self.ALPHAS, self.BETAS)
                 assert u[:, r].tolist() == want
 

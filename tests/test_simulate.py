@@ -21,8 +21,7 @@ from levysid import (
 )
 import levysid.rng
 import levysid.simulate
-from levysid.basis import design_matrix, example2_dictionary, polynomial_dictionary
-from levysid.estimate import EstimationConfig, regression_tables
+from levysid.basis import design_matrix, example2_dictionary
 from levysid.rng import stream_key
 from levysid.simulate import CHUNK_ROWS, map_chunks, worker_count
 
@@ -304,10 +303,9 @@ class TestMapChunks:
 
 @pytest.fixture
 def openblas():
-    """(set, get, procs) for the OpenBLAS thread count that map_chunks caps,
+    """(set, get, procs) for the OpenBLAS thread count that levysid caps,
     through the same symbols; skips where there are none. The count is
-    restored afterwards, and the once-per-process cap forgotten so the next
-    map_chunks caps again."""
+    restored afterwards."""
     import ctypes
 
     found = levysid.simulate._openblas()
@@ -325,39 +323,39 @@ def openblas():
     before = getter()
     yield setter, getter, procs
     setter(before)
-    levysid.simulate._cap_blas_threads.cache_clear()
+
+
+def _blas_threads_after(code, **env):
+    """The OpenBLAS thread count of a new interpreter right after it runs
+    ``code``, read through the getter twin of the setter ``_openblas()``
+    finds; OPENBLAS_NUM_THREADS is removed from its environment and ``env``
+    added."""
+    env = dict({k: v for k, v in os.environ.items()
+                if k != "OPENBLAS_NUM_THREADS"}, **env)
+    read = ("import ctypes, levysid.simulate as s\n"
+            "lib, name = s._openblas()\n"
+            "get = getattr(lib, name.replace('_set_', '_get_'))\n"
+            "get.restype = ctypes.c_int\n"
+            "print(get())")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{read}"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(proc.stdout)
 
 
 class TestBlasThreadCap:
-    """map_chunks and regression_tables run OpenBLAS on one thread, so the
-    pool is the only parallelism, and the Gram products do not depend on
-    the count."""
+    """levysid runs OpenBLAS on one thread from the moment ``import
+    levysid`` returns, whatever came first, so the pool is the only
+    parallelism and the products do not depend on the count OpenBLAS was
+    loaded with: on two threads, A^T B of some block shapes rounds
+    differently than on one."""
 
-    @pytest.mark.parametrize("workers", ["1", None])
-    def test_one_thread_after_map_chunks(self, openblas, workers, monkeypatch):
-        set_threads, get_threads, _ = openblas
-        if workers is None:
-            monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        set_threads(2)
-        levysid.simulate._cap_blas_threads.cache_clear()
-        assert get_threads() == 2
-        assert list(map_chunks(lambda start, stop: stop - start, 10)) == [10]
-        assert get_threads() == 1
+    def test_one_thread_after_numpy_then_levysid(self, openblas):
+        assert _blas_threads_after("import numpy; import levysid") == 1
 
-    def test_one_thread_after_regression_tables(self, openblas):
-        # a library caller whose first pass is the regression: it starts
-        # no pool, but its Gram products still run on one OpenBLAS thread
-        set_threads, get_threads, _ = openblas
-        Z = np.linspace(0.0, 1.0, 50)[:, None]
-        data = DatasetPair.from_arrays(Z, Z + 0.01 * Z ** 2, 0.01)
-        set_threads(2)
-        levysid.simulate._cap_blas_threads.cache_clear()
-        assert get_threads() == 2
-        regression_tables(data, 1.0, polynomial_dictionary(1, 2), None,
-                          EstimationConfig(1.0, 5.0, 1))
-        assert get_threads() == 1
+    def test_one_thread_with_callers_variable(self, openblas):
+        # OpenBLAS loads with two threads, and both stay; it runs on one
+        assert _blas_threads_after("import levysid",
+                                   OPENBLAS_NUM_THREADS="2") == 1
 
     @pytest.mark.parametrize("missing", ["library", "setter"])
     def test_nothing_found_is_harmless(self, missing, monkeypatch):
@@ -367,17 +365,12 @@ class TestBlasThreadCap:
             monkeypatch.setattr(levysid.simulate, "BLAS_SETTERS",
                                 ("no_such_set_num_threads",))
             assert levysid.simulate._openblas() is None
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 8)
-        levysid.simulate._cap_blas_threads.cache_clear()
-        try:
-            blocks = list(map_chunks(lambda start, stop: (start, stop), 20))
-        finally:
-            levysid.simulate._cap_blas_threads.cache_clear()
-        assert blocks == [(0, 8), (8, 16), (16, 20)]
+        assert levysid.simulate._cap_blas_threads() is None
 
     def test_gram_products_same_bytes_at_one_thread(self, openblas):
-        # one full block of genereg1d's regression: the example2 design
-        # matrix and two targets, as regression_tables multiplies them
+        # one full block of genereg1d's regression, the example2 design
+        # matrix and two targets: for this shape both products are the
+        # same bytes on one thread as on every CPU
         set_threads, _, get_procs = openblas
         Z = np.linspace(0.0, 5.0, CHUNK_ROWS)[:, None]
         A = design_matrix(example2_dictionary(), Z)
