@@ -43,7 +43,7 @@ from .errors import (
 from .estimate import cube_filter, estimate_levy, load_est_config, regression_tables
 from .expr import evaluate_block
 from .models import model_from_config, resolve_config
-from .simulate import GRID_ROW_CAP, generate_grid, simulate_pairs
+from .simulate import GRID_ROW_CAP, Grid, simulate_pairs
 
 
 def _load_json(path, what):
@@ -109,10 +109,9 @@ def _print_levy(levy):
 
 def cmd_simulate(args):
     model, bounds, mesh, h = _model_inputs(args.config)
-    Z = generate_grid(bounds, mesh)
     t0 = time.perf_counter()
-    # the rows are stepped as they are written
-    data = simulate_pairs(model, Z, h, args.seed)
+    # each block's grid rows are made, and stepped, as it is written
+    data = simulate_pairs(model, Grid(bounds, mesh), h, args.seed)
     write_dataset(data, args.out)
     dt = time.perf_counter() - t0
     rate = data.M / dt if dt > 0 else float("inf")
@@ -236,8 +235,8 @@ def cmd_pipeline(args):
     model, bounds, mesh, h = _model_inputs(args.config)
     config, spec, dictionary = _estimation_inputs(args.est_config, model.n)
     t0 = time.perf_counter()
-    # no local keeps the grid, so it is freed once data is rebound
-    data = simulate_pairs(model, generate_grid(bounds, mesh), h, args.seed)
+    # each block's grid rows are made, and stepped, as it is written
+    data = simulate_pairs(model, Grid(bounds, mesh), h, args.seed)
     workdir = Path(args.workdir)
     path = workdir / "dataset.bin"
     write_dataset(data, path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -218,43 +219,66 @@ class DatasetPair:
         return cls(Z.shape[1], Z.shape[0], float(h), Z, X)
 
 
-def generate_grid(bounds, mesh):
-    """Tensor-product grid with inclusive endpoints.
+class Grid:
+    """Tensor-product grid with inclusive endpoints, whose rows are made
+    when they are read.
 
-    Rows are ordered lexicographically in the axis indices (first axis
-    slowest). A degenerate axis (mesh 1) sits at its lower bound.
+    ``grid[lo:hi]`` is a new (rows, n) array of rows lo..hi-1. Rows are
+    ordered lexicographically in the axis indices (first axis slowest), so
+    column k of row r is entry ``(r // stride_k) % m_k`` of axis k, where
+    stride_k is the product of the later axes' mesh. Axis k is
+    ``linspace(lo, hi, m_k)``; a degenerate axis (mesh 1) sits at its lower
+    bound. The bounds, the mesh and the row count are checked here.
     """
-    try:
-        bounds = [(number("grid bound", lo), number("grid bound", hi))
-                  for lo, hi in bounds]
-        mesh = [number("mesh entry", m, whole=True) for m in mesh]
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DomainError("bounds must be a list of [lower, upper] pairs and "
-                          f"mesh a list of whole numbers: {exc}") from exc
-    if len(bounds) != len(mesh) or not bounds:
-        raise DomainError("bounds and mesh must have equal positive length")
-    total = 1
-    for (lo, hi), m in zip(bounds, mesh):
-        if m < 1:
-            raise DomainError(f"mesh entries must be >= 1, got {m}")
-        if not -np.inf < lo < hi < np.inf:
-            raise DomainError(
-                f"need finite lower < upper per axis, got [{lo}, {hi}]")
-        total *= m
-    if total > GRID_ROW_CAP:
-        raise GridSizeError(
-            f"grid would contain {total} rows, cap is {GRID_ROW_CAP}")
-    # each column is written from its axis in place, with no meshgrid or
-    # stack temporaries; the floats are exactly meshgrid's
-    Z = np.empty((total, len(mesh)))
-    repeat = total
-    for k, ((lo, hi), m) in enumerate(zip(bounds, mesh)):
-        repeat //= m
-        axis = np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
-        Z.reshape(-1, m, repeat, len(mesh))[:, :, :, k] = axis[:, None]
-    return Z
+
+    def __init__(self, bounds, mesh):
+        try:
+            bounds = [(number("grid bound", lo), number("grid bound", hi))
+                      for lo, hi in bounds]
+            mesh = [number("mesh entry", m, whole=True) for m in mesh]
+        except DomainError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise DomainError("bounds must be a list of [lower, upper] pairs "
+                              f"and mesh a list of whole numbers: {exc}") from exc
+        if len(bounds) != len(mesh) or not bounds:
+            raise DomainError("bounds and mesh must have equal positive length")
+        total = 1
+        for (lo, hi), m in zip(bounds, mesh):
+            if m < 1:
+                raise DomainError(f"mesh entries must be >= 1, got {m}")
+            if not -np.inf < lo < hi < np.inf:
+                raise DomainError(
+                    f"need finite lower < upper per axis, got [{lo}, {hi}]")
+            total *= m
+        if total > GRID_ROW_CAP:
+            raise GridSizeError(
+                f"grid would contain {total} rows, cap is {GRID_ROW_CAP}")
+        self.axes = tuple(np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
+                          for (lo, hi), m in zip(bounds, mesh))
+        self.strides = tuple(math.prod(mesh[k + 1:]) for k in range(len(mesh)))
+        self.M, self.n = total, len(mesh)
+        self.shape = (total, self.n)
+
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("a Grid is read by row slices with step 1")
+        start, stop, _ = rows.indices(self.M)
+        Z = np.empty((max(stop - start, 0), self.n))
+        # CHUNK_ROWS indices at a time, so a read of many rows holds few
+        # index temporaries
+        for lo in range(start, stop, CHUNK_ROWS):
+            idx = np.arange(lo, min(lo + CHUNK_ROWS, stop))
+            for k, (axis, stride) in enumerate(zip(self.axes, self.strides)):
+                Z[lo - start:lo - start + idx.size, k] = axis[
+                    idx // stride % axis.size]
+        return Z
+
+
+def generate_grid(bounds, mesh):
+    """Every row of ``Grid(bounds, mesh)``, as one (M, n) array."""
+    grid = Grid(bounds, mesh)
+    return grid[0:grid.M]
 
 
 def _noise(model, keys, h):
@@ -360,16 +384,19 @@ class Simulation(BlockRows):
 
     A row-block source: ``block(start, stop)`` steps exactly those rows,
     each with the stream keyed by its absolute row index, so the bytes do
-    not depend on how the rows are read. Every read steps its rows again,
-    and a coefficient that cannot be evaluated or a state that is not
-    finite raises there. Write it with ``dataio.write_dataset``, or take
-    ``rows(0, M)`` once, before more than one pass over it.
+    not depend on how the rows are read. Z is an (M, n) array or a
+    ``Grid``; either is read by row slices, and a Grid makes a block's
+    rows when the block is read, so the simulation never holds the whole
+    grid. Every read steps its rows again, and a coefficient that cannot be
+    evaluated or a state that is not finite raises there. Write it with
+    ``dataio.write_dataset``, or take ``rows(0, M)`` once, before more than
+    one pass over it.
     """
 
     n: int
     M: int
     h: float
-    Z: np.ndarray
+    Z: object
     model: object
     key: int
 
@@ -378,36 +405,40 @@ class Simulation(BlockRows):
         x half is stepped CACHE_ROWS rows at a time."""
         check_rows(start, stop, self.M)
         n = self.n
+        Z = self.Z[start:stop]
         block = np.empty((stop - start, 2 * n))
-        block[:, :n] = self.Z[start:stop]
+        block[:, :n] = Z
         # the step writes a contiguous scratch, which is then copied into
         # the x half: numpy's loops over the strided half itself are
         # several times slower
         X = np.empty((min(CACHE_ROWS, stop - start), n))
-        for lo in range(start, stop, CACHE_ROWS):
-            m = min(CACHE_ROWS, stop - lo)
-            _step_block(self.model, self.Z[lo:lo + m], self.h,
-                        row_keys(self.key, lo, m), X[:m], lo)
-            block[lo - start:lo - start + m, n:] = X[:m]
+        for lo in range(0, stop - start, CACHE_ROWS):
+            m = min(CACHE_ROWS, stop - start - lo)
+            _step_block(self.model, Z[lo:lo + m], self.h,
+                        row_keys(self.key, start + lo, m), X[:m], start + lo)
+            block[lo:lo + m, n:] = X[:m]
         return block
 
 
 def simulate_pairs(model, Z, h, seed):
-    """One Euler step of every row of Z, as a Simulation that takes the
-    steps when its rows are read.
+    """One Euler step of every row of Z, an (M, n) array or a ``Grid``, as
+    a Simulation that takes the steps when its rows are read.
 
-    Z, h and ``LEVYSID_WORKERS`` are checked here. The per-row counter
-    streams make every row's step the same for any worker count, block
-    size or read order.
+    Z, h and ``LEVYSID_WORKERS`` are checked here; a Grid's rows are not
+    scanned, since its axes were checked when it was built. The per-row
+    counter streams make every row's step the same for any worker count,
+    block size or read order.
     """
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if Z.ndim != 2 or Z.shape[1] != model.n:
+    grid = isinstance(Z, Grid)
+    if not grid:
+        Z = np.ascontiguousarray(Z, dtype=np.float64)
+        if Z.ndim == 1:
+            Z = Z[:, None]
+    if len(Z.shape) != 2 or Z.shape[1] != model.n:
         raise DomainError(f"Z must be (M, {model.n}), got shape {Z.shape}")
     M = Z.shape[0]
     check_header(model.n, M, h)
-    if not np.all(np.isfinite(Z)):
+    if not grid and not np.all(np.isfinite(Z)):
         raise DomainError("Z entries must all be finite")
     worker_count()
     return Simulation(model.n, M, float(h), Z, model, stream_key(int(seed), 0))

@@ -282,6 +282,27 @@ class TestSimulateCommand:
             capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_grid_over_row_cap_makes_nothing(self, tmp_path, capsys, command):
+        # the grid's rows are never built, but its size is still checked
+        # before any file or directory is made: GridSizeError, exit 2
+        cfg = _write_json(tmp_path / "model.json", {
+            "name": "lorenz3d",
+            "grid": {"bounds": [[-2, 2]] * 3, "mesh": [10_000, 10_000, 10]}})
+        est = _est_config(tmp_path)
+        out = tmp_path / "a" / "b"
+        if command == "simulate":
+            argv = ["simulate", "--config", cfg, "--out", str(out / "pairs.bin")]
+        else:
+            argv = ["pipeline", "--config", cfg, "--est-config", est,
+                    "--workdir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error category=config: grid would contain 1000000000 rows, "
+            "cap is 200000000\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "est.json", "model.json"]
+
 
 class TestEstimateCommand:
     def test_report_written(self, tmp_path):

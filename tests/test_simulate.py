@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from levysid import (
     model_from_config,
     builtin_model,
     simulate_pairs,
+    write_dataset,
 )
 import levysid.rng
 import levysid.simulate
 from levysid.basis import design_matrix, example2_dictionary
 from levysid.rng import stream_key
-from levysid.simulate import CHUNK_ROWS, map_chunks, worker_count
+from levysid.simulate import CHUNK_ROWS, Grid, map_chunks, worker_count
 
 from oracles import ks_two_sample, row_noise_oracle
 from stable_draws import sample_stable
@@ -100,6 +102,57 @@ class TestGenerateGrid:
         for bounds in ([[0.0]], 5, [["0", 1.0]], [[0.0, np.inf]]):
             with pytest.raises(DomainError):
                 generate_grid(bounds, [3])
+
+
+def _spans(M, chunk):
+    """Row slices around the block boundaries at chunk and 2 chunk, one
+    row, the last row and two empty slices; a span past M is clipped as an
+    array slice clips it."""
+    return [(0, M), (chunk - 1, chunk + 1), (chunk - 1, chunk), (chunk, chunk + 1),
+            (chunk + 1, 2 * chunk + 1), (chunk - 3, 3 * chunk + 2), (3, 4),
+            (M - 1, M), (M, M), (5, 5)]
+
+
+class TestGrid:
+    GRIDS = [
+        ([[0.5, 3.0]], [1000]),
+        ([[-0.3, 0.7]], [1]),
+        ([[-1.0, 2.5], [0.1, 0.9]], [37, 29]),
+        ([[-2.0, 2.0], [0.1, 0.9], [-1e-3, 3.7]], [7, 5, 11]),
+        ([[-2.0, 2.0], [0.1, 0.9], [-1e-3, 3.7]], [1, 6, 1]),
+        ([[0.0, 1.0], [-5.0, 5.0], [2.0, 3.0]], [4, 1, 9]),
+    ]
+    IDS = ["1d", "1d-mesh1", "2d", "3d", "3d-mesh1-outer", "3d-mesh1-middle"]
+
+    @pytest.mark.parametrize("bounds,mesh", GRIDS, ids=IDS)
+    def test_slices_match_generate_grid(self, bounds, mesh, monkeypatch):
+        Z = generate_grid(bounds, mesh)
+        grid = Grid(bounds, mesh)
+        assert (grid.M, grid.n, grid.shape) == (Z.shape[0], Z.shape[1], Z.shape)
+        # 16-row index chunks, so the slices cross the builder's own blocks
+        chunk = 16
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk)
+        for lo, hi in _spans(grid.M, chunk):
+            rows = grid[lo:hi]
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.shape == Z[lo:hi].shape, (lo, hi)
+            assert rows.tobytes() == Z[lo:hi].tobytes(), (lo, hi)
+
+    def test_slices_across_a_full_block(self):
+        # 41^3 rows are one full CHUNK_ROWS block and part of another
+        bounds, mesh = [[-2.0, 1.0], [0.25, 4.0], [-3.0, -1.5]], [41, 41, 41]
+        Z = generate_grid(bounds, mesh)
+        grid = Grid(bounds, mesh)
+        for lo, hi in _spans(grid.M, CHUNK_ROWS):
+            assert grid[lo:hi].tobytes() == Z[lo:hi].tobytes(), (lo, hi)
+
+    def test_checks_its_input(self):
+        with pytest.raises(GridSizeError):
+            Grid([[0, 1]] * 3, [10_000, 10_000, 10])
+        with pytest.raises(DomainError):
+            Grid([[2.0, -2.0]], [5])
+        with pytest.raises(TypeError):
+            Grid([[0.0, 1.0]], [5])[::2]
 
 
 class TestDatasetPair:
@@ -207,6 +260,29 @@ class TestDeterminism:
         assert chunked == base
         assert sub_blocked == base
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("chunk,cache", [(None, None), (100, None), (100, 7)],
+                             ids=["default", "chunked", "sub-blocked"])
+    @pytest.mark.parametrize("name,bounds,mesh", [
+        ("lorenz3d", [[-2, 1.5], [-1, 2], [0.5, 2]], [9, 10, 11]),
+        ("genereg1d", [[0.5, 5]], [729]),
+    ])
+    def test_grid_steps_match_array(self, workers, chunk, cache, name, bounds,
+                                    mesh, monkeypatch):
+        # a Grid's rows, made block by block, step to the bytes of the
+        # array generate_grid builds
+        model = builtin_model(name)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        if chunk is not None:
+            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk)
+        if cache is not None:
+            monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", cache)
+        want = simulate_pairs(model, generate_grid(bounds, mesh), 0.001, seed=11)
+        got = simulate_pairs(model, Grid(bounds, mesh), 0.001, seed=11)
+        assert np.hstack(got.rows(0, got.M)).tobytes() == (
+            np.hstack(want.rows(0, want.M)).tobytes())
+        assert _X(got).tobytes() == _X(want).tobytes()
+
     def test_any_span_reads_the_same_rows(self):
         # every row's stream is keyed by its absolute index, so a read of
         # any span gives those rows of a read of all of them
@@ -299,6 +375,34 @@ class TestMapChunks:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(started) == list(range(100))
+
+
+class TestGridMemory:
+    def test_peak_flat_in_grid_size(self, tmp_path, monkeypatch):
+        # numpy reports its data allocations to tracemalloc. lorenz3d grids
+        # of 4 and 16 blocks of 4096 rows: each block's grid rows are made
+        # when it is stepped, so the grid's size adds nothing to the peak,
+        # where a built grid would add six blocks. On one worker the blocks
+        # in flight do not depend on thread timing
+        rows = 4096
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
+        monkeypatch.setenv("LEVYSID_WORKERS", "1")
+        model = builtin_model("lorenz3d")
+        peaks = {}
+        for blocks in (4, 16):
+            path = tmp_path / f"pairs{blocks}.bin"
+            tracemalloc.start()
+            try:
+                write_dataset(simulate_pairs(
+                    model, Grid([[-2, 2]] * 3, [blocks * 16, 16, 16]), 0.001,
+                    seed=5), path)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = rows * 2 * 3 * 8
+        assert abs(peaks[16] - peaks[4]) < block, (
+            {b: p / block for b, p in peaks.items()})
 
 
 @pytest.fixture
