@@ -15,9 +15,9 @@ import sys as _sys
 
 # This is the one place that sets the OpenBLAS thread count: levysid runs
 # OpenBLAS on one thread from import on. Its worker pool is the only
-# parallelism, and A^T B of a block can round differently on two threads
-# than on one, which would change a report. If numpy is imported here
-# first, it loads OpenBLAS with one thread, so no idle BLAS thread
+# parallelism, and a long curve's product can round differently on two
+# threads than on one, which would change the curve. If numpy is imported
+# here first, it loads OpenBLAS with one thread, so no idle BLAS thread
 # spin-waits on the pool's cores; the variable is gone again before any
 # child process could inherit it. Where numpy came first, or the caller set
 # OPENBLAS_NUM_THREADS, the count is lowered to one before this import

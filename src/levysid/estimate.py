@@ -6,9 +6,10 @@ counts, then the drift and diffusion coefficients by least squares over a
 basis dictionary, after filtering to the small-increment cube and removing
 the closed-form jump corrections R and S.
 
-The regressions never materialize the full design matrix: chunks of rows are
-turned into Gram updates A^T A and A^T B and reduced in fixed chunk order on
-the calling thread. The bin counts and the cube filter run on
+The regressions never materialize the full design matrix: each chunk of rows
+stacks its design matrix and targets in one scratch W, whose product W W^T
+holds the Gram updates A^T A and A^T B, reduced in fixed chunk order on the
+calling thread. The bin counts and the cube filter run on
 ``map_chunks``' worker pool; every result is identical for any worker count.
 """
 
@@ -388,11 +389,11 @@ def regression_tables(data, fraction, dictionary, levy, config):
     ``data`` must already be cube-filtered; ``fraction`` is the survival
     fraction M_hat/M that scales every target. Its CHUNK_ROWS blocks are
     filled from ``data.rows`` and reduced in order on the calling thread,
-    which starts no pool. Each CACHE_ROWS sub-block is evaluated
-    component-major in one (max(K, n + P), CACHE_ROWS) scratch,
-    design-matrix rows first and then the n + P targets; the block's A and
-    B stay in C order, so the products A^T A and A^T B and the sum of B*B
-    are those of fresh row-major arrays. Returns a CoefficientTable.
+    which starts no pool. Each CACHE_ROWS sub-block is evaluated into the
+    columns of one (K + n + P, CHUNK_ROWS) scratch W, the K design-matrix
+    rows on top of the n + P target rows, and one product W W^T per block
+    holds its A^T A, A^T B and, on the diagonal, each target's sum of
+    squares. Returns a CoefficientTable.
     """
     n = data.n
     K = dictionary.K
@@ -420,36 +421,32 @@ def regression_tables(data, fraction, dictionary, levy, config):
     shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
-    # one set of buffers per call, refilled for every block; the bits of
-    # the BLAS products and of the axis-0 sum of B*B depend on A and B being
-    # in C order
+    # one scratch per call, refilled for every block: rows 0..K-1 hold the
+    # design matrix A^T and rows K.. the targets B^T
     rows = simulate.CHUNK_ROWS
     sub_rows = simulate.CACHE_ROWS
-    A_buf = np.empty((rows, K))
-    B_buf = np.empty((rows, n + P))
-    scratch = np.empty((max(K, n + P), sub_rows))
+    W = np.empty((K + n + P, rows))
 
     def chunk_part(start, stop):
         m = stop - start
-        A, B = A_buf[:m], B_buf[:m]
         for lo in range(0, m, sub_rows):
             hi = min(lo + sub_rows, m)
             Zc, Xc = data.rows(start + lo, start + hi)
-            sub = scratch[:, :hi - lo]
-            A[lo:hi] = design_matrix(dictionary, Zc, out=sub[:K].T)
-            # rows 0..n-1 hold D until the diffusion targets have read it
-            D = _increments(Zc, Xc, out=sub[:n])
+            design_matrix(dictionary, Zc, out=W[:K, lo:hi].T)
+            B = W[K:, lo:hi]
+            # the drift rows hold D until the diffusion targets have read it
+            D = _increments(Zc, Xc, out=B[:n])
             for t, (i, j) in enumerate(pairs, start=n):
-                np.multiply(D[i], scale, out=sub[t])
-                np.multiply(sub[t], D[j], out=sub[t])
-                np.subtract(sub[t], shift[t], out=sub[t])
+                np.multiply(D[i], scale, out=B[t])
+                np.multiply(B[t], D[j], out=B[t])
+                np.subtract(B[t], shift[t], out=B[t])
             for i in range(n):
-                np.multiply(D[i], scale, out=sub[i])
-                np.subtract(sub[i], shift[i], out=sub[i])
-            B[lo:hi] = sub[:n + P].T
-        AtA, AtB = A.T @ A, A.T @ B
-        # B is squared in place only once A.T @ B has read it
-        return AtA, AtB, np.multiply(B, B, out=B).sum(axis=0)
+                np.multiply(D[i], scale, out=B[i])
+                np.subtract(B[i], shift[i], out=B[i])
+        # one product per block, whatever CACHE_ROWS is: A^T A, A^T B and
+        # the squared norm of each target
+        WWt = W[:, :m] @ W[:, :m].T
+        return WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]
 
     parts = [chunk_part(start, min(start + rows, data.M))
              for start in range(0, data.M, rows)]

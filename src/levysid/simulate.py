@@ -130,11 +130,10 @@ def _cap_blas_threads():
     ``levysid/__init__.py`` calls it once, when numpy was imported before
     levysid or ``OPENBLAS_NUM_THREADS`` was set, so ``map_chunks``' pool is
     the only parallelism and the products do not depend on the count
-    OpenBLAS was loaded with. On two threads, A^T B of a partial block and
-    a curve's long matrix-vector product can round differently than on one,
-    and so can a report. This only lowers the count: the threads OpenBLAS
-    started at load stay. Where no OpenBLAS with one of ``BLAS_SETTERS`` is
-    found this does nothing.
+    OpenBLAS was loaded with. On two threads, a curve's long matrix-vector
+    product can round differently than on one. This only lowers the count:
+    the threads OpenBLAS started at load stay. Where no OpenBLAS with one
+    of ``BLAS_SETTERS`` is found this does nothing.
     """
     import ctypes
 

@@ -325,10 +325,13 @@ class TestEstimateCommand:
         assert report["diffusion"][0]["i"] == 1
 
     def test_report_bytes_independent_of_blas_threads(self, tmp_path):
-        # lorenz3d with poly:4 is K = 35: on two OpenBLAS threads, A^T B of
-        # a partial block of its survivors rounds differently than on one,
-        # so the report holds only because levysid runs OpenBLAS on one
-        # thread, however OpenBLAS was loaded
+        # a lorenz3d poly:4 (K = 35) report and its 40001-row curves, made
+        # in one process per way of loading OpenBLAS. A curve's product
+        # splits its rows between OpenBLAS threads, and on two threads a row
+        # at the split can round differently than on one, so the bytes hold
+        # only because levysid runs OpenBLAS on one thread, however it was
+        # loaded. The report's W @ W.T products gave the same bytes on two
+        # threads in every case tried
         data = tmp_path / "pairs.bin"
         assert main(["simulate", "--config", _small_lorenz(tmp_path, 30),
                      "--out", str(data), "--seed", "7"]) == 0
@@ -338,17 +341,27 @@ class TestEstimateCommand:
         runs = {"unset": ({}, ""), "1": ({"OPENBLAS_NUM_THREADS": "1"}, ""),
                 "2": ({"OPENBLAS_NUM_THREADS": "2"}, ""),
                 "numpy_first": ({}, "import numpy; ")}
-        reports = []
+        outputs = []
         for name, (extra, first) in runs.items():
-            report = tmp_path / f"report_{name}.json"
+            out = tmp_path / name
+            out.mkdir()
+            report = str(out / "report.json")
+            commands = [["estimate", str(data), "--est-config", est,
+                         "--report", report]] + [
+                ["plot-data", "--report", report, "--component", component,
+                 "--range=-2:2:0.0001", "--at=-1.5,0.3,0.7",
+                 "--out", str(out / f"{component}.csv")]
+                for component in ("b2", "a13", "a23")]
             subprocess.run(
-                [sys.executable, "-c", f"{first}import sys; from levysid.cli "
-                 "import main; sys.exit(main(sys.argv[1:]))", "estimate",
-                 str(data), "--est-config", est, "--report", str(report)],
+                [sys.executable, "-c", f"{first}import json, sys; from "
+                 "levysid.cli import main; sys.exit(any(main(argv) for argv "
+                 "in json.loads(sys.argv[1])))", json.dumps(commands)],
                 env=dict(env, **extra), capture_output=True, timeout=120,
                 check=True)
-            reports.append(report.read_bytes())
-        assert reports[1:] == reports[:1] * 3
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 4
+        for name, files in zip(runs, outputs):
+            assert files == outputs[0], name
 
     def test_report_reserialization_byte_identical(self, tmp_path):
         data_path = _cauchy_dataset(tmp_path)

@@ -427,24 +427,36 @@ class TestRegressionOracle:
                                    rtol=1e-12, atol=1e-14)
 
     @staticmethod
-    def _fresh_block_reference(data, fraction, dictionary, levy, eps, block):
-        """The regression with a fresh design matrix and target matrix per
-        block, the parts summed in block order, then solved."""
+    def _fresh_rows(data, fraction, dictionary, levy, eps, start, stop):
+        """Row-major design matrix A and targets B of rows start..stop-1,
+        each made anew, and the diffusion pairs (i, j)."""
         n = data.n
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         scale = fraction / data.h
+        Z = data.Z[start:stop]
+        D = data.X[start:stop] - Z
+        A = design_matrix(dictionary, Z)
+        B = np.empty((len(Z), n + len(pairs)))
+        for i in range(n):
+            B[:, i] = scale * D[:, i] - correction_R(levy[i], eps)
+        for col, (i, j) in enumerate(pairs):
+            B[:, n + col] = (scale * D[:, i] * D[:, j]
+                             - correction_S(levy[i], eps, i, j))
+        return A, B, pairs
+
+    @classmethod
+    def _fresh_block_reference(cls, data, fraction, dictionary, levy, eps,
+                               block):
+        """The regression with a fresh C-order W = [A^T; B^T] per block and
+        one W @ W.T of it, the parts summed in block order, then solved."""
+        K = dictionary.K
         G = C = bsq = None
         for start in range(0, data.M, block):
-            Z = data.Z[start:start + block]
-            D = data.X[start:start + block] - Z
-            A = design_matrix(dictionary, Z)
-            B = np.empty((len(Z), n + len(pairs)))
-            for i in range(n):
-                B[:, i] = scale * D[:, i] - correction_R(levy[i], eps)
-            for col, (i, j) in enumerate(pairs):
-                B[:, n + col] = (scale * D[:, i] * D[:, j]
-                                 - correction_S(levy[i], eps, i, j))
-            parts = A.T @ A, A.T @ B, (B * B).sum(axis=0)
+            A, B, pairs = cls._fresh_rows(data, fraction, dictionary, levy,
+                                          eps, start, start + block)
+            W = np.concatenate([A.T, B.T])
+            WWt = W @ W.T
+            parts = WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]
             if G is None:
                 G, C, bsq = parts
             else:
@@ -455,12 +467,13 @@ class TestRegressionOracle:
             bsq - 2.0 * np.einsum("kt,kt->t", coef, C) + fit, 0.0))
         return coef, res, pairs
 
-    @pytest.mark.parametrize("cache_rows", [16, None])
+    @pytest.mark.parametrize("cache_rows", [16, 24, None])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_reused_buffers_match_fresh_blocks(self, workers, cache_rows,
                                                monkeypatch):
         # 3 full 64-row blocks and a 5-row one: a partial block that read
-        # rows a reused buffer kept from a full block would change the sums
+        # rows a reused buffer kept from a full block would change the sums.
+        # 24-row sub-blocks leave a 16-row one in every full block
         block = 64
         rng = np.random.default_rng(21)
         n, h, fraction = 2, 0.001, 0.9
@@ -489,9 +502,10 @@ class TestRegressionOracle:
 
     def test_example2_blocks_match_fresh_blocks(self):
         # the layout contract at K = 19: two full CHUNK_ROWS blocks and a
-        # partial one, each filled through the component-major sub-block
-        # scratch, give the bits of fresh row-major blocks. A Fortran-order
-        # design-matrix block changes the Gram products' bits here
+        # partial one, each filled sub-block by sub-block into the columns
+        # of one reused scratch, give the bits of a fresh C-order W per
+        # block. Summing the same entries another way, such as A.T @ A of a
+        # row-major block, changes the Gram products' last bits here
         block = levysid.simulate.CHUNK_ROWS
         M = 2 * block + 1234
         rng = np.random.default_rng(22)
@@ -510,6 +524,42 @@ class TestRegressionOracle:
         assert table.diffusion[(1, 1)].tobytes() == coef[:, 1].tobytes()
         assert table.drift_residuals.tobytes() == res[:1].tobytes()
         assert table.diffusion_residuals[(1, 1)] == res[1]
+
+    @pytest.mark.parametrize("n,dictionary", [
+        (1, example2_dictionary()), (3, polynomial_dictionary(3, 2))])
+    def test_block_sums_match_row_major_products(self, n, dictionary,
+                                                 monkeypatch):
+        # one CHUNK_ROWS block of genereg1d's (K = 19) and lorenz3d's
+        # (K = 10) shape: the parts of W @ W.T are the row-major products
+        # A.T @ A and A.T @ B and the column sums of B*B, up to rounding
+        rows = levysid.simulate.CHUNK_ROWS
+        rng = np.random.default_rng(23)
+        Z = rng.uniform(0.0, 5.0, (rows, n))
+        data = DatasetPair.from_arrays(
+            Z, Z + 0.05 * rng.standard_normal(Z.shape), 0.001)
+        levy = [StableParams(1.5, -0.5, 0.5)] * n
+        config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
+        seen = {}
+
+        def solve(G, C):
+            seen["G"], seen["C"] = G, C
+            seen["coef"] = solve_gram(G, C)
+            return seen["coef"]
+
+        monkeypatch.setattr(levysid.estimate, "solve_gram", solve)
+        table = regression_tables(data, 0.9, dictionary, levy, config)
+
+        A, B, pairs = self._fresh_rows(data, 0.9, dictionary, levy,
+                                       config.cube_half_width, 0, rows)
+        G, C, coef = seen["G"], seen["C"], seen["coef"]
+        res = np.concatenate([table.drift_residuals, [
+            table.diffusion_residuals[(i + 1, j + 1)] for i, j in pairs]])
+        # the residual is sqrt(bsq - 2 coef.C + coef.G.coef), each term at
+        # most 2 bsq here, so bsq comes back to a few units in its last place
+        bsq = (res ** 2 + 2.0 * np.einsum("kt,kt->t", coef, C)
+               - np.einsum("kt,kl,lt->t", coef, G, coef))
+        for got, want in ((G, A.T @ A), (C, A.T @ B), (bsq, (B * B).sum(0))):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestRegressionMemory:

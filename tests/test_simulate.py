@@ -450,8 +450,8 @@ class TestBlasThreadCap:
     """levysid runs OpenBLAS on one thread from the moment ``import
     levysid`` returns, whatever came first, so the pool is the only
     parallelism and the products do not depend on the count OpenBLAS was
-    loaded with: on two threads, A^T B of some block shapes rounds
-    differently than on one."""
+    loaded with: on two threads, a long curve's matrix-vector product
+    rounds differently than on one."""
 
     def test_one_thread_after_numpy_then_levysid(self, openblas):
         assert _blas_threads_after("import numpy; import levysid") == 1
@@ -473,16 +473,16 @@ class TestBlasThreadCap:
 
     def test_gram_products_same_bytes_at_one_thread(self, openblas):
         # one full block of genereg1d's regression, the example2 design
-        # matrix and two targets: for this shape both products are the
-        # same bytes on one thread as on every CPU
+        # matrix and two targets stacked as the regression's W: for this
+        # shape W @ W.T is the same bytes on one thread as on every CPU
         set_threads, _, get_procs = openblas
         Z = np.linspace(0.0, 5.0, CHUNK_ROWS)[:, None]
-        A = design_matrix(example2_dictionary(), Z)
         B = np.random.default_rng(7).standard_normal((CHUNK_ROWS, 2))
+        W = np.concatenate([design_matrix(example2_dictionary(), Z).T, B.T])
         set_threads(get_procs())
-        default = (A.T @ A).tobytes(), (A.T @ B).tobytes()
+        default = (W @ W.T).tobytes()
         set_threads(1)
-        assert ((A.T @ A).tobytes(), (A.T @ B).tobytes()) == default
+        assert (W @ W.T).tobytes() == default
 
 
 def _threads_after_import(**env):
