@@ -12,7 +12,8 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
 A text file is read into a DatasetPair, every entry checked. A binary file
 is read as a DatasetFile, which reads and checks its rows one block at a
 time, so the estimators never hold the whole payload. Any row-block source
-is written one block at a time, so the writer never holds it either.
+is written one block at a time, a binary one sub-block by sub-block at the
+rows' own offsets, so the writer never holds it either.
 
 A report is the JSON text of a Report, with sorted keys and two-space
 indentation; its reader checks every section, and a report read back and
@@ -35,6 +36,7 @@ from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
 from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
                        EstimationConfig, LevyEstimate, load_est_config)
+from . import simulate
 from .simulate import BlockRows, DatasetPair, check_header, check_rows, map_chunks
 
 MAGIC = b"LSID"
@@ -56,30 +58,34 @@ def csv_block(block):
     return ("\n".join(map(",".join, zip(*columns))) + "\n").encode("ascii")
 
 
-def _binary_block(block):
-    return block.astype("<f8", copy=False)
+def _pwrite(fd, buf, offset):
+    """Write all of ``buf``'s bytes at byte ``offset`` of ``fd``, again
+    from where a short write stopped."""
+    view = memoryview(buf).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def write_dataset(data, path):
     """Write a row-block source to ``path``: the text encoding when the
     path ends in ``.csv``, the binary encoding otherwise.
 
-    The source's blocks are read through ``map_chunks``, in block order,
-    and each is encoded and written as it comes while the workers read the
-    next ones: the writer holds a few blocks, never all the rows. A
-    ``Simulation`` is stepped here. The rows go to a temporary file in the
+    The source's blocks are read through ``map_chunks``, so a
+    ``Simulation`` is stepped here and the writer never holds all the rows.
+    In the binary encoding every row's offset is known, so each call reads
+    its block CACHE_ROWS rows at a time and writes each sub-block at its
+    own offset with ``os.pwrite``; the caller only drains the calls, and no
+    read block waits for a writer. Text rows have no known offset: each
+    block is encoded and written in block order as it comes, while the
+    workers read the next ones. The rows go to a temporary file in the
     nearest existing directory on the way up from the directory of
     ``path``, which replaces ``path`` only once every block is written; the
     missing directories are made just before. A block that raises leaves
     neither file nor directory behind, and an existing ``path`` unchanged.
     """
     path = os.fspath(path)
-    if os.path.splitext(path)[1] == ".csv":
-        header = _header_line(data).encode("ascii")
-        encode = csv_block
-    else:
-        header = MAGIC + _BINARY_HEADER.pack(BINARY_VERSION, data.n, data.M, data.h)
-        encode = _binary_block
+    text = os.path.splitext(path)[1] == ".csv"
     head, name = os.path.split(path)
     home = head or os.curdir
     while not os.path.isdir(home):
@@ -87,9 +93,24 @@ def write_dataset(data, path):
     tmp = os.path.join(home, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
-            for block in map_chunks(data.block, data.M):
-                fh.write(encode(block))
+            if text:
+                fh.write(_header_line(data).encode("ascii"))
+                for block in map_chunks(data.block, data.M):
+                    fh.write(csv_block(block))
+            else:
+                fd = fh.fileno()
+                _pwrite(fd, MAGIC + _BINARY_HEADER.pack(
+                    BINARY_VERSION, data.n, data.M, data.h), 0)
+
+                def place(start, stop):
+                    # no name holds a sub-block while the next one is read
+                    for lo in range(start, stop, simulate.CACHE_ROWS):
+                        hi = min(lo + simulate.CACHE_ROWS, stop)
+                        _pwrite(fd, np.ascontiguousarray(data.block(lo, hi), "<f8"),
+                                _BINARY_HEADER_BYTES + 16 * data.n * lo)
+
+                for _ in map_chunks(place, data.M):
+                    pass
         os.makedirs(head or os.curdir, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:

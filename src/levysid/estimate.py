@@ -239,19 +239,25 @@ def estimate_levy(data, config):
     """Identify (alpha, beta, sigma) for every component of a dataset.
 
     ``data`` is a row-block source, such as a DatasetFile. Each
-    component's bin counts are summed over its CHUNK_ROWS blocks; integer
-    sums do not depend on the order, so neither does the result.
+    CHUNK_ROWS block is read CACHE_ROWS rows at a time, and each
+    component's bin counts are summed over the sub-blocks; integer sums do
+    not depend on the order, so neither does the result.
     """
-    def block_counts(start, stop):
-        D = _increments(*data.rows(start, stop))
-        return [bin_counts(row, config) for row in D]
+    def sub_block_counts(lo, hi):
+        # a call of its own, so the rows are freed before the next ones
+        D = _increments(*data.rows(lo, hi))
+        return [(c.pos, c.neg) for c in (bin_counts(row, config) for row in D)]
 
-    parts = list(map_chunks(block_counts, data.M))
+    def block_counts(start, stop):
+        step = simulate.CACHE_ROWS
+        return np.sum([sub_block_counts(lo, min(lo + step, stop))
+                       for lo in range(start, stop, step)], axis=0)
+
+    # (n, 2, N + 1): each component's positive and negative bin counts
+    totals = np.sum(list(map_chunks(block_counts, data.M)), axis=0)
     out = []
     for i in range(data.n):
-        pos = np.sum([p[i].pos for p in parts], axis=0)
-        neg = np.sum([p[i].neg for p in parts], axis=0)
-        counts = BinCounts(pos, neg, data.M, data.h)
+        counts = BinCounts(totals[i, 0], totals[i, 1], data.M, data.h)
         alpha = estimate_alpha(counts, config)
         beta = estimate_beta(counts)
         sigma = estimate_sigma(counts, alpha, config)
@@ -259,14 +265,14 @@ def estimate_levy(data, config):
     return out
 
 
-def _cube_mask(Z, X, half_width):
-    """max_i |x_i - z_i| <= half_width per row, one component row at a time."""
+def _cube_mask(Z, X, half_width, out):
+    """max_i |x_i - z_i| <= half_width per row, one component row at a
+    time, written into the bool array ``out``."""
     D = _increments(Z, X)
     np.abs(D, out=D)
-    keep = D[0] <= half_width
+    np.less_equal(D[0], half_width, out=out)
     for row in D[1:]:
-        keep &= row <= half_width
-    return keep
+        out &= row <= half_width
 
 
 class _ZHalf:
@@ -287,10 +293,10 @@ class Survivors(BlockRows):
     """The rows of a row-block source that survive the cube filter, read
     through that source when they are asked for.
 
-    It holds one bool mask per block of the source, 1 byte per row; every
-    block but the last has as many rows as the first. ``before`` holds the
-    number of survivors in the blocks before each block; ``before[-1]`` is
-    M.
+    It holds one mask per block of the source, as ``np.packbits`` bits:
+    ceil(rows / 8) bytes for a block of that many rows. Every block but the
+    last has ``chunk`` rows. ``before`` holds the number of survivors in
+    the blocks before each block; ``before[-1]`` is M.
     """
 
     n: int
@@ -299,6 +305,7 @@ class Survivors(BlockRows):
     source: object
     masks: list
     before: np.ndarray
+    chunk: int
 
     @property
     def Z(self):
@@ -312,15 +319,17 @@ class Survivors(BlockRows):
         """
         check_rows(start, stop, self.M)
         out = np.empty((stop - start, 2 * self.n))
-        chunk = self.masks[0].size
         b = int(np.searchsorted(self.before, start, side="right")) - 1
         done = start
         while done < stop:
             offset = int(self.before[b])
-            keep = np.flatnonzero(self.masks[b])[done - offset:stop - offset]
+            rows = min(self.chunk, self.source.M - b * self.chunk)
+            # as bools the unpacked 0s and 1s take nonzero's fast path
+            bits = np.unpackbits(self.masks[b], count=rows).view(bool)
+            keep = np.flatnonzero(bits)[done - offset:stop - offset]
             if keep.size:
-                first = b * chunk + int(keep[0])
-                last = b * chunk + int(keep[-1])
+                first = b * self.chunk + int(keep[0])
+                last = b * self.chunk + int(keep[-1])
                 # take's "clip" mode writes into out in place, where
                 # compress would write through a temporary copy of out
                 np.take(self.source.block(first, last + 1), keep - keep[0],
@@ -335,23 +344,30 @@ def cube_filter(data, half_width):
     """Keep rows whose increment stays inside the closed cube
     max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction).
 
-    ``data`` is a row-block source. One pass over its blocks builds a mask
-    per block; the filtered source, a Survivors, holds the masks and reads
-    the kept rows from ``data`` whenever they are asked for, so no copy of
-    them is made here.
+    ``data`` is a row-block source. One pass over its blocks, each read
+    CACHE_ROWS rows at a time, builds each block's mask and packs it into
+    bits; the filtered source, a Survivors, holds the masks and reads the
+    kept rows from ``data`` whenever they are asked for, so no copy of them
+    is made here.
     """
     positive("half_width", half_width)
 
     def block_mask(start, stop):
-        return _cube_mask(*data.rows(start, stop), half_width)
+        keep = np.empty(stop - start, dtype=bool)
+        for lo in range(start, stop, simulate.CACHE_ROWS):
+            hi = min(lo + simulate.CACHE_ROWS, stop)
+            _cube_mask(*data.rows(lo, hi), half_width,
+                       out=keep[lo - start:hi - start])
+        return np.packbits(keep), np.count_nonzero(keep)
 
-    masks = list(map_chunks(block_mask, data.M))
-    before = np.cumsum([0] + [np.count_nonzero(keep) for keep in masks])
+    parts = list(map_chunks(block_mask, data.M))
+    before = np.cumsum([0] + [kept for _, kept in parts])
     kept = int(before[-1])
     if kept == 0:
         raise InsufficientDataError(
             f"no rows survive the cube filter at half width {half_width}")
-    return Survivors(data.n, kept, data.h, data, masks, before), kept / data.M
+    return (Survivors(data.n, kept, data.h, data, [bits for bits, _ in parts],
+                      before, simulate.CHUNK_ROWS), kept / data.M)
 
 
 # The drift correction's alpha != 1 branch carries a 1/(1-alpha) pole: the

@@ -43,7 +43,10 @@ CACHE_ROWS = 1 << 14
 
 WORKERS_ENV_VAR = "LEVYSID_WORKERS"
 
-# glibc's mallopt parameter for the number of malloc arenas
+# glibc's mallopt parameters: the heap top kept when freeing, the request
+# size from which malloc maps its own pages, and the number of arenas
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
 M_ARENA_MAX = -8
 
 # OpenBLAS's thread-count setters: numpy 2 wheels bundle scipy-openblas,
@@ -74,11 +77,16 @@ def worker_count() -> int:
 
 @functools.cache
 def _cap_malloc_arenas():
-    """Give every thread glibc's one main malloc arena, once per process.
+    """Fix glibc's malloc for the chunked passes, once per process.
 
-    Otherwise each worker thread gets an arena of its own, and the
-    temporaries it frees stay there, adding to peak RSS instead of being
-    reused by the next block. Where libc has no ``mallopt`` this does
+    Every thread gets glibc's one main malloc arena; otherwise each worker
+    thread gets an arena of its own, and the temporaries it frees stay
+    there, adding to peak RSS instead of being reused by the next sub-block.
+    The mmap and trim thresholds are fixed: with glibc's moving defaults,
+    the sub-block buffers of a pass were mapped, or the heap top they left
+    was trimmed, and then faulted back for the next sub-block.
+    ``map_chunks`` calls it before its first call, at any worker count; it
+    holds for the whole process. Where libc has no ``mallopt`` this does
     nothing.
     """
     import ctypes
@@ -90,6 +98,10 @@ def _cap_malloc_arenas():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(M_ARENA_MAX, 1)
+    # every sub-block buffer, and a regression scratch of up to 16 MiB, come
+    # from the heap, and up to 32 MiB of a freed heap top is kept for reuse
+    mallopt(M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(M_TRIM_THRESHOLD, 32 << 20)
 
 
 def _openblas():
@@ -348,22 +360,24 @@ def map_chunks(fn, M):
 
     With more than one block the calls run on ``worker_count()`` threads.
     At most that many calls run, and one more waits queued, ahead of the
-    result the caller has taken: a caller that writes each result as it
-    comes holds a few blocks, never all of them. The blocks do not depend on
-    the worker count, so neither do the results.
+    result the caller has taken. The passes' calls read or step their block
+    CACHE_ROWS rows at a time and return small results, or, in the binary
+    writer, place their rows in the file themselves, so each worker holds
+    one sub-block and the caller only drains the results. The blocks do not
+    depend on the worker count, so neither do the results.
     """
     starts = range(0, M, CHUNK_ROWS)
     stops = [min(start + CHUNK_ROWS, M) for start in starts]
     # read before any call, even for one block, so a malformed
     # LEVYSID_WORKERS always fails here
     workers = worker_count()
+    _cap_malloc_arenas()
     if workers <= 1 or len(starts) <= 1:
         return map(fn, starts, stops)
     return _pooled(fn, zip(starts, stops), workers)
 
 
 def _pooled(fn, spans, workers):
-    _cap_malloc_arenas()
     pending = collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # one call waits in the queue, so no worker idles while the caller

@@ -630,9 +630,10 @@ class TestPlotDataCommand:
                 assert got.tobytes() == want.tobytes(), (i, j)
 
     def test_curve_bytes_independent_of_blas_threads(self, tmp_path):
-        # 50001 rows of the 19-entry example2 basis: OpenBLAS splits the
-        # product between its threads, and without the cap the rows from
-        # the split on rounded differently on two threads than on one
+        # 40001 rows of the 19-entry example2 basis: OpenBLAS splits the
+        # product between its threads, and without the cap the last row of
+        # this b1 curve rounds differently on two threads than on one (the
+        # a11 curve of this report does not differ at 20001 to 50001 rows)
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100_000]}})
         est = _est_config(tmp_path, N=2, cube_epsilon=0.5, dictionary="example2")
@@ -641,11 +642,11 @@ class TestPlotDataCommand:
                      "--workdir", str(workdir), "--seed", "4242"]) == 0
         curves = []
         for threads in ("1", "2"):
-            curves.append(tmp_path / f"a11_{threads}.csv")
+            curves.append(tmp_path / f"b1_{threads}.csv")
             subprocess.run(
                 [sys.executable, "-m", "levysid.cli", "plot-data", "--report",
-                 str(workdir / "report.json"), "--component", "a11",
-                 "--range", "0:5:0.0001", "--out", str(curves[-1])],
+                 str(workdir / "report.json"), "--component", "b1",
+                 "--range", "0:5:0.000125", "--out", str(curves[-1])],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, timeout=60, check=True)
         assert curves[0].read_bytes() == curves[1].read_bytes()

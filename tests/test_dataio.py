@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -27,6 +28,7 @@ from levysid import (
     simulate_pairs,
     write_dataset,
 )
+import levysid.estimate
 import levysid.simulate
 from levysid.cli import main
 from levysid.dataio import DatasetFile
@@ -362,6 +364,132 @@ class TestStreamedSimulation:
             tracemalloc.stop()
         block = rows * 2 * 3 * 8
         assert peak < (3 * workers + 2) * block, peak / block
+
+
+class TestInPlaceWriter:
+    """Binary rows are written at their own offsets by the calls that read
+    them. 30-row sub-blocks do not divide the 100-row blocks, and the 1037
+    rows are a multiple of neither, so sub-blocks of every length meet."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 30)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_bytes_equal_across_workers(self, tmp_path, monkeypatch,
+                                        small_blocks, workers):
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        data = _sample_pair(M=1037, n=2, seed=6)
+        write_dataset(data, tmp_path / "pairs.bin")
+        assert (tmp_path / "pairs.bin").read_bytes() == _reference_bytes(data, "bin")
+        # a simulation's rows are stepped by the call that writes them
+        Z = np.random.default_rng(2).uniform(-2.0, 2.0, (1037, 3))
+        sim = simulate_pairs(builtin_model("lorenz3d"), Z, 0.001, seed=3)
+        write_dataset(sim, tmp_path / "sim.bin")
+        want = _reference_bytes(DatasetPair(3, 1037, 0.001, *sim.rows(0, 1037)), "bin")
+        assert (tmp_path / "sim.bin").read_bytes() == want
+
+    def test_short_write_is_retried(self, tmp_path, monkeypatch, small_blocks):
+        monkeypatch.setenv("LEVYSID_WORKERS", "1")
+        data = _sample_pair(M=1037, n=2, seed=6)
+        pwrite = os.pwrite
+        shorts = []
+
+        def short_once(fd, buf, offset):
+            # the first sub-block after the header is written in part
+            if not shorts and offset > 0:
+                shorts.append(offset)
+                return pwrite(fd, memoryview(buf)[:len(buf) // 3], offset)
+            return pwrite(fd, buf, offset)
+
+        monkeypatch.setattr(os, "pwrite", short_once)
+        write_dataset(data, tmp_path / "pairs.bin")
+        assert len(shorts) == 1
+        assert (tmp_path / "pairs.bin").read_bytes() == _reference_bytes(data, "bin")
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_block_failing_mid_file_leaves_no_file(self, tmp_path, monkeypatch,
+                                                  small_blocks, workers, existing):
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        data = _sample_pair(M=1037, n=2, seed=6)
+
+        class FailsMidFile:
+            n, M, h = data.n, data.M, data.h
+
+            def block(self, start, stop):
+                if start <= 520 < stop:
+                    raise DataFormatError("block failed")
+                return data.block(start, stop)
+
+        # an existing target, or one in directories that do not exist yet
+        path = tmp_path / ("pairs.bin" if existing else "new/dir/pairs.bin")
+        if existing:
+            path.write_bytes(b"earlier file")
+        with pytest.raises(DataFormatError, match="block failed"):
+            write_dataset(FailsMidFile(), path)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [path.name] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"earlier file"
+
+
+def _peak(fn, *args):
+    """The tracemalloc peak of one call, in bytes; numpy reports its data
+    allocations to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneSubBlockPerPass:
+    """On one worker, with CHUNK_ROWS four CACHE_ROWS sub-blocks, every pass
+    holds the one sub-block it reads, never a CHUNK_ROWS block of rows."""
+
+    ROWS = 4096
+    BLOCK = ROWS * 2 * 3 * 8   # one CHUNK_ROWS block of lorenz3d rows
+
+    @pytest.fixture
+    def simulation(self, monkeypatch):
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", self.ROWS)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", self.ROWS // 4)
+        monkeypatch.setenv("LEVYSID_WORKERS", "1")
+        # 24 blocks of grid rows, made as they are stepped
+        grid = levysid.simulate.Grid([[-2, 2]] * 3, [24 * 16, 16, 16])
+        return simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=5)
+
+    def test_simulated_write(self, tmp_path, simulation):
+        # stepping one sub-block alone holds its rows and its step's
+        # temporaries, about two blocks for lorenz3d; the writer adds less
+        # than a sub-block to that, where holding a stepped block would add
+        # one block and its writer's queue more
+        one = _peak(simulation.block, 0, self.ROWS // 4)
+        peak = _peak(write_dataset, simulation, tmp_path / "pairs.bin")
+        assert peak < one + self.BLOCK / 4, (one / self.BLOCK, peak / self.BLOCK)
+
+    def test_estimate_passes(self, tmp_path, simulation):
+        write_dataset(simulation, tmp_path / "pairs.bin")
+        data = read_dataset(tmp_path / "pairs.bin")
+        config = EstimationConfig(epsilon=0.2, m=3.0, N=2)
+        for peak in (_peak(levysid.estimate.estimate_levy, data, config),
+                     _peak(cube_filter, data, 0.5)):
+            assert peak < self.BLOCK, peak / self.BLOCK
+
+    def test_survivor_masks_are_bits(self, tmp_path, monkeypatch):
+        # the last block has 13 rows, 2 mask bytes
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
+        data = _sample_pair(M=313, n=2, seed=6)
+        kept, _ = cube_filter(data, 0.02)
+        assert [bits.nbytes for bits in kept.masks] == [13, 13, 13, 2]
+        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.02
+        assert 0 < kept.M < data.M
+        Z, X = _arrays(kept)
+        np.testing.assert_array_equal(Z, data.Z[keep])
+        np.testing.assert_array_equal(X, data.X[keep])
 
 
 # -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches

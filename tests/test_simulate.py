@@ -376,6 +376,17 @@ class TestMapChunks:
             sys.setswitchinterval(interval)
         assert sorted(started) == list(range(100))
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malloc_fixed_before_the_first_call(self, workers, monkeypatch):
+        # glibc's malloc is fixed before the pass's first call allocates,
+        # also on one worker and for a single block, where no pool starts
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        order = []
+        monkeypatch.setattr(levysid.simulate, "_cap_malloc_arenas",
+                            lambda: order.append("malloc"))
+        list(map_chunks(lambda start, stop: order.append("call"), 10))
+        assert order == ["malloc", "call"]
+
 
 class TestGridMemory:
     def test_peak_flat_in_grid_size(self, tmp_path, monkeypatch):
