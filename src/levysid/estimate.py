@@ -6,17 +6,17 @@ counts, then the drift and diffusion coefficients by least squares over a
 basis dictionary, after filtering to the small-increment cube and removing
 the closed-form jump corrections R and S.
 
-The regressions never materialize the full design matrix: each chunk of rows
-stacks its design matrix and targets in one scratch W, whose product W W^T
-holds the Gram updates A^T A and A^T B, reduced in fixed chunk order on the
-calling thread. The bin counts and the cube filter run on
+The regressions never materialize the full design matrix: each CACHE_ROWS
+sub-block stacks its design matrix and targets in one scratch W, whose
+product W W^T holds the Gram updates A^T A and A^T B, added in sub-block
+order on the calling thread. The bin counts and the cube filter run on
 ``map_chunks``' worker pool; every result is identical for any worker count.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -296,7 +296,9 @@ class Survivors(BlockRows):
     It holds one mask per block of the source, as ``np.packbits`` bits:
     ceil(rows / 8) bytes for a block of that many rows. Every block but the
     last has ``chunk`` rows. ``before`` holds the number of survivors in
-    the blocks before each block; ``before[-1]`` is M.
+    the blocks before each block; ``before[-1]`` is M. ``_decoded`` holds
+    the last decoded (block, survivor indices) pair, replaced whole so that
+    threads may share it: a pass decodes each mask once.
     """
 
     n: int
@@ -306,6 +308,7 @@ class Survivors(BlockRows):
     masks: list
     before: np.ndarray
     chunk: int
+    _decoded: list = field(default_factory=lambda: [(-1, None)], init=False)
 
     @property
     def Z(self):
@@ -323,10 +326,12 @@ class Survivors(BlockRows):
         done = start
         while done < stop:
             offset = int(self.before[b])
-            rows = min(self.chunk, self.source.M - b * self.chunk)
-            # as bools the unpacked 0s and 1s take nonzero's fast path
-            bits = np.unpackbits(self.masks[b], count=rows).view(bool)
-            keep = np.flatnonzero(bits)[done - offset:stop - offset]
+            decoded = self._decoded[0]
+            if decoded[0] != b:
+                # as bools 0s and 1s take nonzero's fast path; pad bits are 0
+                bits = np.unpackbits(self.masks[b]).view(bool)
+                decoded = self._decoded[0] = b, np.flatnonzero(bits)
+            keep = decoded[1][done - offset:stop - offset]
             if keep.size:
                 first = b * self.chunk + int(keep[0])
                 last = b * self.chunk + int(keep[-1])
@@ -403,13 +408,13 @@ def regression_tables(data, fraction, dictionary, levy, config):
     """Drift and diffusion regressions sharing one design-matrix pass.
 
     ``data`` must already be cube-filtered; ``fraction`` is the survival
-    fraction M_hat/M that scales every target. Its CHUNK_ROWS blocks are
-    filled from ``data.rows`` and reduced in order on the calling thread,
-    which starts no pool. Each CACHE_ROWS sub-block is evaluated into the
-    columns of one (K + n + P, CHUNK_ROWS) scratch W, the K design-matrix
-    rows on top of the n + P target rows, and one product W W^T per block
-    holds its A^T A, A^T B and, on the diagonal, each target's sum of
-    squares. Returns a CoefficientTable.
+    fraction M_hat/M that scales every target. It is read CACHE_ROWS rows
+    at a time on the calling thread, which starts no pool. Each sub-block
+    is evaluated into the columns of one (K + n + P, CACHE_ROWS) scratch W,
+    the K design-matrix rows on top of the n + P target rows, and its
+    product W W^T, which holds its A^T A, A^T B and, on the diagonal, each
+    target's sum of squares, is added to one running sum in sub-block
+    order. The bits depend on CACHE_ROWS alone. Returns a CoefficientTable.
     """
     n = data.n
     K = dictionary.K
@@ -437,42 +442,29 @@ def regression_tables(data, fraction, dictionary, levy, config):
     shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
-    # one scratch per call, refilled for every block: rows 0..K-1 hold the
-    # design matrix A^T and rows K.. the targets B^T
-    rows = simulate.CHUNK_ROWS
-    sub_rows = simulate.CACHE_ROWS
+    # one scratch per call, refilled for every sub-block: rows 0..K-1 hold
+    # the design matrix A^T and rows K.. the targets B^T
+    rows = simulate.CACHE_ROWS
     W = np.empty((K + n + P, rows))
-
-    def chunk_part(start, stop):
-        m = stop - start
-        for lo in range(0, m, sub_rows):
-            hi = min(lo + sub_rows, m)
-            Zc, Xc = data.rows(start + lo, start + hi)
-            design_matrix(dictionary, Zc, out=W[:K, lo:hi].T)
-            B = W[K:, lo:hi]
-            # the drift rows hold D until the diffusion targets have read it
-            D = _increments(Zc, Xc, out=B[:n])
-            for t, (i, j) in enumerate(pairs, start=n):
-                np.multiply(D[i], scale, out=B[t])
-                np.multiply(B[t], D[j], out=B[t])
-                np.subtract(B[t], shift[t], out=B[t])
-            for i in range(n):
-                np.multiply(D[i], scale, out=B[i])
-                np.subtract(B[i], shift[i], out=B[i])
-        # one product per block, whatever CACHE_ROWS is: A^T A, A^T B and
-        # the squared norm of each target
-        WWt = W[:, :m] @ W[:, :m].T
-        return WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]
-
-    parts = [chunk_part(start, min(start + rows, data.M))
-             for start in range(0, data.M, rows)]
-
-    # fixed-order pairwise reduction keeps sums bit-stable across worker counts
-    G = np.sum(np.stack([p[0] for p in parts]), axis=0)
-    C = np.sum(np.stack([p[1] for p in parts]), axis=0)
-    bsq = np.sum(np.stack([p[2] for p in parts]), axis=0)
-    if not (np.isfinite(G).all() and np.isfinite(C).all()
-            and np.isfinite(bsq).all()):
+    for start in range(0, data.M, rows):
+        m = min(rows, data.M - start)
+        Zc, Xc = data.rows(start, start + m)
+        design_matrix(dictionary, Zc, out=W[:K, :m].T)
+        B = W[K:, :m]
+        # the drift rows hold D until the diffusion targets have read it
+        D = _increments(Zc, Xc, out=B[:n])
+        for t, (i, j) in enumerate(pairs, start=n):
+            np.multiply(D[i], scale, out=B[t])
+            np.multiply(B[t], D[j], out=B[t])
+            np.subtract(B[t], shift[t], out=B[t])
+        for i in range(n):
+            np.multiply(D[i], scale, out=B[i])
+            np.subtract(B[i], shift[i], out=B[i])
+        # added in sub-block order, whatever CHUNK_ROWS and the worker count
+        part = W[:, :m] @ W[:, :m].T
+        WWt = part if start == 0 else WWt + part
+    G, C, bsq = WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]
+    if not all(np.isfinite(x).all() for x in (G, C, bsq)):
         raise NumericError(
             "regression sums overflowed to inf or NaN: the basis values or "
             "the increments scaled by 1/h are too large for float64")

@@ -236,10 +236,12 @@ class Grid:
 
     ``grid[lo:hi]`` is a new (rows, n) array of rows lo..hi-1. Rows are
     ordered lexicographically in the axis indices (first axis slowest), so
-    column k of row r is entry ``(r // stride_k) % m_k`` of axis k, where
-    stride_k is the product of the later axes' mesh. Axis k is
-    ``linspace(lo, hi, m_k)``; a degenerate axis (mesh 1) sits at its lower
-    bound. The bounds, the mesh and the row count are checked here.
+    column k of row r is entry i = ``(r // stride_k) % m_k`` of axis k,
+    stride_k being the product of the later axes' mesh. Entry i is ``i *
+    step + lo`` with step = (hi - lo) / (m_k - 1), and the last is hi: the
+    bits of ``linspace(lo, hi, m_k)``. A degenerate axis (mesh 1) sits at
+    its lower bound. The bounds, the mesh, the row count and the steps,
+    which must be positive and finite, are checked here.
     """
 
     def __init__(self, bounds, mesh):
@@ -254,20 +256,23 @@ class Grid:
                               f"and mesh a list of whole numbers: {exc}") from exc
         if len(bounds) != len(mesh) or not bounds:
             raise DomainError("bounds and mesh must have equal positive length")
-        total = 1
         for (lo, hi), m in zip(bounds, mesh):
             if m < 1:
                 raise DomainError(f"mesh entries must be >= 1, got {m}")
             if not -np.inf < lo < hi < np.inf:
                 raise DomainError(
                     f"need finite lower < upper per axis, got [{lo}, {hi}]")
-            total *= m
+        total = math.prod(mesh)
         if total > GRID_ROW_CAP:
             raise GridSizeError(
                 f"grid would contain {total} rows, cap is {GRID_ROW_CAP}")
-        self.axes = tuple(np.array([lo]) if m == 1 else np.linspace(lo, hi, m)
-                          for (lo, hi), m in zip(bounds, mesh))
-        self.strides = tuple(math.prod(mesh[k + 1:]) for k in range(len(mesh)))
+        # (lo, last entry, mesh, step) per axis; mesh 1 stays at lo
+        self.axes = tuple((lo, hi, m, (hi - lo) / (m - 1)) if m > 1
+                          else (lo, lo, 1, 0.0) for (lo, hi), m in zip(bounds, mesh))
+        for lo, hi, m, step in self.axes:
+            if m > 1 and not 0.0 < step < np.inf:
+                raise DomainError(f"grid step {step} of [{lo}, {hi}] is not "
+                                  "positive and finite")
         self.M, self.n = total, len(mesh)
         self.shape = (total, self.n)
 
@@ -276,20 +281,23 @@ class Grid:
             raise TypeError("a Grid is read by row slices with step 1")
         start, stop, _ = rows.indices(self.M)
         Z = np.empty((max(stop - start, 0), self.n))
-        # CHUNK_ROWS indices at a time, so a read of many rows holds few
-        # index temporaries
-        for lo in range(start, stop, CHUNK_ROWS):
-            idx = np.arange(lo, min(lo + CHUNK_ROWS, stop))
-            for k, (axis, stride) in enumerate(zip(self.axes, self.strides)):
-                Z[lo - start:lo - start + idx.size, k] = axis[
-                    idx // stride % axis.size]
+        # CACHE_ROWS rows at a time, so a long read holds few temporaries
+        for lo in range(start, stop, CACHE_ROWS):
+            q = np.arange(lo, min(lo + CACHE_ROWS, stop))
+            i = np.empty_like(q)
+            for k in reversed(range(self.n)):
+                first, last, m, step = self.axes[k]
+                np.divmod(q, m, out=(q, i))
+                col = Z[lo - start:lo - start + q.size, k]
+                np.multiply(i, step, out=col)
+                col += first
+                np.copyto(col, last, where=i == m - 1)
         return Z
 
 
 def generate_grid(bounds, mesh):
     """Every row of ``Grid(bounds, mesh)``, as one (M, n) array."""
-    grid = Grid(bounds, mesh)
-    return grid[0:grid.M]
+    return Grid(bounds, mesh)[:]
 
 
 def _noise(model, keys, h):

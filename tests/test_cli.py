@@ -532,6 +532,7 @@ class TestBinaryFileSource:
     def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
         # block is the one method that reads the file; rows splits a block
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 300)
         path, _ = _lorenz_data(tmp_path)
         # a cube that drops rows in every block
         est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
@@ -549,13 +550,13 @@ class TestBinaryFileSource:
         monkeypatch.setattr(DatasetFile, "block", counted_block)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
-        # bin counts and the cube mask read every row once. The regression
-        # reads its 500-survivor blocks, and each is read from the file in
-        # one span per 500-row file block, from its first to its last
-        # survivor there
+        # bin counts and the cube mask read every row once, in sub-blocks
+        # of at most 300 rows. The regression reads its 300-survivor
+        # sub-blocks, and each is read from the file in one span per
+        # 500-row file block, from its first to its last survivor there
         spans_read = 0
-        for start in range(0, survivors.size, 500):
-            rows = survivors[start:start + 500]
+        for start in range(0, survivors.size, 300):
+            rows = survivors[start:start + 300]
             for block in np.unique(rows // 500):
                 inside = rows[rows // 500 == block]
                 spans_read += int(inside[-1] - inside[0]) + 1
@@ -563,8 +564,7 @@ class TestBinaryFileSource:
         assert sum(spans) == 2 * 8000 + spans_read
 
     def test_one_pool_per_pass(self, tmp_path, monkeypatch):
-        # each regression block of 500 rows has 5 sub-blocks of 100, and
-        # the calling thread fills them all
+        # the regression reads its 100-row sub-blocks on the calling thread
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
         monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 100)
         monkeypatch.setenv("LEVYSID_WORKERS", "2")

@@ -1,5 +1,7 @@
 """Noise identification, cube filtering, and coefficient regression."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -312,6 +314,74 @@ class TestBlockwisePasses:
                 assert (est.counts.M, est.counts.h) == (500, 0.001)
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_mask_decoded_once_per_pass(self, monkeypatch, tmp_path,
+                                             workers):
+        # the regression reads the survivors 4 at a time, several reads per
+        # 50-row block; each block's mask is decoded on its first read only,
+        # and the reads give the kept rows
+        sources = self._sources(tmp_path)
+        data = sources[0]
+        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 50)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 4)
+        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        unpackbits = np.unpackbits
+        decoded = []
+
+        def counted(*args, **kwargs):
+            decoded.append(1)
+            return unpackbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unpackbits", counted)
+        dictionary = polynomial_dictionary(3, 1)
+        for source in sources:
+            kept, fraction = cube_filter(source, 0.5)
+            assert kept.M > 3 * len(kept.masks)
+            decoded.clear()
+            regression_tables(kept, fraction, dictionary, None, _config())
+            assert len(decoded) == len(kept.masks) == 10
+            decoded.clear()
+            read = [kept.block(lo, min(lo + 4, kept.M))
+                    for lo in range(0, kept.M, 4)]
+            assert len(decoded) == 10
+            np.testing.assert_array_equal(
+                np.concatenate(read), np.hstack([data.Z, data.X])[keep])
+
+
+    def test_threads_share_decoded_masks(self, monkeypatch):
+        # more threads than cores read one Survivors in different orders;
+        # the kept (block, indices) pair is replaced whole, so every read
+        # gives the kept rows whichever block another thread decoded last
+        data = self._data()
+        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
+        want = np.hstack([data.Z, data.X])[keep]
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 20)
+        kept, _ = cube_filter(data, 0.5)
+        errors = []
+
+        def read(offset):
+            for lo in range(offset, offset + 3 * kept.M, 7):
+                lo %= kept.M
+                hi = min(lo + 9, kept.M)
+                if not np.array_equal(kept.block(lo, hi), want[lo:hi]):
+                    errors.append((lo, hi))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(5 * t,))
+                       for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
 class TestDimensionalIndependence:
     def test_exact_equality(self):
         import warnings as w
@@ -413,7 +483,8 @@ class TestRegressionOracle:
                                            rtol=1e-8, atol=1e-10)
 
     def test_chunked_path_matches_single_chunk(self, monkeypatch):
-        # force multiple accumulation chunks and compare against one pass
+        # the regression reads CACHE_ROWS sub-blocks, so CHUNK_ROWS leaves
+        # every bit as it was
         rng = np.random.default_rng(12)
         dictionary = polynomial_dictionary(1, 2)
         Z = rng.uniform(0, 5, (3000, 1))
@@ -423,8 +494,9 @@ class TestRegressionOracle:
         table_one = regression_tables(data, 1.0, dictionary, None, config)
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 256)
         table_many = regression_tables(data, 1.0, dictionary, None, config)
-        np.testing.assert_allclose(table_many.drift, table_one.drift,
-                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(table_many.drift, table_one.drift)
+        np.testing.assert_array_equal(table_many.drift_residuals,
+                                      table_one.drift_residuals)
 
     @staticmethod
     def _fresh_rows(data, fraction, dictionary, levy, eps, start, stop):
@@ -446,68 +518,78 @@ class TestRegressionOracle:
 
     @classmethod
     def _fresh_block_reference(cls, data, fraction, dictionary, levy, eps,
-                               block):
-        """The regression with a fresh C-order W = [A^T; B^T] per block and
-        one W @ W.T of it, the parts summed in block order, then solved."""
+                               sub_rows):
+        """The regression with a fresh C-order W = [A^T; B^T] per sub-block
+        of ``sub_rows`` rows and one W @ W.T of it, the products summed in
+        sub-block order, then solved."""
         K = dictionary.K
-        G = C = bsq = None
-        for start in range(0, data.M, block):
+        total = None
+        for start in range(0, data.M, sub_rows):
             A, B, pairs = cls._fresh_rows(data, fraction, dictionary, levy,
-                                          eps, start, start + block)
+                                          eps, start, start + sub_rows)
             W = np.concatenate([A.T, B.T])
-            WWt = W @ W.T
-            parts = WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]
-            if G is None:
-                G, C, bsq = parts
-            else:
-                G, C, bsq = G + parts[0], C + parts[1], bsq + parts[2]
+            total = W @ W.T if total is None else total + W @ W.T
+        G, C, bsq = total[:K, :K], total[:K, K:], np.diagonal(total)[K:]
         coef = solve_gram(G, C)
         fit = np.einsum("kt,kl,lt->t", coef, G, coef)
         res = np.sqrt(np.maximum(
             bsq - 2.0 * np.einsum("kt,kt->t", coef, C) + fit, 0.0))
         return coef, res, pairs
 
+    @staticmethod
+    def _assert_table_is(table, coef, res, pairs):
+        """Every coefficient and residual of ``table`` has the reference's
+        bits."""
+        n = table.drift.shape[0]
+        assert table.drift.tobytes() == np.ascontiguousarray(
+            coef[:, :n].T).tobytes()
+        assert table.drift_residuals.tobytes() == res[:n].tobytes()
+        for col, (i, j) in enumerate(pairs):
+            assert table.diffusion[(i + 1, j + 1)].tobytes() == np.ascontiguousarray(
+                coef[:, n + col]).tobytes()
+            assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
+
     @pytest.mark.parametrize("cache_rows", [16, 24, None])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_reused_buffers_match_fresh_blocks(self, workers, cache_rows,
                                                monkeypatch):
-        # 3 full 64-row blocks and a 5-row one: a partial block that read
-        # rows a reused buffer kept from a full block would change the sums.
-        # 24-row sub-blocks leave a 16-row one in every full block
-        block = 64
+        # 197 rows through the cube filter, whose masks are CHUNK_ROWS
+        # blocks: the 179 survivors fill 16- or 24-row sub-blocks and a
+        # partial one, and a partial sub-block that read columns the reused
+        # scratch kept from a full one would change the sums
         rng = np.random.default_rng(21)
-        n, h, fraction = 2, 0.001, 0.9
-        M = 3 * block + 5
+        n, h, M = 2, 0.001, 197
         Z = rng.uniform(-2, 2, (M, n))
         X = Z + 0.05 * rng.standard_normal((M, n))
         data = DatasetPair.from_arrays(Z, X, h)
         dictionary = polynomial_dictionary(n, 2)
         levy = [StableParams(1.5, -0.5, 0.5), StableParams(0.7, 0.3, 1.2)]
-        config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.5)
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", block)
+        config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.1)
         if cache_rows is not None:
             monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", cache_rows)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        keep = np.max(np.abs(X - Z), axis=1) <= config.cube_half_width
+        survivors = DatasetPair.from_arrays(Z[keep], X[keep], h)
+        want = self._fresh_block_reference(
+            survivors, keep.sum() / M, dictionary, levy,
+            config.cube_half_width, levysid.simulate.CACHE_ROWS)
+        assert survivors.M % levysid.simulate.CACHE_ROWS > 0
 
-        table = regression_tables(data, fraction, dictionary, levy, config)
+        for chunk_rows in (7, 64, 100, 1 << 16):
+            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
+            kept, fraction = cube_filter(data, config.cube_half_width)
+            self._assert_table_is(regression_tables(
+                kept, fraction, dictionary, levy, config), *want)
 
-        coef, res, pairs = self._fresh_block_reference(
-            data, fraction, dictionary, levy, config.cube_half_width, block)
-        np.testing.assert_array_equal(table.drift, coef[:, :n].T)
-        np.testing.assert_array_equal(table.drift_residuals, res[:n])
-        for col, (i, j) in enumerate(pairs):
-            np.testing.assert_array_equal(table.diffusion[(i + 1, j + 1)],
-                                          coef[:, n + col])
-            assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
-
-    def test_example2_blocks_match_fresh_blocks(self):
-        # the layout contract at K = 19: two full CHUNK_ROWS blocks and a
-        # partial one, each filled sub-block by sub-block into the columns
-        # of one reused scratch, give the bits of a fresh C-order W per
-        # block. Summing the same entries another way, such as A.T @ A of a
-        # row-major block, changes the Gram products' last bits here
-        block = levysid.simulate.CHUNK_ROWS
-        M = 2 * block + 1234
+    def test_example2_blocks_match_fresh_blocks(self, monkeypatch):
+        # the layout contract at K = 19: eight full CACHE_ROWS sub-blocks
+        # and a partial one, each filled into the columns of one reused
+        # scratch, give the bits of a fresh C-order W per sub-block, at any
+        # CHUNK_ROWS and worker count. Summing the same entries another way,
+        # such as A.T @ A of a row-major block, changes the Gram products'
+        # last bits here
+        sub_rows = levysid.simulate.CACHE_ROWS
+        M = 8 * sub_rows + 1234
         rng = np.random.default_rng(22)
         Z = rng.uniform(0.0, 5.0, (M, 1))
         X = Z + 0.05 * rng.standard_normal((M, 1))
@@ -515,15 +597,14 @@ class TestRegressionOracle:
         dictionary = example2_dictionary()
         levy = [StableParams(1.5, -0.5, 0.5)]
         config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
+        want = self._fresh_block_reference(
+            data, 0.9, dictionary, levy, config.cube_half_width, sub_rows)
 
-        table = regression_tables(data, 0.9, dictionary, levy, config)
-
-        coef, res, _ = self._fresh_block_reference(
-            data, 0.9, dictionary, levy, config.cube_half_width, block)
-        assert table.drift.tobytes() == coef[:, :1].T.tobytes()
-        assert table.diffusion[(1, 1)].tobytes() == coef[:, 1].tobytes()
-        assert table.drift_residuals.tobytes() == res[:1].tobytes()
-        assert table.diffusion_residuals[(1, 1)] == res[1]
+        for chunk_rows, workers in ((1 << 16, "1"), (5000, "2")):
+            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
+            monkeypatch.setenv("LEVYSID_WORKERS", workers)
+            self._assert_table_is(regression_tables(
+                data, 0.9, dictionary, levy, config), *want)
 
     @pytest.mark.parametrize("n,dictionary", [
         (1, example2_dictionary()), (3, polynomial_dictionary(3, 2))])
@@ -585,6 +666,26 @@ class TestRegressionMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[4] - peaks[1] < rows * dictionary.K * 8, peaks
+
+    def test_peak_below_one_block_scratch(self):
+        # four full CHUNK_ROWS blocks of lorenz3d's shape: the regression
+        # holds one CACHE_ROWS scratch, never a CHUNK_ROWS one
+        rows = levysid.simulate.CHUNK_ROWS
+        rng = np.random.default_rng(15)
+        Z = rng.uniform(-2, 2, (4 * rows, 3))
+        data = DatasetPair.from_arrays(
+            Z, Z + 0.01 * rng.standard_normal(Z.shape), 0.001)
+        dictionary = polynomial_dictionary(3, 2)
+        levy = [StableParams(1.5, -0.5, 0.5)] * 3
+        tracemalloc.start()
+        try:
+            regression_tables(data, 1.0, dictionary, levy,
+                              _config(cube_epsilon=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = (dictionary.K + 3 + 6) * rows * 8
+        assert peak < scratch, peak / scratch
 
     def test_survivors_read_through_the_file(self, tmp_path, monkeypatch):
         # eight blocks of lorenz3d's shape in a binary file: the filter

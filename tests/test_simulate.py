@@ -131,7 +131,7 @@ class TestGrid:
         assert (grid.M, grid.n, grid.shape) == (Z.shape[0], Z.shape[1], Z.shape)
         # 16-row index chunks, so the slices cross the builder's own blocks
         chunk = 16
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", chunk)
         for lo, hi in _spans(grid.M, chunk):
             rows = grid[lo:hi]
             assert rows.dtype == np.float64 and rows.flags.c_contiguous
@@ -145,6 +145,40 @@ class TestGrid:
         grid = Grid(bounds, mesh)
         for lo, hi in _spans(grid.M, CHUNK_ROWS):
             assert grid[lo:hi].tobytes() == Z[lo:hi].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("bounds,mesh", [
+        ([[0.5, 3.0]], [1]),
+        ([[-0.0, 1.0]], [1]),
+        ([[0.5, 3.0]], [2]),
+        ([[-0.0, 1.0]], [9]),
+        ([[-7.3, -0.1]], [1001]),
+        ([[-1 / 3, 2 / 7], [1e-300, 3e-300]], [12345, 3]),
+        ([[-0.1, 0.7], [-2.0, 5.0], [0.3, 0.31]], [13, 2, 17]),
+        ([[0, 5]], [10**6]),
+    ], ids=["m1", "m1-negzero", "m2", "negzero", "negative", "odd",
+            "3d", "1d-million"])
+    def test_rows_match_linspace_meshgrid(self, bounds, mesh):
+        # entry i * step + lo, and hi last, are linspace's bits
+        axes = [np.array([float(lo)]) if m == 1 else np.linspace(lo, hi, m)
+                for (lo, hi), m in zip(bounds, mesh)]
+        want = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=1)
+        grid = Grid(bounds, mesh)
+        assert grid[0:grid.M].tobytes() == want.tobytes()
+        last = [hi if m > 1 else lo for (lo, hi), m in zip(bounds, mesh)]
+        assert grid[grid.M - 1:grid.M].tobytes() == np.array(
+            [last], dtype=np.float64).tobytes()
+
+    def test_step_must_be_positive_and_finite(self):
+        # linspace makes a step that underflows to 0 another way, and one
+        # that overflows gives NaN rows; both are refused. One point needs
+        # no step
+        for bounds in ([[0.0, 5e-324]], [[-1e308, 1e308]]):
+            with pytest.raises(DomainError, match="not positive and finite"):
+                Grid(bounds, [3])
+            assert Grid(bounds, [1])[0:1].tobytes() == np.array(
+                [[bounds[0][0]]]).tobytes()
+        assert Grid([[0.0, 5e-324]], [2])[0:2].tolist() == [[0.0], [5e-324]]
 
     def test_checks_its_input(self):
         with pytest.raises(GridSizeError):
@@ -389,6 +423,19 @@ class TestMapChunks:
 
 
 class TestGridMemory:
+    def test_no_axis_held(self):
+        # numpy reports its data allocations to tracemalloc. A 10^6-point
+        # axis would be 8 MB; the rows are made from the index instead
+        tracemalloc.start()
+        try:
+            grid = Grid([[0, 5]], [10**6])
+            rows = grid[10**6 - 100:10**6]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[-1, 0] == 5.0
+        assert peak < 64 * 1024, peak
+
     def test_peak_flat_in_grid_size(self, tmp_path, monkeypatch):
         # numpy reports its data allocations to tracemalloc. lorenz3d grids
         # of 4 and 16 blocks of 4096 rows: each block's grid rows are made
