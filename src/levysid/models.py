@@ -49,32 +49,19 @@ class SdeModel:
         term vanishes and no normals need drawing."""
         return any(t.root != ("c", 0.0) for row in self.gaussian for t in row)
 
-    def _at(self, trees, points):
-        """Evaluate trees at an (M, n) block into (M, len(trees)), the
-        transpose of component-major rows, so that each tree's values are
-        written contiguously."""
-        return evaluate_trees(trees, points,
-                              out=np.empty((len(trees), len(points))).T)
-
     def drift_at(self, points):
-        """Evaluate b at an (M, n) block; returns (M, n) as ``_at`` does."""
-        return self._at(self.drift, points)
+        """Evaluate b at an (M, n) block; returns (M, n), the transpose of
+        component-major rows, so that each entry's values are written
+        contiguously."""
+        return evaluate_trees(self.drift, points,
+                              out=np.empty((self.n, len(points))).T)
 
     def gaussian_at(self, points):
-        """Evaluate Lambda at an (M, n) block; returns (M, n, n), a view of
-        one contiguous row per entry as in ``drift_at``. einsum's sums depend
-        on the layout: give it ``np.ascontiguousarray`` of this view for the
-        bits of a row-major Lambda."""
-        return self._at(self._lambda_trees, points).reshape(-1, self.n, self.n)
-
-    def step_terms_at(self, points):
-        """``(drift_at(points), gaussian_at(points))`` from one evaluation
-        pass, so the points are split into columns once; Lambda is None
-        when ``gaussian_enabled`` is False."""
-        if not self.gaussian_enabled:
-            return self.drift_at(points), None
-        flat = self._at((*self.drift, *self._lambda_trees), points)
-        return flat[:, :self.n], flat[:, self.n:].reshape(-1, self.n, self.n)
+        """Evaluate Lambda at an (M, n) block; returns a C-contiguous (M, n,
+        n) array, the row-major (M, n^2) values of the entries. einsum's sums
+        depend on the layout of its inputs, and the step and the true curves
+        keep the bits of this one."""
+        return evaluate_trees(self._lambda_trees, points).reshape(-1, self.n, self.n)
 
     @property
     def _lambda_trees(self):

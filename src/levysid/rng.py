@@ -22,6 +22,12 @@ For a block of rows the uniforms are held counter by counter, each counter
 one contiguous row, so Box-Muller and CMS run over contiguous rows. Every
 draw's bits are those of the same transform applied row by row.
 
+The kernel works in place: a block's hash values are mixed in their own
+buffer through one scratch, become its uniforms in that buffer, and
+Box-Muller and CMS overwrite the uniform rows they are given. Each takes
+the float operations of its out-of-place formula in the same order, so
+the bits are the formula's (tests/oracles.py keeps those formulas).
+
 NumPy generators were deliberately not used here: their normal sampler
 consumes a data-dependent number of words (ziggurat rejection), which makes
 fixed per-row counter layouts impossible. Box-Muller from two counters per
@@ -43,11 +49,19 @@ _M2 = 0x94D049BB133111EB
 _HALF_PI = math.pi / 2.0
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    # the SplitMix64 finalizer; uint64 array arithmetic wraps mod 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The SplitMix64 finalizer of z, written into ``out`` (a new array when
+    None; z itself to hash in place) through one scratch of z's size.
+    uint64 array arithmetic wraps mod 2^64."""
+    s = z >> np.uint64(30)
+    out = np.bitwise_xor(z, s, out=out)
+    out *= np.uint64(_M1)
+    np.right_shift(out, np.uint64(27), out=s)
+    out ^= s
+    out *= np.uint64(_M2)
+    np.right_shift(out, np.uint64(31), out=s)
+    out ^= s
+    return out
 
 
 def raw_block(key, start: int, count: int) -> np.ndarray:
@@ -59,8 +73,8 @@ def raw_block(key, start: int, count: int) -> np.ndarray:
     """
     keys = np.asarray(key, dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _mix64_np(idx.reshape((count,) + (1,) * keys.ndim)
-                     * np.uint64(GAMMA) + keys)
+    z = idx.reshape((count,) + (1,) * keys.ndim) * np.uint64(GAMMA) + keys
+    return _mix64_np(z, out=z)
 
 
 def uniform_block(key, start: int, count: int) -> np.ndarray:
@@ -69,9 +83,14 @@ def uniform_block(key, start: int, count: int) -> np.ndarray:
 
     Mapping keeps 53 bits and centers on the grid: u = ((raw >> 11) + 0.5)/2^53,
     so 0.0 and 1.0 are unreachable and downstream log/tan transforms stay finite.
+    The doubles take the place of the hash values in their buffer.
     """
     r = raw_block(key, start, count)
-    return ((r >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r >>= np.uint64(11)
+    u = r.view(np.float64)
+    np.add(r, 0.5, out=u)
+    u *= 2.0**-53
+    return u
 
 
 def row_keys(base_key: int, row0: int, nrows: int) -> np.ndarray:
@@ -91,24 +110,61 @@ def stream_key(seed: int, stream: int = 0) -> int:
 
 
 def _box_muller(u1, u2):
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """Box-Muller normals sqrt(-2 log u1) cos(2 pi u2), written over u1;
+    u2 is overwritten too."""
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _cms(ua, ue, alpha, beta):
     """Chambers-Mallows-Stuck: standard S_alpha(1, beta, 0) draws from an angle
-    uniform ua and an exponential uniform ue. Both terms of the alpha=1 branch
-    stay finite because ua, ue are strictly inside (0,1)."""
-    phi = np.pi * (ua - 0.5)
-    w = -np.log(ue)
+    uniform ua and an exponential uniform ue, which are overwritten. Both
+    terms of the alpha=1 branch stay finite because ua, ue are strictly
+    inside (0,1)."""
+    phi = ua
+    phi -= 0.5
+    phi *= np.pi
+    w = ue
+    np.log(w, out=w)
+    np.negative(w, out=w)
     if alpha == 1.0:
-        t = _HALF_PI + beta * phi
-        return (t * np.tan(phi) - beta * np.log(_HALF_PI * w * np.cos(phi) / t)) / _HALF_PI
+        t = phi * beta
+        t += _HALF_PI
+        # w becomes beta log(pi/2 w cos(phi) / t), phi t tan(phi) less it
+        w *= _HALF_PI
+        c = np.cos(phi)
+        w *= c
+        w /= t
+        np.log(w, out=w)
+        w *= beta
+        np.tan(phi, out=phi)
+        phi *= t
+        phi -= w
+        phi /= _HALF_PI
+        return phi
     ta = math.tan(_HALF_PI * alpha)
     b0 = math.atan(beta * ta) / alpha
     s0 = (1.0 + (beta * ta) ** 2) ** (0.5 / alpha)
-    ap = alpha * (phi + b0)
-    return (s0 * np.sin(ap) / np.cos(phi) ** (1.0 / alpha)
-            * (np.cos(phi - ap) / w) ** ((1.0 - alpha) / alpha))
+    ap = phi + b0
+    ap *= alpha
+    # t becomes (cos(phi - ap) / w) ** ((1 - alpha) / alpha), phi
+    # cos(phi) ** (1 / alpha) and ap the draw
+    t = phi - ap
+    np.cos(t, out=t)
+    t /= w
+    t **= (1.0 - alpha) / alpha
+    np.cos(phi, out=phi)
+    phi **= 1.0 / alpha
+    np.sin(ap, out=ap)
+    ap *= s0
+    ap /= phi
+    ap *= t
+    return ap
 
 
 def row_normals(keys: np.ndarray, n: int) -> np.ndarray:

@@ -300,25 +300,19 @@ def generate_grid(bounds, mesh):
     return Grid(bounds, mesh)[:]
 
 
-def _noise(model, keys, h):
-    """Standard normals and the scaled jump term of the rows whose streams
-    have the given keys. Without a Gaussian term no normals are drawn and
-    the normals are None; without Levy noise no stable draws are made and
-    the jump term is 0.0. Otherwise component i of the standard stable
-    draws is scaled by sigma_i h^(1/alpha_i), one contiguous component row
-    at a time, and the jump term is the rows x n transpose of those rows.
-    Each kind reads only its own counters, so skipping one leaves the other
-    unchanged."""
-    gauss = row_normals(keys, model.n) if model.gaussian_enabled else None
-    if model.levy is None:
-        return gauss, 0.0
+def _jump_term(model, keys, h):
+    """The scaled jump term of the rows whose streams have the given keys:
+    component i of the standard stable draws is scaled by sigma_i
+    h^(1/alpha_i) into its own contiguous component row, and the term is
+    the rows x n transpose of those rows."""
     alphas = np.array([p.alpha for p in model.levy])
     betas = np.array([p.beta for p in model.levy])
     jumps = component_jumps(keys, model.n, alphas, betas)
     for i, p in enumerate(model.levy):
         scale = h ** (1.0 / alphas[i])
-        jumps[i] = p.sigma * scale_stable(jumps[i], alphas[i], betas[i], scale)
-    return gauss, jumps.T
+        np.multiply(scale_stable(jumps[i], alphas[i], betas[i], scale), p.sigma,
+                    out=jumps[i])
+    return jumps.T
 
 
 def _step_block(model, Z_block, h, keys, out, row0):
@@ -328,33 +322,47 @@ def _step_block(model, Z_block, h, keys, out, row0):
     evaluated raises EvaluationDomainError and a state that is not finite
     SimulationError. ``row0``, the dataset index of the block's first row,
     only locates those errors.
+
+    Its intermediates are written in place, and the large ones are made
+    one after another: the normals are drawn, drift*h is written into ``out``
+    before Lambda is evaluated, and the Gaussian term, einsum's output (for
+    n == 1, the normals) scaled by sqrt(h), is added before the stable
+    draws are made. Without a Gaussian term no normals are drawn and no
+    Lambda is evaluated; without Levy noise no stable draws are made. Each
+    kind reads only its own counters, so skipping one leaves the other
+    unchanged.
     """
     m, n = Z_block.shape
-    try:
-        drift, lam = model.step_terms_at(Z_block)
-    except EvaluationDomainError as exc:
-        raise EvaluationDomainError(
-            f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: "
-            f"{exc}") from exc
-
     # the drift and the jump term come component-major and are each read
-    # once into the row-major ``out``; IEEE addition commutes, so drift*h +
-    # Z has the bits of Z + drift*h. Datasets must stay bit-identical, so
-    # n == 1 stays off einsum, whose sums can differ in the sign of a zero,
-    # and einsum gets lam in the row order its sums were fixed in. Without
-    # a Gaussian term, lam @ gauss would be a zero that leaves every
-    # nonzero sum unchanged. An overflow raises SimulationError below, so
-    # numpy does not warn about it first
+    # once into the row-major ``out``; IEEE addition and multiplication
+    # commute, so drift*h + Z has the bits of Z + drift*h, and each product
+    # taken in place those of the product it replaces. The terms are added
+    # in the order Z + drift*h, Gaussian, jumps. Datasets must stay
+    # bit-identical, so n == 1 stays off einsum, whose sums can differ in
+    # the sign of a zero, and einsum gets the row-major Lambda its sums were
+    # fixed with. Without a Gaussian term, lam @ gauss would be a zero that
+    # leaves every nonzero sum unchanged. An overflow raises SimulationError
+    # below, so numpy does not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        gauss, jump_term = _noise(model, keys, h)
-        np.multiply(drift, h, out=out)
+        gauss = row_normals(keys, n) if model.gaussian_enabled else None
+        try:
+            np.multiply(model.drift_at(Z_block), h, out=out)
+            lam = None if gauss is None else model.gaussian_at(Z_block)
+        except EvaluationDomainError as exc:
+            raise EvaluationDomainError(
+                f"coefficient evaluation failed on rows {row0}..{row0 + m - 1}: "
+                f"{exc}") from exc
         out += Z_block
-        if gauss is not None and n == 1:
-            out[:, 0] += np.sqrt(h) * (lam[:, 0, 0] * gauss[:, 0])
-        elif gauss is not None:
-            out += np.sqrt(h) * np.einsum("rij,rj->ri",
-                                          np.ascontiguousarray(lam), gauss)
-        out += jump_term
+        if gauss is not None:
+            if n == 1:
+                gauss *= lam[:, 0]
+            else:
+                gauss = np.einsum("rij,rj->ri", lam, gauss, out=np.empty((m, n)))
+            gauss *= math.sqrt(h)
+            out += gauss
+            del gauss, lam  # freed before the stable draws are made
+        if model.levy is not None:
+            out += _jump_term(model, keys, h)
 
     if not np.all(np.isfinite(out)):
         r, c = (int(v) for v in np.argwhere(~np.isfinite(out))[0])

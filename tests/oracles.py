@@ -5,7 +5,10 @@ scipy.special.gamma for the kernel constant and QUADPACK adaptive quadrature
 for the truncated-moment integrals. No levysid code is imported, so closed
 forms in the package and integrals here are two genuinely separate routes.
 The noise-kernel reference is scalar Python: 64-bit integers as masked
-Python ints and transcendentals from ``math``. The expression printer at the
+Python ints and transcendentals from ``math``. Beside it, the array forms
+of Box-Muller and Chambers-Mallows-Stuck are written out of place, one
+numpy operation per term in the kernel's order, so their bytes are those
+the kernel must give. The expression printer at the
 end walks the parser's nested-tuple trees and renders the text form the
 grammar accepts.
 """
@@ -130,6 +133,29 @@ def row_noise_oracle(base_key, row, alphas, betas):
     stables = [cms_oracle(u[2 * n + 2 * i], u[2 * n + 2 * i + 1], alphas[i], betas[i])
                for i in range(n)]
     return u, normals, stables
+
+
+def box_muller_reference(u1, u2):
+    """Box-Muller normals of uniform arrays, out of place: sqrt(-2 log u1)
+    cos(2 pi u2), in the kernel's order of operations."""
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def cms_reference(ua, ue, alpha, beta):
+    """Chambers-Mallows-Stuck draws of uniform arrays, out of place, in the
+    kernel's order of operations."""
+    half_pi = math.pi / 2.0
+    phi = np.pi * (ua - 0.5)
+    w = -np.log(ue)
+    if alpha == 1.0:
+        t = half_pi + beta * phi
+        return (t * np.tan(phi) - beta * np.log(half_pi * w * np.cos(phi) / t)) / half_pi
+    ta = math.tan(half_pi * alpha)
+    b0 = math.atan(beta * ta) / alpha
+    s0 = (1.0 + (beta * ta) ** 2) ** (0.5 / alpha)
+    ap = alpha * (phi + b0)
+    return (s0 * np.sin(ap) / np.cos(phi) ** (1.0 / alpha)
+            * (np.cos(phi - ap) / w) ** ((1.0 - alpha) / alpha))
 
 
 # precedence levels of the expression printer; a child whose level is below

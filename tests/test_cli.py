@@ -612,9 +612,9 @@ class TestPlotDataCommand:
             {(1, 1): [1.0, 0.5, 0.0]}))
 
     def test_true_diffusion_uses_row_major_lambda(self):
-        # gaussian_at returns a view of component-major rows; at n = 4
-        # einsum's sums over that layout differ in the last bits, and the
-        # true curve keeps those of a row-major Lambda
+        # gaussian_at returns a C-contiguous Lambda, which einsum gets as it
+        # is; at n = 4 einsum's sums over a component-major layout differ in
+        # the last bits, and the true curve keeps those of the row-major one
         n = 4
         model = model_from_config({
             "dimension": n, "drift": ["0"] * n, "levy": None,

@@ -29,6 +29,7 @@ from levysid import (
     write_dataset,
 )
 import levysid.estimate
+import levysid.rng
 import levysid.simulate
 from levysid.cli import main
 from levysid.dataio import DatasetFile
@@ -452,6 +453,7 @@ class TestOneSubBlockPerPass:
 
     ROWS = 4096
     BLOCK = ROWS * 2 * 3 * 8   # one CHUNK_ROWS block of lorenz3d rows
+    SUB = BLOCK // 4           # one CACHE_ROWS sub-block of them
 
     @pytest.fixture
     def simulation(self, monkeypatch):
@@ -462,14 +464,28 @@ class TestOneSubBlockPerPass:
         grid = levysid.simulate.Grid([[-2, 2]] * 3, [24 * 16, 16, 16])
         return simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=5)
 
+    def test_sub_block_step(self, simulation):
+        # a sub-block's (rows, 2n) block, its grid rows, its x scratch and
+        # its step's temporaries read 5.3 sub-blocks, and the step alone
+        # 3.1; with the noise drawn out of place, Lambda copied to row-major
+        # and the drift, normals and stable draws all held at once they
+        # read 7.8 and 5.6
+        rows = self.ROWS // 4
+        block = _peak(simulation.block, 0, rows)
+        Z, X = simulation.Z[0:rows], np.empty((rows, 3))
+        keys = levysid.rng.row_keys(simulation.key, 0, rows)
+        step = _peak(levysid.simulate._step_block, simulation.model, Z,
+                     simulation.h, keys, X, 0)
+        assert block < 6 * self.SUB, block / self.SUB
+        assert step < 3.5 * self.SUB, step / self.SUB
+
     def test_simulated_write(self, tmp_path, simulation):
-        # stepping one sub-block alone holds its rows and its step's
-        # temporaries, about two blocks for lorenz3d; the writer adds less
-        # than a sub-block to that, where holding a stepped block would add
+        # the writer adds about half a sub-block to what stepping one
+        # sub-block alone holds, where holding a stepped block would add
         # one block and its writer's queue more
         one = _peak(simulation.block, 0, self.ROWS // 4)
         peak = _peak(write_dataset, simulation, tmp_path / "pairs.bin")
-        assert peak < one + self.BLOCK / 4, (one / self.BLOCK, peak / self.BLOCK)
+        assert peak < one + 0.75 * self.SUB, ((peak - one) / self.SUB)
 
     def test_estimate_passes(self, tmp_path, simulation):
         write_dataset(simulation, tmp_path / "pairs.bin")

@@ -52,9 +52,11 @@ class TestBuiltinLorenz:
             rtol=0, atol=0)
 
     def test_component_major_values_bitwise(self):
-        # drift_at and gaussian_at fill component-major scratch; every
-        # value keeps the bits of a row-major evaluate_trees, on a block
-        # whose length is no multiple of a SIMD width
+        # drift_at fills component-major scratch and gaussian_at a row-major
+        # (M, n^2) array; every value keeps the bits of a row-major
+        # evaluate_trees, on a block whose length is no multiple of a SIMD
+        # width, and Lambda comes C-contiguous, the layout einsum's sums
+        # were fixed with
         model = builtin_model("lorenz3d")
         Z = np.random.default_rng(3).uniform(-2.0, 2.0, (1001, 3))
         drift = model.drift_at(Z)
@@ -62,17 +64,8 @@ class TestBuiltinLorenz:
         assert drift.tobytes() == evaluate_trees(model.drift, Z).tobytes()
         lam = model.gaussian_at(Z)
         flat = evaluate_trees([t for row in model.gaussian for t in row], Z)
-        assert lam.shape == (1001, 3, 3)
+        assert lam.shape == (1001, 3, 3) and lam.flags.c_contiguous
         assert lam.tobytes() == flat.reshape(-1, 3, 3).tobytes()
-
-    def test_step_terms_are_drift_and_gaussian(self):
-        # one evaluation pass gives the bits and the strides of the two
-        model = builtin_model("lorenz3d")
-        Z = np.random.default_rng(5).uniform(-2.0, 2.0, (1001, 3))
-        drift, lam = model.step_terms_at(Z)
-        for got, want in ((drift, model.drift_at(Z)), (lam, model.gaussian_at(Z))):
-            assert got.tobytes() == want.tobytes()
-            assert got.strides == want.strides
 
     def test_grid_defaults(self):
         cfg = builtin_config("lorenz3d")

@@ -1,12 +1,12 @@
 """Counter-based random stream: determinism, stream splitting, output quality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from levysid.rng import (
-    _box_muller,
-    _cms,
     _mix64_np,
     component_jumps,
     raw_block,
@@ -17,7 +17,15 @@ from levysid.rng import (
     uniform_block,
 )
 
-from oracles import _U64, _splitmix64, ks_one_sample, row_key_oracle, row_noise_oracle
+from oracles import (
+    _U64,
+    _splitmix64,
+    box_muller_reference,
+    cms_reference,
+    ks_one_sample,
+    row_key_oracle,
+    row_noise_oracle,
+)
 
 
 class TestMixing:
@@ -137,19 +145,22 @@ class TestNoiseKernelOracle:
                 assert_allclose(jumps[r], stables, rtol=1e-12, atol=0)
 
     def test_component_rows_match_row_major_reference(self):
-        # the kernel runs Box-Muller and CMS over contiguous component
-        # rows; the reference applies the same transforms to strided
-        # columns of per-row uniforms. 1001 rows leave a SIMD tail
+        # the kernel runs Box-Muller and CMS in place over contiguous
+        # component rows; the reference applies the out-of-place transforms
+        # of oracles.py to strided columns of per-row uniforms. alpha = 1
+        # takes its own branch at beta = 0 and 0.7, and 1001 rows leave a
+        # SIMD tail
+        alphas = np.array([0.3, 0.5, 1.0, 1.0, 1.5, 1.9])
+        betas = np.array([-0.4, 0.5, 0.0, 0.7, -0.5, 1.0])
         base = stream_key(2024, 3)
         keys = row_keys(base, 5, 1001)
-        alphas, betas = np.array(self.ALPHAS), np.array(self.BETAS)
         n = len(alphas)
         per_row = np.ascontiguousarray(uniform_block(keys, 0, 4 * n).T)
-        normals = _box_muller(per_row[:, 0:2 * n:2], per_row[:, 1:2 * n:2])
+        normals = box_muller_reference(per_row[:, 0:2 * n:2], per_row[:, 1:2 * n:2])
         jumps = np.empty((len(keys), n))
         for i in range(n):
-            jumps[:, i] = _cms(per_row[:, 2 * n + 2 * i],
-                               per_row[:, 2 * n + 2 * i + 1], alphas[i], betas[i])
+            jumps[:, i] = cms_reference(per_row[:, 2 * n + 2 * i],
+                                        per_row[:, 2 * n + 2 * i + 1], alphas[i], betas[i])
         # simulation reads row_normals and component_jumps, one component
         # row per stable component
         assert row_normals(keys, n).tobytes() == normals.tobytes()
@@ -159,3 +170,24 @@ class TestNoiseKernelOracle:
             assert got.shape == (len(keys), n) and got.flags.c_contiguous
         assert got_normals.tobytes() == normals.tobytes()
         assert got_jumps.tobytes() == jumps.tobytes()
+
+
+class TestKernelMemory:
+    def test_uniforms_and_one_scratch(self):
+        # a block's hash values are mixed in their own buffer through one
+        # scratch of its size and become the uniforms there, and Box-Muller
+        # and CMS overwrite them: each draw peaks at 2.1 buffers of 2n
+        # uniform rows, where mixing and transforming out of place held 3.0
+        n, rows = 3, 16384
+        keys = row_keys(stream_key(8, 0), 0, rows)
+        alphas, betas = np.array([0.5, 1.0, 1.5]), np.array([0.5, 0.0, -0.5])
+        uniforms = 2 * n * rows * 8
+        for draw, args in ((row_normals, (keys, n)),
+                           (component_jumps, (keys, n, alphas, betas))):
+            tracemalloc.start()
+            try:
+                draw(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * uniforms, (draw.__name__, peak / uniforms)
