@@ -12,8 +12,8 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
 A text file is read into a DatasetPair, every entry checked. A binary file
 is read as a DatasetFile, which reads and checks its rows one block at a
 time, so the estimators never hold the whole payload. Any row-block source
-is written one block at a time, a binary one sub-block by sub-block at the
-rows' own offsets, so the writer never holds it either.
+is written one block at a time, a binary one at the rows' own offsets, so
+the writer never holds it either.
 
 A report is the JSON text of a Report, with sorted keys and two-space
 indentation; its reader checks every section, and a report read back and
@@ -36,7 +36,6 @@ from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
 from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
                        EstimationConfig, LevyEstimate, load_est_config)
-from . import simulate
 from .simulate import BlockRows, DatasetPair, check_header, check_rows, map_chunks
 
 MAGIC = b"LSID"
@@ -74,15 +73,15 @@ def write_dataset(data, path):
     The source's blocks are read through ``map_chunks``, so a
     ``Simulation`` is stepped here and the writer never holds all the rows.
     In the binary encoding every row's offset is known, so each call reads
-    its block CACHE_ROWS rows at a time and writes each sub-block at its
-    own offset with ``os.pwrite``; the caller only drains the calls, and no
-    read block waits for a writer. Text rows have no known offset: each
-    block is encoded and written in block order as it comes, while the
-    workers read the next ones. The rows go to a temporary file in the
-    nearest existing directory on the way up from the directory of
-    ``path``, which replaces ``path`` only once every block is written; the
-    missing directories are made just before. A block that raises leaves
-    neither file nor directory behind, and an existing ``path`` unchanged.
+    its CHUNK_ROWS block and writes it at its own offset with
+    ``os.pwrite``; the caller only drains the calls, and no read block
+    waits for a writer. Text rows have no known offset: each block is
+    encoded and written in block order as it comes, while the workers read
+    the next ones. The rows go to a temporary file in the nearest existing
+    directory on the way up from the directory of ``path``, which replaces
+    ``path`` only once every block is written; the missing directories are
+    made just before. A block that raises leaves neither file nor directory
+    behind, and an existing ``path`` unchanged.
     """
     path = os.fspath(path)
     text = os.path.splitext(path)[1] == ".csv"
@@ -103,11 +102,8 @@ def write_dataset(data, path):
                     BINARY_VERSION, data.n, data.M, data.h), 0)
 
                 def place(start, stop):
-                    # no name holds a sub-block while the next one is read
-                    for lo in range(start, stop, simulate.CACHE_ROWS):
-                        hi = min(lo + simulate.CACHE_ROWS, stop)
-                        _pwrite(fd, np.ascontiguousarray(data.block(lo, hi), "<f8"),
-                                _BINARY_HEADER_BYTES + 16 * data.n * lo)
+                    _pwrite(fd, np.ascontiguousarray(data.block(start, stop), "<f8"),
+                            _BINARY_HEADER_BYTES + 16 * data.n * start)
 
                 for _ in map_chunks(place, data.M):
                     pass

@@ -6,11 +6,12 @@ counts, then the drift and diffusion coefficients by least squares over a
 basis dictionary, after filtering to the small-increment cube and removing
 the closed-form jump corrections R and S.
 
-The regressions never materialize the full design matrix: each CACHE_ROWS
-sub-block stacks its design matrix and targets in one scratch W, whose
-product W W^T holds the Gram updates A^T A and A^T B, added in sub-block
-order on the calling thread. The bin counts and the cube filter run on
-``map_chunks``' worker pool; every result is identical for any worker count.
+Every pass reads its data one CHUNK_ROWS block at a time. The regressions
+never materialize the full design matrix: each block stacks its design
+matrix and targets in one scratch W, whose product W W^T holds the Gram
+updates A^T A and A^T B, added in block order on the calling thread. The
+bin counts and the cube filter run on ``map_chunks``' worker pool; every
+result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -239,22 +240,17 @@ def estimate_levy(data, config):
     """Identify (alpha, beta, sigma) for every component of a dataset.
 
     ``data`` is a row-block source, such as a DatasetFile. Each
-    CHUNK_ROWS block is read CACHE_ROWS rows at a time, and each
-    component's bin counts are summed over the sub-blocks; integer sums do
-    not depend on the order, so neither does the result.
+    CHUNK_ROWS block is read once, and each component's bin counts are
+    summed over the blocks; integer sums do not depend on the order, so
+    neither does the result.
     """
-    def sub_block_counts(lo, hi):
-        # a call of its own, so the rows are freed before the next ones
-        D = _increments(*data.rows(lo, hi))
-        return [(c.pos, c.neg) for c in (bin_counts(row, config) for row in D)]
-
     def block_counts(start, stop):
-        step = simulate.CACHE_ROWS
-        return np.sum([sub_block_counts(lo, min(lo + step, stop))
-                       for lo in range(start, stop, step)], axis=0)
+        D = _increments(*data.rows(start, stop))
+        counts = [bin_counts(row, config) for row in D]
+        return np.array([(c.pos, c.neg) for c in counts])
 
     # (n, 2, N + 1): each component's positive and negative bin counts
-    totals = np.sum(list(map_chunks(block_counts, data.M)), axis=0)
+    totals = sum(map_chunks(block_counts, data.M))
     out = []
     for i in range(data.n):
         counts = BinCounts(totals[i, 0], totals[i, 1], data.M, data.h)
@@ -265,14 +261,15 @@ def estimate_levy(data, config):
     return out
 
 
-def _cube_mask(Z, X, half_width, out):
-    """max_i |x_i - z_i| <= half_width per row, one component row at a
-    time, written into the bool array ``out``."""
+def _cube_mask(Z, X, half_width):
+    """max_i |x_i - z_i| <= half_width per row, as a bool array, one
+    component row at a time."""
     D = _increments(Z, X)
     np.abs(D, out=D)
-    np.less_equal(D[0], half_width, out=out)
+    keep = D[0] <= half_width
     for row in D[1:]:
-        out &= row <= half_width
+        keep &= row <= half_width
+    return keep
 
 
 class _ZHalf:
@@ -349,20 +346,15 @@ def cube_filter(data, half_width):
     """Keep rows whose increment stays inside the closed cube
     max_i |x_i - z_i| <= half_width. Returns (filtered, survival fraction).
 
-    ``data`` is a row-block source. One pass over its blocks, each read
-    CACHE_ROWS rows at a time, builds each block's mask and packs it into
-    bits; the filtered source, a Survivors, holds the masks and reads the
-    kept rows from ``data`` whenever they are asked for, so no copy of them
-    is made here.
+    ``data`` is a row-block source. One pass over its CHUNK_ROWS blocks
+    builds each block's mask and packs it into bits; the filtered source,
+    a Survivors, holds the masks and reads the kept rows from ``data``
+    whenever they are asked for, so no copy of them is made here.
     """
     positive("half_width", half_width)
 
     def block_mask(start, stop):
-        keep = np.empty(stop - start, dtype=bool)
-        for lo in range(start, stop, simulate.CACHE_ROWS):
-            hi = min(lo + simulate.CACHE_ROWS, stop)
-            _cube_mask(*data.rows(lo, hi), half_width,
-                       out=keep[lo - start:hi - start])
+        keep = _cube_mask(*data.rows(start, stop), half_width)
         return np.packbits(keep), np.count_nonzero(keep)
 
     parts = list(map_chunks(block_mask, data.M))
@@ -408,13 +400,14 @@ def regression_tables(data, fraction, dictionary, levy, config):
     """Drift and diffusion regressions sharing one design-matrix pass.
 
     ``data`` must already be cube-filtered; ``fraction`` is the survival
-    fraction M_hat/M that scales every target. It is read CACHE_ROWS rows
-    at a time on the calling thread, which starts no pool. Each sub-block
-    is evaluated into the columns of one (K + n + P, CACHE_ROWS) scratch W,
+    fraction M_hat/M that scales every target. It is read one CHUNK_ROWS
+    block at a time on the calling thread, which starts no pool. Each block
+    is evaluated into the columns of one (K + n + P, CHUNK_ROWS) scratch W,
     the K design-matrix rows on top of the n + P target rows, and its
     product W W^T, which holds its A^T A, A^T B and, on the diagonal, each
-    target's sum of squares, is added to one running sum in sub-block
-    order. The bits depend on CACHE_ROWS alone. Returns a CoefficientTable.
+    target's sum of squares, is added to one running sum in block order.
+    The bits depend on CHUNK_ROWS, not on the worker count. Returns a
+    CoefficientTable.
     """
     n = data.n
     K = dictionary.K
@@ -442,9 +435,9 @@ def regression_tables(data, fraction, dictionary, levy, config):
     shift = np.concatenate([R, [S[i] if i == j else 0.0 for (i, j) in pairs]])
     scale = fraction / data.h
 
-    # one scratch per call, refilled for every sub-block: rows 0..K-1 hold
+    # one scratch per call, refilled for every block: rows 0..K-1 hold
     # the design matrix A^T and rows K.. the targets B^T
-    rows = simulate.CACHE_ROWS
+    rows = simulate.CHUNK_ROWS
     W = np.empty((K + n + P, rows))
     for start in range(0, data.M, rows):
         m = min(rows, data.M - start)
@@ -460,7 +453,7 @@ def regression_tables(data, fraction, dictionary, levy, config):
         for i in range(n):
             np.multiply(D[i], scale, out=B[i])
             np.subtract(B[i], shift[i], out=B[i])
-        # added in sub-block order, whatever CHUNK_ROWS and the worker count
+        # added in block order, whatever the worker count
         part = W[:, :m] @ W[:, :m].T
         WWt = part if start == 0 else WWt + part
     G, C, bsq = WWt[:K, :K], WWt[:K, K:], np.diagonal(WWt)[K:]

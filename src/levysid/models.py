@@ -9,10 +9,12 @@ only way to disable it, since StableParams requires sigma > 0.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _SIZE_CAP
 from .errors import ConfigError, DomainError, ExpressionError, number
 from .expr import ExpressionTree, evaluate_trees, parse_expression
 from .stable import StableParams
@@ -102,9 +104,15 @@ _BUILTINS = {
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
+# the largest model dimension n: the n x n Lambda entries stay within the
+# size cap of a basis dictionary
+DIMENSION_CAP = math.isqrt(_SIZE_CAP)
+
 
 def builtin_config(name):
     """Full JSON-shaped config dict for a built-in model name."""
+    if not isinstance(name, str):
+        raise ConfigError(f"model name must be a string, got {name!r}")
     if name not in _BUILTINS:
         raise ConfigError(
             f"unknown built-in model {name!r}; available: {', '.join(BUILTIN_NAMES)}")
@@ -141,9 +149,11 @@ def model_from_config(config):
     n = cfg["dimension"]
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"dimension must be a positive integer, got {n!r}")
+    if n > DIMENSION_CAP:
+        raise ConfigError(f"dimension must be at most {DIMENSION_CAP}, got {n}")
 
     drift_cfg = cfg.get("drift")
-    if not isinstance(drift_cfg, list):
+    if not isinstance(drift_cfg, list) or len(drift_cfg) != n:
         raise ConfigError(f"drift must be a list of {n} expressions")
     drift = tuple(_parse_entry(t, n, f"drift[{i}]") for i, t in enumerate(drift_cfg))
 

@@ -34,12 +34,10 @@ from .stable import scale_stable
 
 GRID_ROW_CAP = 200_000_000
 
-# rows per work unit; fixed so results never depend on the worker count
-CHUNK_ROWS = 1 << 16
-
-# rows processed at a time inside a work unit, so that the per-row
-# temporaries of a step stay in cache; every row's result is the same
-CACHE_ROWS = 1 << 14
+# rows per block, the one unit every pass reads, steps or writes at a time:
+# fixed so results never depend on the worker count, and small enough that
+# a block's per-row temporaries stay in cache
+CHUNK_ROWS = 1 << 14
 
 WORKERS_ENV_VAR = "LEVYSID_WORKERS"
 
@@ -81,10 +79,10 @@ def _cap_malloc_arenas():
 
     Every thread gets glibc's one main malloc arena; otherwise each worker
     thread gets an arena of its own, and the temporaries it frees stay
-    there, adding to peak RSS instead of being reused by the next sub-block.
+    there, adding to peak RSS instead of being reused by the next block.
     The mmap and trim thresholds are fixed: with glibc's moving defaults,
-    the sub-block buffers of a pass were mapped, or the heap top they left
-    was trimmed, and then faulted back for the next sub-block.
+    the block buffers of a pass were mapped, or the heap top they left
+    was trimmed, and then faulted back for the next block.
     ``map_chunks`` calls it before its first call, at any worker count; it
     holds for the whole process. Where libc has no ``mallopt`` this does
     nothing.
@@ -98,7 +96,7 @@ def _cap_malloc_arenas():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(M_ARENA_MAX, 1)
-    # every sub-block buffer, and a regression scratch of up to 16 MiB, come
+    # every block buffer, and a regression scratch of up to 16 MiB, come
     # from the heap, and up to 32 MiB of a freed heap top is kept for reuse
     mallopt(M_MMAP_THRESHOLD, 16 << 20)
     mallopt(M_TRIM_THRESHOLD, 32 << 20)
@@ -234,14 +232,16 @@ class Grid:
     """Tensor-product grid with inclusive endpoints, whose rows are made
     when they are read.
 
-    ``grid[lo:hi]`` is a new (rows, n) array of rows lo..hi-1. Rows are
-    ordered lexicographically in the axis indices (first axis slowest), so
-    column k of row r is entry i = ``(r // stride_k) % m_k`` of axis k,
-    stride_k being the product of the later axes' mesh. Entry i is ``i *
-    step + lo`` with step = (hi - lo) / (m_k - 1), and the last is hi: the
-    bits of ``linspace(lo, hi, m_k)``. A degenerate axis (mesh 1) sits at
-    its lower bound. The bounds, the mesh, the row count and the steps,
-    which must be positive and finite, are checked here.
+    ``grid[lo:hi]`` is a new (rows, n) array of rows lo..hi-1, made with
+    index temporaries of the same length; the passes read one CHUNK_ROWS
+    block at a time. Rows are ordered lexicographically in the axis
+    indices (first axis slowest), so column k of row r is entry i = ``(r
+    // stride_k) % m_k`` of axis k, stride_k being the product of the
+    later axes' mesh. Entry i is ``i * step + lo`` with step = (hi - lo) /
+    (m_k - 1), and the last is hi: the bits of ``linspace(lo, hi, m_k)``.
+    A degenerate axis (mesh 1) sits at its lower bound. The bounds, the
+    mesh, the row count and the steps, which must be positive and finite,
+    are checked here.
     """
 
     def __init__(self, bounds, mesh):
@@ -280,18 +280,16 @@ class Grid:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError("a Grid is read by row slices with step 1")
         start, stop, _ = rows.indices(self.M)
-        Z = np.empty((max(stop - start, 0), self.n))
-        # CACHE_ROWS rows at a time, so a long read holds few temporaries
-        for lo in range(start, stop, CACHE_ROWS):
-            q = np.arange(lo, min(lo + CACHE_ROWS, stop))
-            i = np.empty_like(q)
-            for k in reversed(range(self.n)):
-                first, last, m, step = self.axes[k]
-                np.divmod(q, m, out=(q, i))
-                col = Z[lo - start:lo - start + q.size, k]
-                np.multiply(i, step, out=col)
-                col += first
-                np.copyto(col, last, where=i == m - 1)
+        q = np.arange(start, stop)
+        i = np.empty_like(q)
+        Z = np.empty((q.size, self.n))
+        for k in reversed(range(self.n)):
+            first, last, m, step = self.axes[k]
+            np.divmod(q, m, out=(q, i))
+            col = Z[:, k]
+            np.multiply(i, step, out=col)
+            col += first
+            np.copyto(col, last, where=i == m - 1)
         return Z
 
 
@@ -376,11 +374,11 @@ def map_chunks(fn, M):
 
     With more than one block the calls run on ``worker_count()`` threads.
     At most that many calls run, and one more waits queued, ahead of the
-    result the caller has taken. The passes' calls read or step their block
-    CACHE_ROWS rows at a time and return small results, or, in the binary
-    writer, place their rows in the file themselves, so each worker holds
-    one sub-block and the caller only drains the results. The blocks do not
-    depend on the worker count, so neither do the results.
+    result the caller has taken. The passes' calls read or step their
+    block and return small results, or, in the binary writer, place its
+    rows in the file themselves, so each worker holds one block and the
+    caller only drains the results. The blocks do not depend on the worker
+    count, so neither do the results.
     """
     starts = range(0, M, CHUNK_ROWS)
     stops = [min(start + CHUNK_ROWS, M) for start in starts]
@@ -430,23 +428,15 @@ class Simulation(BlockRows):
     key: int
 
     def block(self, start, stop):
-        """Rows start..stop-1 as one new (rows, 2n) array, z before x; the
-        x half is stepped CACHE_ROWS rows at a time."""
+        """Rows start..stop-1 as one new (rows, 2n) array, z before x. The
+        passes read at most CHUNK_ROWS rows at a time; a longer read holds
+        temporaries in proportion to its rows."""
         check_rows(start, stop, self.M)
-        n = self.n
         Z = self.Z[start:stop]
-        block = np.empty((stop - start, 2 * n))
-        block[:, :n] = Z
-        # the step writes a contiguous scratch, which is then copied into
-        # the x half: numpy's loops over the strided half itself are
-        # several times slower
-        X = np.empty((min(CACHE_ROWS, stop - start), n))
-        for lo in range(0, stop - start, CACHE_ROWS):
-            m = min(CACHE_ROWS, stop - start - lo)
-            _step_block(self.model, Z[lo:lo + m], self.h,
-                        row_keys(self.key, start + lo, m), X[:m], start + lo)
-            block[lo:lo + m, n:] = X[:m]
-        return block
+        X = np.empty(Z.shape)
+        _step_block(self.model, Z, self.h, row_keys(self.key, start, stop - start),
+                    X, start)
+        return np.hstack([Z, X])
 
 
 def simulate_pairs(model, Z, h, seed):

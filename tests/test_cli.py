@@ -164,8 +164,10 @@ class TestSimulateCommand:
         {"levy": [{"alpha": True, "beta": -0.5, "sigma": 0.5}]},
         {"levy": [{"alpha": 1.5, "beta": "0", "sigma": 0.5}]},
         {"levy": [{"alpha": 1.5, "beta": -0.5, "sigma": True}]},
+        {"name": ["genereg1d"]},
+        {"dimension": 10**30, "gaussian": None},
     ], ids=["h-inf", "sigma-inf", "h-bool", "h-huge-int", "alpha-bool",
-            "beta-string", "sigma-bool"])
+            "beta-string", "sigma-bool", "name-list", "dimension-huge"])
     def test_non_finite_model_value_exits_2(self, tmp_path, capsys, overlay):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100]},
@@ -531,8 +533,7 @@ class TestBinaryFileSource:
 
     def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
         # block is the one method that reads the file; rows splits a block
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 300)
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 300)
         path, _ = _lorenz_data(tmp_path)
         # a cube that drops rows in every block
         est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
@@ -543,30 +544,29 @@ class TestBinaryFileSource:
         spans = []
 
         def counted_block(self, start, stop):
-            assert stop - start <= 500, f"block({start}, {stop}) spans more than a block"
+            assert stop - start <= 300, f"block({start}, {stop}) spans more than a block"
             spans.append(stop - start)
             return read_block(self, start, stop)
 
         monkeypatch.setattr(DatasetFile, "block", counted_block)
         assert main(["estimate", str(path), "--est-config", est,
                      "--report", str(tmp_path / "r.json")]) == 0
-        # bin counts and the cube mask read every row once, in sub-blocks
-        # of at most 300 rows. The regression reads its 300-survivor
-        # sub-blocks, and each is read from the file in one span per
-        # 500-row file block, from its first to its last survivor there
+        # bin counts and the cube mask read every row once, in blocks of
+        # at most 300 rows. The regression reads its 300-survivor blocks,
+        # and each is read from the file in one span per 300-row file
+        # block, from its first to its last survivor there
         spans_read = 0
         for start in range(0, survivors.size, 300):
             rows = survivors[start:start + 300]
-            for block in np.unique(rows // 500):
-                inside = rows[rows // 500 == block]
+            for block in np.unique(rows // 300):
+                inside = rows[rows // 300 == block]
                 spans_read += int(inside[-1] - inside[0]) + 1
         assert spans_read < 8000
         assert sum(spans) == 2 * 8000 + spans_read
 
     def test_one_pool_per_pass(self, tmp_path, monkeypatch):
-        # the regression reads its 100-row sub-blocks on the calling thread
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 100)
+        # the regression reads its 100-row blocks on the calling thread
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
         monkeypatch.setenv("LEVYSID_WORKERS", "2")
         path, est = _lorenz_data(tmp_path)
         pool = levysid.simulate.ThreadPoolExecutor

@@ -347,15 +347,14 @@ class TestChunkedWriter:
 class TestStreamedSimulation:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_writer_holds_a_few_blocks(self, tmp_path, monkeypatch, workers):
-        # numpy reports its data allocations to tracemalloc. 24 blocks of
-        # lorenz3d, whose states alone are 12 blocks of pairs: the writer
-        # holds the block it writes, and each worker the block it steps
-        # and its sub-block's temporaries
-        rows = 4096
+        # numpy reports its data allocations to tracemalloc. 96 blocks of
+        # lorenz3d, whose states alone are 48 blocks of pairs: the writer
+        # holds the blocks in flight, and each worker the block it steps
+        # and its step's temporaries
+        rows = 1024
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
         monkeypatch.setenv("LEVYSID_WORKERS", str(workers))
-        Z = np.random.default_rng(3).uniform(-2.0, 2.0, (24 * rows, 3))
+        Z = np.random.default_rng(3).uniform(-2.0, 2.0, (96 * rows, 3))
         data = simulate_pairs(builtin_model("lorenz3d"), Z, 0.001, seed=5)
         tracemalloc.start()
         try:
@@ -364,18 +363,17 @@ class TestStreamedSimulation:
         finally:
             tracemalloc.stop()
         block = rows * 2 * 3 * 8
-        assert peak < (3 * workers + 2) * block, peak / block
+        assert peak < 4 * (3 * workers + 2) * block, peak / block
 
 
 class TestInPlaceWriter:
     """Binary rows are written at their own offsets by the calls that read
-    them. 30-row sub-blocks do not divide the 100-row blocks, and the 1037
-    rows are a multiple of neither, so sub-blocks of every length meet."""
+    them. The 1037 rows are no multiple of the 30-row blocks, so the last
+    block is a short one."""
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 30)
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 30)
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_bytes_equal_across_workers(self, tmp_path, monkeypatch,
@@ -398,7 +396,7 @@ class TestInPlaceWriter:
         shorts = []
 
         def short_once(fd, buf, offset):
-            # the first sub-block after the header is written in part
+            # the first block after the header is written in part
             if not shorts and offset > 0:
                 shorts.append(offset)
                 return pwrite(fd, memoryview(buf)[:len(buf) // 3], offset)
@@ -448,44 +446,43 @@ def _peak(fn, *args):
 
 
 class TestOneSubBlockPerPass:
-    """On one worker, with CHUNK_ROWS four CACHE_ROWS sub-blocks, every pass
-    holds the one sub-block it reads, never a CHUNK_ROWS block of rows."""
+    """On one worker every pass holds the one CHUNK_ROWS block it reads and
+    its temporaries, never four blocks of rows."""
 
-    ROWS = 4096
+    ROWS = 1024
     BLOCK = ROWS * 2 * 3 * 8   # one CHUNK_ROWS block of lorenz3d rows
-    SUB = BLOCK // 4           # one CACHE_ROWS sub-block of them
 
     @pytest.fixture
     def simulation(self, monkeypatch):
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", self.ROWS)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", self.ROWS // 4)
         monkeypatch.setenv("LEVYSID_WORKERS", "1")
-        # 24 blocks of grid rows, made as they are stepped
+        # 96 blocks of grid rows, made as they are stepped
         grid = levysid.simulate.Grid([[-2, 2]] * 3, [24 * 16, 16, 16])
         return simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=5)
 
     def test_sub_block_step(self, simulation):
-        # a sub-block's (rows, 2n) block, its grid rows, its x scratch and
-        # its step's temporaries read 5.3 sub-blocks, and the step alone
-        # 3.1; with the noise drawn out of place, Lambda copied to row-major
-        # and the drift, normals and stable draws all held at once they
-        # read 7.8 and 5.6
-        rows = self.ROWS // 4
+        # a block's grid rows, its x scratch, its step's temporaries and
+        # then its (rows, 2n) array read 4.3 blocks, and the step alone
+        # 3.1; with the (rows, 2n) array held through the step they read
+        # 5.3 and 3.1, and with the noise drawn out of place, Lambda copied
+        # to row-major and the drift, normals and stable draws all held at
+        # once 7.8 and 5.6
+        rows = self.ROWS
         block = _peak(simulation.block, 0, rows)
         Z, X = simulation.Z[0:rows], np.empty((rows, 3))
         keys = levysid.rng.row_keys(simulation.key, 0, rows)
         step = _peak(levysid.simulate._step_block, simulation.model, Z,
                      simulation.h, keys, X, 0)
-        assert block < 6 * self.SUB, block / self.SUB
-        assert step < 3.5 * self.SUB, step / self.SUB
+        assert block < 6 * self.BLOCK, block / self.BLOCK
+        assert step < 3.5 * self.BLOCK, step / self.BLOCK
 
     def test_simulated_write(self, tmp_path, simulation):
-        # the writer adds about half a sub-block to what stepping one
-        # sub-block alone holds, where holding a stepped block would add
-        # one block and its writer's queue more
-        one = _peak(simulation.block, 0, self.ROWS // 4)
+        # the writer adds about two thirds of a block to what stepping one
+        # block alone holds, where holding a stepped block would add one
+        # block and its writer's queue more
+        one = _peak(simulation.block, 0, self.ROWS)
         peak = _peak(write_dataset, simulation, tmp_path / "pairs.bin")
-        assert peak < one + 0.75 * self.SUB, ((peak - one) / self.SUB)
+        assert peak < one + 0.75 * self.BLOCK, ((peak - one) / self.BLOCK)
 
     def test_estimate_passes(self, tmp_path, simulation):
         write_dataset(simulation, tmp_path / "pairs.bin")
@@ -493,7 +490,7 @@ class TestOneSubBlockPerPass:
         config = EstimationConfig(epsilon=0.2, m=3.0, N=2)
         for peak in (_peak(levysid.estimate.estimate_levy, data, config),
                      _peak(cube_filter, data, 0.5)):
-            assert peak < self.BLOCK, peak / self.BLOCK
+            assert peak < 4 * self.BLOCK, peak / self.BLOCK
 
     def test_survivor_masks_are_bits(self, tmp_path, monkeypatch):
         # the last block has 13 rows, 2 mask bytes

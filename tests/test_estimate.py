@@ -317,14 +317,14 @@ class TestBlockwisePasses:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_mask_decoded_once_per_pass(self, monkeypatch, tmp_path,
                                              workers):
-        # the regression reads the survivors 4 at a time, several reads per
-        # 50-row block; each block's mask is decoded on its first read only,
-        # and the reads give the kept rows
+        # the regression reads the survivors 50 at a time, most reads
+        # across a boundary of the 50-row blocks, and the reads below 4 at
+        # a time, several per block; each block's mask is decoded on its
+        # first read only, and the reads give the kept rows
         sources = self._sources(tmp_path)
         data = sources[0]
         keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 50)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 4)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         unpackbits = np.unpackbits
         decoded = []
@@ -482,22 +482,6 @@ class TestRegressionOracle:
                 np.testing.assert_allclose(table.diffusion[(i, j)], d_ref,
                                            rtol=1e-8, atol=1e-10)
 
-    def test_chunked_path_matches_single_chunk(self, monkeypatch):
-        # the regression reads CACHE_ROWS sub-blocks, so CHUNK_ROWS leaves
-        # every bit as it was
-        rng = np.random.default_rng(12)
-        dictionary = polynomial_dictionary(1, 2)
-        Z = rng.uniform(0, 5, (3000, 1))
-        X = Z + 0.02 * rng.standard_normal((3000, 1))
-        data = DatasetPair.from_arrays(Z, X, 0.001)
-        config = _config()
-        table_one = regression_tables(data, 1.0, dictionary, None, config)
-        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 256)
-        table_many = regression_tables(data, 1.0, dictionary, None, config)
-        np.testing.assert_array_equal(table_many.drift, table_one.drift)
-        np.testing.assert_array_equal(table_many.drift_residuals,
-                                      table_one.drift_residuals)
-
     @staticmethod
     def _fresh_rows(data, fraction, dictionary, levy, eps, start, stop):
         """Row-major design matrix A and targets B of rows start..stop-1,
@@ -518,15 +502,15 @@ class TestRegressionOracle:
 
     @classmethod
     def _fresh_block_reference(cls, data, fraction, dictionary, levy, eps,
-                               sub_rows):
-        """The regression with a fresh C-order W = [A^T; B^T] per sub-block
-        of ``sub_rows`` rows and one W @ W.T of it, the products summed in
-        sub-block order, then solved."""
+                               rows):
+        """The regression with a fresh C-order W = [A^T; B^T] per block of
+        ``rows`` rows and one W @ W.T of it, the products summed in block
+        order, then solved."""
         K = dictionary.K
         total = None
-        for start in range(0, data.M, sub_rows):
+        for start in range(0, data.M, rows):
             A, B, pairs = cls._fresh_rows(data, fraction, dictionary, levy,
-                                          eps, start, start + sub_rows)
+                                          eps, start, start + rows)
             W = np.concatenate([A.T, B.T])
             total = W @ W.T if total is None else total + W @ W.T
         G, C, bsq = total[:K, :K], total[:K, K:], np.diagonal(total)[K:]
@@ -549,14 +533,14 @@ class TestRegressionOracle:
                 coef[:, n + col]).tobytes()
             assert table.diffusion_residuals[(i + 1, j + 1)] == res[n + col]
 
-    @pytest.mark.parametrize("cache_rows", [16, 24, None])
+    @pytest.mark.parametrize("chunk_rows", [16, 24, None])
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_reused_buffers_match_fresh_blocks(self, workers, cache_rows,
+    def test_reused_buffers_match_fresh_blocks(self, workers, chunk_rows,
                                                monkeypatch):
         # 197 rows through the cube filter, whose masks are CHUNK_ROWS
-        # blocks: the 179 survivors fill 16- or 24-row sub-blocks and a
-        # partial one, and a partial sub-block that read columns the reused
-        # scratch kept from a full one would change the sums
+        # blocks: the 179 survivors fill 16- or 24-row blocks and a partial
+        # one, and a partial block that read columns the reused scratch
+        # kept from a full one would change the sums
         rng = np.random.default_rng(21)
         n, h, M = 2, 0.001, 197
         Z = rng.uniform(-2, 2, (M, n))
@@ -565,31 +549,28 @@ class TestRegressionOracle:
         dictionary = polynomial_dictionary(n, 2)
         levy = [StableParams(1.5, -0.5, 0.5), StableParams(0.7, 0.3, 1.2)]
         config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.1)
-        if cache_rows is not None:
-            monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", cache_rows)
+        if chunk_rows is not None:
+            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         keep = np.max(np.abs(X - Z), axis=1) <= config.cube_half_width
         survivors = DatasetPair.from_arrays(Z[keep], X[keep], h)
         want = self._fresh_block_reference(
             survivors, keep.sum() / M, dictionary, levy,
-            config.cube_half_width, levysid.simulate.CACHE_ROWS)
-        assert survivors.M % levysid.simulate.CACHE_ROWS > 0
+            config.cube_half_width, levysid.simulate.CHUNK_ROWS)
+        assert survivors.M % levysid.simulate.CHUNK_ROWS > 0
 
-        for chunk_rows in (7, 64, 100, 1 << 16):
-            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
-            kept, fraction = cube_filter(data, config.cube_half_width)
-            self._assert_table_is(regression_tables(
-                kept, fraction, dictionary, levy, config), *want)
+        kept, fraction = cube_filter(data, config.cube_half_width)
+        self._assert_table_is(regression_tables(
+            kept, fraction, dictionary, levy, config), *want)
 
     def test_example2_blocks_match_fresh_blocks(self, monkeypatch):
-        # the layout contract at K = 19: eight full CACHE_ROWS sub-blocks
-        # and a partial one, each filled into the columns of one reused
-        # scratch, give the bits of a fresh C-order W per sub-block, at any
-        # CHUNK_ROWS and worker count. Summing the same entries another way,
-        # such as A.T @ A of a row-major block, changes the Gram products'
-        # last bits here
-        sub_rows = levysid.simulate.CACHE_ROWS
-        M = 8 * sub_rows + 1234
+        # the layout contract at K = 19: eight full CHUNK_ROWS blocks and a
+        # partial one, each filled into the columns of one reused scratch,
+        # give the bits of a fresh C-order W per block, at any worker
+        # count. Summing the same entries another way, such as A.T @ A of a
+        # row-major block, changes the Gram products' last bits here
+        rows = levysid.simulate.CHUNK_ROWS
+        M = 8 * rows + 1234
         rng = np.random.default_rng(22)
         Z = rng.uniform(0.0, 5.0, (M, 1))
         X = Z + 0.05 * rng.standard_normal((M, 1))
@@ -598,10 +579,9 @@ class TestRegressionOracle:
         levy = [StableParams(1.5, -0.5, 0.5)]
         config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
         want = self._fresh_block_reference(
-            data, 0.9, dictionary, levy, config.cube_half_width, sub_rows)
+            data, 0.9, dictionary, levy, config.cube_half_width, rows)
 
-        for chunk_rows, workers in ((1 << 16, "1"), (5000, "2")):
-            monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
+        for workers in ("1", "2"):
             monkeypatch.setenv("LEVYSID_WORKERS", workers)
             self._assert_table_is(regression_tables(
                 data, 0.9, dictionary, levy, config), *want)
@@ -667,35 +647,14 @@ class TestRegressionMemory:
                 tracemalloc.stop()
         assert peaks[4] - peaks[1] < rows * dictionary.K * 8, peaks
 
-    def test_peak_below_one_block_scratch(self):
-        # four full CHUNK_ROWS blocks of lorenz3d's shape: the regression
-        # holds one CACHE_ROWS scratch, never a CHUNK_ROWS one
-        rows = levysid.simulate.CHUNK_ROWS
-        rng = np.random.default_rng(15)
-        Z = rng.uniform(-2, 2, (4 * rows, 3))
-        data = DatasetPair.from_arrays(
-            Z, Z + 0.01 * rng.standard_normal(Z.shape), 0.001)
-        dictionary = polynomial_dictionary(3, 2)
-        levy = [StableParams(1.5, -0.5, 0.5)] * 3
-        tracemalloc.start()
-        try:
-            regression_tables(data, 1.0, dictionary, levy,
-                              _config(cube_epsilon=0.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        scratch = (dictionary.K + 3 + 6) * rows * 8
-        assert peak < scratch, peak / scratch
-
     def test_survivors_read_through_the_file(self, tmp_path, monkeypatch):
-        # eight blocks of lorenz3d's shape in a binary file: the filter
-        # keeps a mask byte per row, and the regression reads the
-        # survivors from the file one sub-block at a time
-        rows = 8192
+        # 32 blocks of lorenz3d's shape in a binary file: the filter
+        # keeps a mask bit per row, and the regression reads the
+        # survivors from the file one block at a time
+        rows = 2048
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
         rng = np.random.default_rng(14)
-        Z = rng.uniform(-2, 2, (8 * rows, 3))
+        Z = rng.uniform(-2, 2, (32 * rows, 3))
         path = tmp_path / "pairs.bin"
         write_dataset(DatasetPair.from_arrays(
             Z, Z + 0.2 * rng.standard_normal(Z.shape), 0.001), path)

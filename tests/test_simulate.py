@@ -129,10 +129,9 @@ class TestGrid:
         Z = generate_grid(bounds, mesh)
         grid = Grid(bounds, mesh)
         assert (grid.M, grid.n, grid.shape) == (Z.shape[0], Z.shape[1], Z.shape)
-        # 16-row index chunks, so the slices cross the builder's own blocks
-        chunk = 16
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", chunk)
-        for lo, hi in _spans(grid.M, chunk):
+        # 16-row slices, as the passes read 16-row CHUNK_ROWS blocks
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 16)
+        for lo, hi in _spans(grid.M, levysid.simulate.CHUNK_ROWS):
             rows = grid[lo:hi]
             assert rows.dtype == np.float64 and rows.flags.c_contiguous
             assert rows.shape == Z[lo:hi].shape, (lo, hi)
@@ -286,31 +285,29 @@ class TestDeterminism:
         Z = generate_grid(bounds, mesh)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         base = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
-        # 100-row chunks stepped whole, then 7 rows at a time
+        # 100-row blocks, then 7-row blocks
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 100)
         chunked = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", 7)
-        sub_blocked = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
+        small_blocks = _X(simulate_pairs(model, Z, 0.001, seed=11)).tobytes()
         assert chunked == base
-        assert sub_blocked == base
+        assert small_blocks == base
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("chunk,cache", [(None, None), (100, None), (100, 7)],
+    @pytest.mark.parametrize("chunk", [None, 100, 7],
                              ids=["default", "chunked", "sub-blocked"])
     @pytest.mark.parametrize("name,bounds,mesh", [
         ("lorenz3d", [[-2, 1.5], [-1, 2], [0.5, 2]], [9, 10, 11]),
         ("genereg1d", [[0.5, 5]], [729]),
     ])
-    def test_grid_steps_match_array(self, workers, chunk, cache, name, bounds,
-                                    mesh, monkeypatch):
+    def test_grid_steps_match_array(self, workers, chunk, name, bounds, mesh,
+                                    monkeypatch):
         # a Grid's rows, made block by block, step to the bytes of the
         # array generate_grid builds
         model = builtin_model(name)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         if chunk is not None:
             monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk)
-        if cache is not None:
-            monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", cache)
         want = simulate_pairs(model, generate_grid(bounds, mesh), 0.001, seed=11)
         got = simulate_pairs(model, Grid(bounds, mesh), 0.001, seed=11)
         assert np.hstack(got.rows(0, got.M)).tobytes() == (
@@ -438,28 +435,27 @@ class TestGridMemory:
 
     def test_peak_flat_in_grid_size(self, tmp_path, monkeypatch):
         # numpy reports its data allocations to tracemalloc. lorenz3d grids
-        # of 4 and 16 blocks of 4096 rows: each block's grid rows are made
+        # of 16 and 64 blocks of 1024 rows: each block's grid rows are made
         # when it is stepped, so the grid's size adds nothing to the peak,
-        # where a built grid would add six blocks. On one worker the blocks
+        # where a built grid would add 24 blocks. On one worker the blocks
         # in flight do not depend on thread timing
-        rows = 4096
+        rows = 1024
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(levysid.simulate, "CACHE_ROWS", rows // 4)
         monkeypatch.setenv("LEVYSID_WORKERS", "1")
         model = builtin_model("lorenz3d")
         peaks = {}
-        for blocks in (4, 16):
+        for blocks in (16, 64):
             path = tmp_path / f"pairs{blocks}.bin"
             tracemalloc.start()
             try:
                 write_dataset(simulate_pairs(
-                    model, Grid([[-2, 2]] * 3, [blocks * 16, 16, 16]), 0.001,
+                    model, Grid([[-2, 2]] * 3, [blocks * 4, 16, 16]), 0.001,
                     seed=5), path)
                 peaks[blocks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         block = rows * 2 * 3 * 8
-        assert abs(peaks[16] - peaks[4]) < block, (
+        assert abs(peaks[64] - peaks[16]) < 4 * block, (
             {b: p / block for b, p in peaks.items()})
 
 
@@ -704,7 +700,7 @@ class TestErrors:
 
     def test_domain_fault_carries_row(self):
         # a coefficient domain fault is the model's, not the step's: it
-        # raises EvaluationDomainError, naming the rows of its sub-block
+        # raises EvaluationDomainError, naming the rows of its block
         model = _model(1, ["ln(x1)"], None, None)
         Z = np.array([[1.0], [2.0], [-1.0], [3.0]])
         data = simulate_pairs(model, Z, 0.001, seed=0)
