@@ -9,11 +9,11 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
   the 25-byte header plus M*2n*8 payload bytes; a short file and trailing
   bytes are both rejected.
 
-A text file is read into a DatasetPair, every entry checked. A binary file
-is read as a DatasetFile, which reads and checks its rows one block at a
-time, so the estimators never hold the whole payload. Any row-block source
-is written one block at a time, a binary one at the rows' own offsets, so
-the writer never holds it either.
+A text file is parsed into one (M, 2n) array, held once as a DatasetPair
+with every entry checked. A binary file is read as a DatasetFile, which
+reads and checks its rows one block at a time, so the estimators never hold
+the whole payload. Any row-block source is written one block at a time, a
+binary one at the rows' own offsets, so the writer never holds it either.
 
 A report is the JSON text of a Report, with sorted keys and two-space
 indentation; its reader checks every section, and a report read back and
@@ -28,6 +28,7 @@ import os
 import re
 import struct
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -198,24 +199,23 @@ def _read_csv(path):
             h = float(m.group(3))
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad h in header: {m.group(3)!r}") from exc
-        _source(path, check_header, n, M, h)
         try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+            with warnings.catch_warnings():  # no rows is a count like any other
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                pairs = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed data row: {exc}") from exc
-    if rows.shape != (M, 2 * n):
-        raise DataFormatError(
-            f"{path}: header promises {M} rows of {2 * n} values, "
-            f"found shape {rows.shape}")
-    return _source(path, DatasetPair.from_arrays, rows[:, :n], rows[:, n:], h)
+    if len(pairs) != M:
+        raise DataFormatError(f"{path}: header promises {M} rows, found {len(pairs)}")
+    return _source(path, DatasetPair, n, M, h, pairs)
 
 
 def read_dataset(path):
     """Read a dataset file, sniffing the binary magic to pick the decoder.
 
-    Returns a DatasetPair for a text file, every entry checked to be
-    finite. For a binary file only the header and the file size are read:
-    the DatasetFile it returns checks each block of rows as it reads it.
+    Returns a DatasetPair over the (M, 2n) array parsed from a text file,
+    every entry checked. For a binary file only the header and the file size
+    are read: the DatasetFile it returns checks each block as it reads it.
     """
     try:
         with open(path, "rb") as fh:

@@ -146,8 +146,11 @@ def model_from_config(config):
     cfg = resolve_config(config)
     if "dimension" not in cfg:
         raise ConfigError("model config is missing 'dimension'")
-    n = cfg["dimension"]
-    if not isinstance(n, int) or n < 1:
+    try:
+        n = number("dimension", cfg["dimension"], whole=True)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    if n < 1:
         raise ConfigError(f"dimension must be a positive integer, got {n!r}")
     if n > DIMENSION_CAP:
         raise ConfigError(f"dimension must be at most {DIMENSION_CAP}, got {n}")

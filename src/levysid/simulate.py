@@ -174,8 +174,7 @@ def check_rows(start, stop, M):
 
 
 class BlockRows:
-    """``rows`` for a row-block source whose ``block`` reads or makes each
-    block of rows anew."""
+    """``rows`` for a row-block source: the Z and X halves of its ``block``."""
 
     def rows(self, start, stop):
         """Z and X of rows start..stop-1: the column halves of ``block``."""
@@ -184,48 +183,45 @@ class BlockRows:
 
 
 @dataclass(frozen=True, eq=False)
-class DatasetPair:
-    """Initial points Z and their one-step images X, with the step size h.
-
-    A row-block source, like ``Simulation`` and a binary
-    ``dataio.DatasetFile``: it has ``n``, ``M``, ``h``, ``rows(start,
-    stop)`` and ``block(start, stop)``, which is all the estimators and the
-    dataset writer read.
+class DatasetPair(BlockRows):
+    """A dataset held as it is stored: ``pairs`` is one float64 (M, 2n)
+    array of rows, z before x, and h the step size. A row-block source like
+    ``Simulation`` and ``dataio.DatasetFile``, whose blocks, and ``Z`` and
+    ``X``, are read-only views of ``pairs``; it may be read-only itself.
     """
 
     n: int
     M: int
     h: float
-    Z: np.ndarray
-    X: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self):
         check_header(self.n, self.M, self.h)
-        if self.Z.shape != (self.M, self.n) or self.X.shape != (self.M, self.n):
-            raise DomainError(
-                f"Z and X must both be ({self.M}, {self.n}); "
-                f"got {self.Z.shape} and {self.X.shape}")
-
-    def rows(self, start, stop):
-        """Z and X of rows start..stop-1, as views of the arrays."""
-        check_rows(start, stop, self.M)
-        return self.Z[start:stop], self.X[start:stop]
+        shape = getattr(self.pairs, "shape", None)
+        if shape != (self.M, 2 * self.n) or self.pairs.dtype != np.float64:
+            raise DomainError(f"pairs must be a float64 array of shape "
+                              f"({self.M}, {2 * self.n}); got shape {shape}")
+        if not np.isfinite(self.pairs).all():
+            raise DomainError("dataset entries must all be finite")
 
     def block(self, start, stop):
-        """Rows start..stop-1 as one new (rows, 2n) array, z before x."""
-        return np.hstack(self.rows(start, stop))
+        """Rows start..stop-1 as they are stored, a read-only view."""
+        check_rows(start, stop, self.M)
+        block = self.pairs[start:stop]
+        block.flags.writeable = False
+        return block
+
+    Z = property(lambda self: self.rows(0, self.M)[0])
+    X = property(lambda self: self.rows(0, self.M)[1])
 
     @classmethod
     def from_arrays(cls, Z, X, h):
-        Z = np.ascontiguousarray(Z, dtype=np.float64)
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        if X.ndim == 1:
-            X = X[:, None]
-        if not np.all(np.isfinite(Z)) or not np.all(np.isfinite(X)):
-            raise DomainError("dataset entries must all be finite")
-        return cls(Z.shape[1], Z.shape[0], float(h), Z, X)
+        """Z beside X in one new array; a 1-D array is one column."""
+        Z, X = (np.asarray(A, dtype=np.float64) for A in (Z, X))
+        Z, X = (A[:, None] if A.ndim == 1 else A for A in (Z, X))
+        if Z.shape != X.shape:
+            raise DomainError(f"Z and X must have one shape; got {Z.shape} and {X.shape}")
+        return cls(Z.shape[1], Z.shape[0], float(h), np.hstack([Z, X]))
 
 
 class Grid:

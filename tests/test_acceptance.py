@@ -174,7 +174,7 @@ def lorenz_runs():
         # stepped once, for the Levy passes, the cube filter and the
         # regressions that read the survivors through it
         sim = simulate_pairs(model, Z, doc["h"], seed)
-        data = DatasetPair(sim.n, sim.M, sim.h, *sim.rows(0, sim.M))
+        data = DatasetPair(sim.n, sim.M, sim.h, sim.block(0, sim.M))
         del sim
         levy = adaptive_levy(data)
         filtered, fraction = cube_filter(data, LORENZ_CFG.cube_half_width)

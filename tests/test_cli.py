@@ -166,8 +166,10 @@ class TestSimulateCommand:
         {"levy": [{"alpha": 1.5, "beta": -0.5, "sigma": True}]},
         {"name": ["genereg1d"]},
         {"dimension": 10**30, "gaussian": None},
+        {"dimension": True, "drift": ["-x1"]},
     ], ids=["h-inf", "sigma-inf", "h-bool", "h-huge-int", "alpha-bool",
-            "beta-string", "sigma-bool", "name-list", "dimension-huge"])
+            "beta-string", "sigma-bool", "name-list", "dimension-huge",
+            "dimension-bool"])
     def test_non_finite_model_value_exits_2(self, tmp_path, capsys, overlay):
         cfg = _write_json(tmp_path / "model.json", {
             "name": "genereg1d", "grid": {"bounds": [[0, 5]], "mesh": [100]},
@@ -469,6 +471,7 @@ MALFORMED = {
     "nan-in-last-block": lambda: _with_value(_binary_blob(), -1, math.nan),
     "inf-in-last-block": lambda: _with_value(_binary_blob(), -3, math.inf),
     "csv-missing-row": lambda: _CSV.replace("0.7,0.8\n", "").encode(),
+    "csv-no-rows": lambda: _CSV.split("\n")[0].encode() + b"\n",
     "csv-extra-row": lambda: (_CSV + "0.9,1.0\n").encode(),
     "csv-short-row": lambda: _CSV.replace("0.5,0.6", "0.5").encode(),
     "csv-long-row": lambda: _CSV.replace("0.5,0.6", "0.5,0.6,0.7").encode(),
@@ -495,6 +498,21 @@ class TestMalformedDatasets:
         assert main(["estimate", str(path), "--est-config", _est_config(tmp_path),
                      "--report", str(report)]) == 3
         assert "error category=data" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("body,found", [("", 0), ("0.5,0.6\n", 1)])
+    def test_row_count_is_one_error_line(self, tmp_path, body, found):
+        # the console sees the one error line, no parser warning before it
+        path = tmp_path / "pairs.csv"
+        path.write_text(_CSV.split("\n")[0] + "\n" + body)
+        report = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "levysid.cli", "estimate", str(path),
+             "--est-config", _est_config(tmp_path), "--report", str(report)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error category=data: {path}: header promises 2 rows, found {found}"]
         assert not report.exists()
 
     def test_good_blob_accepted(self, tmp_path):
@@ -530,6 +548,31 @@ class TestBinaryFileSource:
                          "--report", str(tmp_path / report)]) == 0
         assert (tmp_path / "r_file.json").read_bytes() == (
             tmp_path / "r_memory.json").read_bytes()
+
+    def test_read_only_pairs_give_the_same_report(self, tmp_path, monkeypatch):
+        # a text dataset's blocks are views of the one parsed array: no pass
+        # writes into a block, so a read-only array gives the same report
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        monkeypatch.setenv("LEVYSID_WORKERS", "2")
+        path, est = _lorenz_data(tmp_path)
+        text = tmp_path / "pairs.csv"
+        write_dataset(read_dataset(path), text)
+        held = []
+
+        def read_only(source):
+            data = read_dataset(source)
+            if isinstance(data, DatasetPair):
+                data.pairs.flags.writeable = False
+                held.append(data)
+            return data
+
+        monkeypatch.setattr(levysid.cli, "read_dataset", read_only)
+        for source, report in ((path, "r_file.json"), (text, "r_held.json")):
+            assert main(["estimate", str(source), "--est-config", est,
+                         "--report", str(tmp_path / report)]) == 0
+        assert len(held) == 1 and not held[0].pairs.flags.writeable
+        assert (tmp_path / "r_file.json").read_bytes() == (
+            tmp_path / "r_held.json").read_bytes()
 
     def test_estimate_reads_only_blocks(self, tmp_path, monkeypatch):
         # block is the one method that reads the file; rows splits a block
@@ -1018,7 +1061,10 @@ class TestPipelineCommand:
          {"N": 2.7}),
         ({"name": "lorenz3d", "grid": {"bounds": [[-2, 2]] * 3, "mesh": [4] * 3}},
          {}),
-    ], ids=["fractional-mesh", "fractional-N", "example2-on-3d-model"])
+        ({"name": "genereg1d", "dimension": True, "drift": ["-x1"],
+          "grid": {"bounds": [[0, 5]], "mesh": [100]}}, {}),
+    ], ids=["fractional-mesh", "fractional-N", "example2-on-3d-model",
+            "dimension-bool"])
     def test_malformed_input_creates_no_workdir(self, tmp_path, capsys, model, est):
         cfg = _write_json(tmp_path / "model.json", model)
         est = _write_json(tmp_path / "est.json", dict({

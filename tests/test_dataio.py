@@ -386,7 +386,7 @@ class TestInPlaceWriter:
         Z = np.random.default_rng(2).uniform(-2.0, 2.0, (1037, 3))
         sim = simulate_pairs(builtin_model("lorenz3d"), Z, 0.001, seed=3)
         write_dataset(sim, tmp_path / "sim.bin")
-        want = _reference_bytes(DatasetPair(3, 1037, 0.001, *sim.rows(0, 1037)), "bin")
+        want = _reference_bytes(DatasetPair(3, 1037, 0.001, sim.block(0, 1037)), "bin")
         assert (tmp_path / "sim.bin").read_bytes() == want
 
     def test_short_write_is_retried(self, tmp_path, monkeypatch, small_blocks):
@@ -503,6 +503,69 @@ class TestOneSubBlockPerPass:
         Z, X = _arrays(kept)
         np.testing.assert_array_equal(Z, data.Z[keep])
         np.testing.assert_array_equal(X, data.X[keep])
+
+
+class TestTextHeldOnce:
+    def test_read_peaks_below_one_and_a_half_pairs(self, tmp_path):
+        # 2^18 lorenz3d rows: the array np.loadtxt parses is the dataset, so
+        # the read holds it and the parser's buffers, never copies of its
+        # halves
+        grid = levysid.simulate.Grid([[-2, 2]] * 3, [64] * 3)
+        path = tmp_path / "pairs.csv"
+        write_dataset(simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=4),
+                      path)
+        pairs = grid.M * 2 * 3 * 8
+        peak = _peak(read_dataset, path)
+        assert peak < 1.5 * pairs, peak / pairs
+
+
+# text rows as a writer might damage them: numbers, non-finite and malformed
+# tokens, empty fields and comments, with any separator and line end
+_TOKENS = st.sampled_from(["0.5", "-1e3", "7", "+.25", "nan", "inf", "-inf",
+                           "1e999", "", " ", "x", "0x1p3", "1_0", "1,5", "#"])
+
+
+@st.composite
+def _text_datasets(draw):
+    """(n, M, text after the header): rows of such tokens or of 2n finite
+    floats, or any text."""
+    n, M = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    row = st.lists(_TOKENS, max_size=5) | st.lists(floats, min_size=2 * n,
+                                                   max_size=2 * n)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    rows = st.lists(row.map(",".join), max_size=4).map(lambda r: end.join(r) + end)
+    return n, M, draw(rows | st.text(st.characters(blacklist_categories=("Cs",)),
+                                     max_size=30))
+
+
+class TestTextFuzz:
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_text_datasets())
+    def test_loads_or_exits_3(self, tmp_path, capsys, doc):
+        # any text after a header reads as a dataset or raises
+        # DataFormatError, and estimate on a file that raises exits 3 with
+        # one error line and no report
+        n, M, body = doc
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(f"#levy-sid-pairs v1 n={n} M={M} h=0.001\n{body}".encode())
+        try:
+            data = read_dataset(path)
+        except DataFormatError:
+            est = tmp_path / "est.json"
+            est.write_text(json.dumps({"epsilon": 1.0, "m": 5.0, "N": 1,
+                                       "dictionary": "poly:1"}))
+            report = tmp_path / "r.json"
+            capsys.readouterr()
+            assert main(["estimate", str(path), "--est-config", str(est),
+                         "--report", str(report)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error category=data: ")
+            assert not report.exists()
+            return
+        assert isinstance(data, DatasetPair) and (data.n, data.M) == (n, M)
+        assert np.isfinite(data.pairs).all()
 
 
 # -0.0, subnormals, and the neighbours of 1e16 and 1e-4, where repr switches

@@ -6,10 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import levysid.simulate
 from levysid import (
     BinCounts,
+    ConfigError,
     DomainError,
     EstimationConfig,
     EstimationWarning,
@@ -33,7 +36,11 @@ from levysid import (
     simulate_pairs,
     write_dataset,
 )
+from levysid.basis import build_dictionary
+from levysid.estimate import load_est_config
 from levysid.numeric import solve_gram
+
+from json_values import JSON
 
 
 def _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=None):
@@ -261,6 +268,46 @@ class TestCubeFilter:
         data = DatasetPair.from_arrays(np.zeros((2, 1)), np.ones((2, 1)), 0.001)
         with pytest.raises(DomainError, match="half_width must be positive and finite"):
             cube_filter(data, half_width)
+
+
+_SPECS = (st.sampled_from(["poly:0", "poly:2", "poly:999", "poly:-1", "poly:x",
+                           "example2", "bogus", ""])
+          | st.lists(st.sampled_from(["1", "x1", "x1*x2", "ln(x1)", "x9", "2 +", "1"])
+                     | st.text(max_size=8), max_size=4))
+
+
+@st.composite
+def _est_docs(draw):
+    """Est-configs with in-range fields, so that some load, and up to three
+    fields left out or replaced by any real number or JSON value."""
+    doc = draw(st.fixed_dictionaries({
+        "epsilon": st.floats(0.01, 5.0), "m": st.floats(1.5, 6.0),
+        "N": st.integers(1, 4), "cube_epsilon": st.none() | st.floats(0.1, 2.0),
+        "dictionary": _SPECS}))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3, unique=True)):
+        value = draw(st.none() | st.floats() | st.integers(-1, 1001) | JSON)
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+class TestEstConfigFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(doc=_est_docs() | JSON, n=st.integers(1, 3))
+    @example(doc={"epsilon": 1.0, "m": 5.0, "N": True, "dictionary": "poly:1"}, n=1)
+    @example(doc={"epsilon": 1.0, "m": 5.0, "N": 2, "dictionary": ["x1", "x1"]}, n=1)
+    def test_loads_or_raises_config_error(self, doc, n):
+        # what the CLI does with an est-config document: load it, then build
+        # its dictionary for an n-component dataset
+        try:
+            config, spec = load_est_config(doc)
+            dictionary = build_dictionary(spec, n)
+        except (ConfigError, DomainError):
+            return
+        assert isinstance(config, EstimationConfig) and type(config.N) is int
+        assert dictionary.n == n and dictionary.K >= 1
 
 
 class TestBlockwisePasses:

@@ -19,6 +19,8 @@ from levysid import (
 from levysid.expr import evaluate_trees
 from levysid.models import BUILTIN_NAMES, DIMENSION_CAP
 
+from json_values import JSON
+
 
 class TestBuiltinLorenz:
     def test_structure(self):
@@ -162,6 +164,9 @@ class TestModelFromConfig:
         (lambda c: c.update(dimension=10**30, gaussian=None), "dimension"),
         (lambda c: c.update(dimension=DIMENSION_CAP + 1, gaussian=None, levy=None,
                             drift=["x1"] * (DIMENSION_CAP + 1)), "dimension"),
+        (lambda c: c.update(dimension=True, drift=["-x1"], gaussian=None,
+                            levy=None), "dimension"),
+        (lambda c: c.update(dimension=1.5), "dimension"),
         (lambda c: c.update(name=["lorenz3d"]), "name"),
         (lambda c: c.update(drift=["-x1"]), "drift"),
         (lambda c: c.update(drift=["-x1", "x9"]), "drift"),
@@ -194,14 +199,6 @@ class TestModelFromConfig:
             model_from_config(cfg)
 
 
-# JSON values; the integers are small or too large for an index, never a
-# dimension whose n x n default Lambda would be large
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
-    | st.integers(-3, 3) | st.integers(2**63, 10**40),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6)
 _EXPRESSIONS = st.sampled_from(["x1", "-x1", "x1*x1", "1/x1", "0", "2 +", "x9", 7, None])
 
 
@@ -213,27 +210,29 @@ def _model_docs(draw):
     row = (st.lists(_EXPRESSIONS, min_size=n, max_size=n)
            | st.lists(_EXPRESSIONS, max_size=4))
     levy = st.fixed_dictionaries({}, optional={
-        key: st.floats(-1.0, 3.0) | _JSON for key in ("alpha", "beta", "sigma")})
+        key: st.floats(-1.0, 3.0) | JSON for key in ("alpha", "beta", "sigma")})
     return draw(st.fixed_dictionaries({}, optional={
-        "name": st.sampled_from(BUILTIN_NAMES + ("bogus",)) | _JSON,
+        "name": st.sampled_from(BUILTIN_NAMES + ("bogus",)) | JSON,
         "dimension": st.just(n) | st.just(DIMENSION_CAP + 1)
-        | st.integers(2**63, 10**40) | _JSON,
-        "drift": row | _JSON,
-        "gaussian": st.none() | st.lists(row, min_size=n, max_size=n) | _JSON,
-        "levy": st.none() | st.lists(levy, min_size=n, max_size=n) | _JSON,
+        | st.integers(2**63, 10**40) | JSON,
+        "drift": row | JSON,
+        "gaussian": st.none() | st.lists(row, min_size=n, max_size=n) | JSON,
+        "levy": st.none() | st.lists(levy, min_size=n, max_size=n) | JSON,
     }))
 
 
 class TestModelConfigFuzz:
     @settings(max_examples=300, deadline=None, database=None)
-    @given(_model_docs() | _JSON)
+    @given(_model_docs() | JSON)
     @example({"name": ["lorenz3d"]})
     @example({"dimension": 10**30, "drift": ["x1"]})
+    @example({"dimension": True, "drift": ["x1"]})
     def test_loads_or_raises_config_error(self, doc):
-        # non-string names, huge dimensions and every malformed entry are
-        # config errors, never another exception
+        # non-string names, huge or boolean dimensions and every malformed
+        # entry are config errors, never another exception
         try:
             model = model_from_config(doc)
         except ConfigError:
             return
         assert isinstance(model, SdeModel) and 1 <= model.n <= DIMENSION_CAP
+        assert type(model.n) is int

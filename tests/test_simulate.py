@@ -194,20 +194,60 @@ class TestDatasetPair:
         X = np.ones((4, 2))
         d = DatasetPair.from_arrays(Z, X, 0.5)
         assert d.M == 4 and d.n == 2 and d.h == 0.5
+        np.testing.assert_array_equal(d.pairs, np.hstack([Z, X]))
+
+    def test_one_dim_arrays_are_one_column(self):
+        d = DatasetPair.from_arrays([1.0, 2.0], [3, 4], 0.5)
+        assert d.n == 1 and d.pairs.dtype == np.float64
+        np.testing.assert_array_equal(d.pairs, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             DatasetPair.from_arrays(np.zeros((4, 2)), np.ones((3, 2)), 0.5)
 
+    @pytest.mark.parametrize("pairs", [
+        np.zeros((4, 3)), np.zeros((3, 4)), np.zeros((4, 4), np.float32),
+        np.zeros((4, 4, 1)), [[0.0] * 4] * 4,
+    ], ids=["odd-columns", "short", "float32", "3-d", "list"])
+    def test_constructor_shape_rejected(self, pairs):
+        with pytest.raises(DomainError):
+            DatasetPair(2, 4, 0.5, pairs)
+
     def test_bad_h(self):
         with pytest.raises(DomainError):
             DatasetPair.from_arrays(np.zeros((4, 2)), np.ones((4, 2)), 0.0)
+        for h in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                DatasetPair(2, 4, h, np.zeros((4, 4)))
 
     def test_nonfinite_rejected(self):
         X = np.ones((4, 2))
         X[2, 1] = np.inf
         with pytest.raises(DomainError):
             DatasetPair.from_arrays(np.zeros((4, 2)), X, 0.5)
+        for value in (np.nan, np.inf, -np.inf):
+            pairs = np.zeros((4, 4))
+            pairs[3, 0] = value
+            with pytest.raises(DomainError, match="finite"):
+                DatasetPair(2, 4, 0.5, pairs)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_blocks_are_read_only_views(self, writeable):
+        # the rows are held once: blocks, Z and X are views of the caller's
+        # array, and its flags stay as they were
+        pairs = np.arange(40.0).reshape(10, 4)
+        pairs.flags.writeable = writeable
+        d = DatasetPair(2, 10, 0.5, pairs)
+        assert d.pairs is pairs and pairs.flags.writeable is writeable
+        block = d.block(3, 7)
+        np.testing.assert_array_equal(block, pairs[3:7])
+        for view in (block, *d.rows(3, 7), d.Z, d.X):
+            assert np.shares_memory(view, pairs) and not view.flags.writeable
+        np.testing.assert_array_equal(d.Z, pairs[:, :2])
+        np.testing.assert_array_equal(d.X, pairs[:, 2:])
+        assert pairs.flags.writeable is writeable
+        with pytest.raises(DomainError):
+            d.block(8, 11)
 
 
 class TestDeterministicStep:
