@@ -68,7 +68,7 @@ from .estimate import (
 from .dataio import DatasetFile, Report, read_dataset, read_report, write_dataset, write_report
 from .expr import ExpressionTree, evaluate_block, parse_expression
 from .models import SdeModel, builtin_config, builtin_model, model_from_config, resolve_config
-from .simulate import DatasetPair, generate_grid, simulate_pairs
+from .simulate import generate_grid, simulate_pairs
 from .stable import (
     StableParams,
     bin_mass,

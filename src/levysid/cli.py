@@ -243,7 +243,7 @@ def cmd_pipeline(args):
     t_sim = time.perf_counter() - t0
     # estimate from the page-cached file, block by block, as estimate does;
     # this process wrote its header, so read_dataset is not needed
-    data = DatasetFile(str(path), data.n, data.M, data.h)
+    data = DatasetFile(open(path, "rb"), str(path), data.n, data.M, data.h)
     report_path = workdir / "report.json"
     t_est = _estimate(data, config, spec, dictionary, args.seed, report_path)[1]
 

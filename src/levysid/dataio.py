@@ -9,11 +9,13 @@ Datasets exist in two interchangeable encodings, auto-detected on read:
   the 25-byte header plus M*2n*8 payload bytes; a short file and trailing
   bytes are both rejected.
 
-A text file is parsed into one (M, 2n) array, held once as a DatasetPair
-with every entry checked. A binary file is read as a DatasetFile, which
-reads and checks its rows one block at a time, so the estimators never hold
-the whole payload. Any row-block source is written one block at a time, a
-binary one at the rows' own offsets, so the writer never holds it either.
+Either encoding is read as a DatasetFile, which reads and checks its rows
+one block at a time from a file it holds open, so the estimators never hold
+the whole payload. A binary file is that file itself. A text file is parsed
+CHUNK_ROWS rows at a time, each block checked, into the binary layout in an
+unnamed temporary file, which has no name to leave behind, however the
+process ends. Any row-block source is written one block at a time, a binary
+one at the rows' own offsets, so the writer never holds it either.
 
 A report is the JSON text of a Report, with sorted keys and two-space
 indentation; its reader checks every section, and a report read back and
@@ -28,7 +30,9 @@ import os
 import re
 import struct
 import sys
+import tempfile
 import warnings
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,7 +41,8 @@ from .basis import build_dictionary
 from .errors import ConfigError, DataFormatError, DomainError, number
 from .estimate import (ALPHA_CLAMP, BinCounts, CoefficientTable,
                        EstimationConfig, LevyEstimate, load_est_config)
-from .simulate import BlockRows, DatasetPair, check_header, check_rows, map_chunks
+from . import simulate
+from .simulate import BlockRows, check_header, check_rows, map_chunks
 
 MAGIC = b"LSID"
 BINARY_VERSION = 1
@@ -116,24 +121,44 @@ def write_dataset(data, path):
         raise
 
 
+def _pread(fd, buf, offset):
+    """Read all of ``buf``'s bytes from byte ``offset`` of ``fd``, again
+    from where a short read stopped; False if the file ends first."""
+    view = memoryview(buf.reshape(-1).view(np.uint8))
+    while view:
+        done = os.preadv(fd, [view], offset)
+        if not done:
+            return False
+        view, offset = view[done:], offset + done
+    return True
+
+
 @dataclass(frozen=True)
 class DatasetFile(BlockRows):
-    """A binary dataset file, read one block of rows at a time.
+    """A dataset's rows in the binary encoding, read one block at a time.
 
-    A row-block source like DatasetPair. ``block`` is the one method that
-    reads the file, and it checks every block it reads; ``rows`` splits a
-    block into Z and X. ``read_dataset`` builds it after checking the header
-    and the file size; ``levysid pipeline`` builds it directly over the
+    A row-block source like ``Simulation``. ``file`` is the open file that
+    holds the rows at their binary offsets, closed when the DatasetFile is
+    collected; ``path`` names the dataset in messages. A header that
+    describes no dataset, and a block that fails its checks, raise
+    DataFormatError. ``block`` is the one method that reads the file;
+    ``rows`` splits a block into Z and X. ``read_dataset`` builds it for
+    either encoding; ``levysid pipeline`` builds it directly over the
     dataset it has just written.
     """
 
+    file: object
     path: str
     n: int
     M: int
     h: float
 
     def __post_init__(self):
-        check_header(self.n, self.M, self.h)
+        try:
+            check_header(self.n, self.M, self.h)
+        except DomainError as exc:
+            raise DataFormatError(f"{self.path}: {exc}") from exc
+        weakref.finalize(self, self.file.close)
 
     def block(self, start, stop):
         """Rows start..stop-1 as they are stored, one (rows, 2n) array with
@@ -144,12 +169,10 @@ class DatasetFile(BlockRows):
         """
         check_rows(start, stop, self.M)
         block = np.empty((stop - start, 2 * self.n), dtype="<f8")
-        with open(self.path, "rb") as fh:
-            fh.seek(_BINARY_HEADER_BYTES + 16 * self.n * start)
-            # a buffered readinto reads until the block is full or EOF
-            if fh.readinto(block) < block.nbytes:
-                raise DataFormatError(
-                    f"{self.path}: file ends inside rows {start}..{stop - 1}")
+        if not _pread(self.file.fileno(), block,
+                      _BINARY_HEADER_BYTES + 16 * self.n * start):
+            raise DataFormatError(
+                f"{self.path}: file ends inside rows {start}..{stop - 1}")
         if not np.isfinite(block).all():
             raise DataFormatError(
                 f"{self.path}: dataset entries must all be finite; "
@@ -157,25 +180,17 @@ class DatasetFile(BlockRows):
         return block
 
 
-def _source(path, build, *args):
-    """``build(*args)``, with the dataset's DomainError reported as a
-    DataFormatError of the file at ``path``."""
-    try:
-        return build(*args)
-    except DomainError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def _read_binary(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_BINARY_HEADER_BYTES)
-        size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER_BYTES
-    if len(head) < _BINARY_HEADER_BYTES or head[:4] != MAGIC:
+def _read_binary(path, file):
+    """A DatasetFile over ``file``, the binary file at ``path``, read past
+    its magic: its header and its size are checked."""
+    head = file.read(_BINARY_HEADER.size)
+    size = os.fstat(file.fileno()).st_size - _BINARY_HEADER_BYTES
+    if len(head) < _BINARY_HEADER.size:
         raise DataFormatError(f"{path}: truncated or invalid binary header")
-    version, n, M, h = _BINARY_HEADER.unpack(head[4:])
+    version, n, M, h = _BINARY_HEADER.unpack(head)
     if version != BINARY_VERSION:
         raise DataFormatError(f"{path}: unsupported binary version {version}")
-    source = _source(path, DatasetFile, os.fspath(path), n, M, h)
+    source = DatasetFile(file, os.fspath(path), n, M, h)
     count = M * 2 * n
     if size < count * 8:
         raise DataFormatError(f"{path}: expected {count} values, found {size // 8}")
@@ -186,10 +201,11 @@ def _read_binary(path):
     return source
 
 
-def _read_csv(path):
+def _read_csv(path, file):
+    """A DatasetFile over ``file``, into which the rows of the text file at
+    ``path`` are parsed, checked and written one CHUNK_ROWS block at a time."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        m = _HEADER_RE.match(header)
+        m = _HEADER_RE.match(fh.readline())
         if m is None:
             raise DataFormatError(
                 f"{path}: missing or malformed '#levy-sid-pairs v1' header")
@@ -199,36 +215,60 @@ def _read_csv(path):
             h = float(m.group(3))
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad h in header: {m.group(3)!r}") from exc
-        try:
-            with warnings.catch_warnings():  # no rows is a count like any other
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                pairs = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: malformed data row: {exc}") from exc
-    if len(pairs) != M:
-        raise DataFormatError(f"{path}: header promises {M} rows, found {len(pairs)}")
-    return _source(path, DatasetPair, n, M, h, pairs)
+        source = DatasetFile(file, os.fspath(path), n, M, h)
+        count = 0
+        with warnings.catch_warnings():
+            # blank lines are skipped, as in one whole-file parse, and the
+            # end of the rows is a count like any other
+            warnings.filterwarnings(
+                "ignore", r"(loadtxt: input|Input line \d+) contained no data")
+            while True:
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                      max_rows=simulate.CHUNK_ROWS)
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: malformed data row: {exc}") from exc
+                if not len(rows):
+                    break
+                if rows.shape[1] != 2 * n:
+                    raise DataFormatError(f"{path}: rows {count}.. must hold "
+                                          f"{2 * n} values, not {rows.shape[1]}")
+                if count + len(rows) > M:
+                    raise DataFormatError(f"{path}: header promises {M} rows, found more")
+                _pwrite(file.fileno(), rows, _BINARY_HEADER_BYTES + 16 * n * count)
+                # read back by the reader that serves them, which checks them
+                count += len(source.block(count, count + len(rows)))
+    if count < M:
+        raise DataFormatError(f"{path}: header promises {M} rows, found {count}")
+    return source
 
 
 def read_dataset(path):
-    """Read a dataset file, sniffing the binary magic to pick the decoder.
+    """Read a dataset file as a DatasetFile, sniffing the binary magic to
+    pick the decoder.
 
-    Returns a DatasetPair over the (M, 2n) array parsed from a text file,
-    every entry checked. For a binary file only the header and the file size
-    are read: the DatasetFile it returns checks each block as it reads it.
+    Of a binary file only the header and the size are read: the DatasetFile
+    over it checks each block as it reads it. A text file's rows are checked
+    block by block into an unnamed temporary file of 16n bytes a row in
+    ``tempfile``'s directory (``TMPDIR``), gone when it is closed.
     """
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
+        file = open(path, "rb")
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
-    if magic == MAGIC:
-        return _read_binary(path)
     try:
-        return _read_csv(path)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: neither a binary dataset nor ASCII text: {exc}") from exc
+        if file.read(len(MAGIC)) == MAGIC:
+            return _read_binary(path, file)
+        file.close()
+        file = tempfile.TemporaryFile()
+        try:
+            return _read_csv(path, file)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: neither a binary dataset nor ASCII text: {exc}") from exc
+    except BaseException:
+        file.close()
+        raise
 
 
 REPORT_FORMAT = "levy-sid-report v1"

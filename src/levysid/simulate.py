@@ -182,48 +182,6 @@ class BlockRows:
         return block[:, :self.n], block[:, self.n:]
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetPair(BlockRows):
-    """A dataset held as it is stored: ``pairs`` is one float64 (M, 2n)
-    array of rows, z before x, and h the step size. A row-block source like
-    ``Simulation`` and ``dataio.DatasetFile``, whose blocks, and ``Z`` and
-    ``X``, are read-only views of ``pairs``; it may be read-only itself.
-    """
-
-    n: int
-    M: int
-    h: float
-    pairs: np.ndarray
-
-    def __post_init__(self):
-        check_header(self.n, self.M, self.h)
-        shape = getattr(self.pairs, "shape", None)
-        if shape != (self.M, 2 * self.n) or self.pairs.dtype != np.float64:
-            raise DomainError(f"pairs must be a float64 array of shape "
-                              f"({self.M}, {2 * self.n}); got shape {shape}")
-        if not np.isfinite(self.pairs).all():
-            raise DomainError("dataset entries must all be finite")
-
-    def block(self, start, stop):
-        """Rows start..stop-1 as they are stored, a read-only view."""
-        check_rows(start, stop, self.M)
-        block = self.pairs[start:stop]
-        block.flags.writeable = False
-        return block
-
-    Z = property(lambda self: self.rows(0, self.M)[0])
-    X = property(lambda self: self.rows(0, self.M)[1])
-
-    @classmethod
-    def from_arrays(cls, Z, X, h):
-        """Z beside X in one new array; a 1-D array is one column."""
-        Z, X = (np.asarray(A, dtype=np.float64) for A in (Z, X))
-        Z, X = (A[:, None] if A.ndim == 1 else A for A in (Z, X))
-        if Z.shape != X.shape:
-            raise DomainError(f"Z and X must have one shape; got {Z.shape} and {X.shape}")
-        return cls(Z.shape[1], Z.shape[0], float(h), np.hstack([Z, X]))
-
-
 class Grid:
     """Tensor-product grid with inclusive endpoints, whose rows are made
     when they are read.

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from levysid import (
-    DatasetPair,
     EstimationConfig,
     StableParams,
     correction_R,
@@ -162,7 +161,7 @@ def gene_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def lorenz_runs():
+def lorenz_runs(tmp_path_factory):
     """Per-seed (levy, table) pairs for the 100^3-grid Lorenz run, shared
     by the triple, drift, and diffusion checks."""
     doc = builtin_config("lorenz3d")
@@ -170,12 +169,12 @@ def lorenz_runs():
     Z = generate_grid(doc["grid"]["bounds"], doc["grid"]["mesh"])
     dictionary = build_dictionary("poly:2", 3)
     runs = []
+    path = tmp_path_factory.mktemp("lorenz") / "pairs.bin"
     for seed in LORENZ_SEEDS:
-        # stepped once, for the Levy passes, the cube filter and the
-        # regressions that read the survivors through it
-        sim = simulate_pairs(model, Z, doc["h"], seed)
-        data = DatasetPair(sim.n, sim.M, sim.h, sim.block(0, sim.M))
-        del sim
+        # stepped once, into the file that the Levy passes, the cube filter
+        # and the regressions that read the survivors through it all read
+        write_dataset(simulate_pairs(model, Z, doc["h"], seed), path)
+        data = read_dataset(path)
         levy = adaptive_levy(data)
         filtered, fraction = cube_filter(data, LORENZ_CFG.cube_half_width)
         table = regression_tables(filtered, fraction, dictionary, levy,
@@ -391,7 +390,7 @@ class TestExactRecovery:
             B = A @ C
             assert np.max(np.abs(solve_gram(A.T @ A, A.T @ B) - C)) <= 1e-10
 
-    def test_noiseless_pairs_recover_drift_exactly(self):
+    def test_noiseless_pairs_recover_drift_exactly(self, dataset):
         # increments exactly h b(Z) make the whole regression chain a
         # consistent system; recovery is then limited only by float solve
         dictionary = build_dictionary("poly:2", 2)
@@ -405,7 +404,7 @@ class TestExactRecovery:
         truth[1, names.index("x2^2")] = 1.0
         b = design_matrix(dictionary, Z) @ truth.T
         h = 1.0e-3
-        data = DatasetPair.from_arrays(Z, Z + h * b, h)
+        data = dataset(Z, Z + h * b, h)
         levy = [StableParams(1.5, 0.0, 1e-8)] * 2
         filtered, fraction = cube_filter(data, 10.0)
         assert fraction == 1.0

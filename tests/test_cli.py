@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -16,7 +17,6 @@ import pytest
 from levysid import (
     ConfigError,
     DataFormatError,
-    DatasetPair,
     Report,
     design_matrix,
     model_from_config,
@@ -48,11 +48,11 @@ def _small_lorenz(tmp_path, mesh=20):
     })
 
 
-def _cauchy_dataset(tmp_path, M=200_000):
+def _cauchy_dataset(dataset, tmp_path, M=200_000):
     # symmetric unit Cauchy increments: every bin well occupied at eps=1
     Y = sample_stable(1.0, 0.0, 1.0, M, stream_key(77))
     Z = np.linspace(0.0, 1.0, M)[:, None]
-    data = DatasetPair.from_arrays(Z, Z + Y[:, None], 0.001)
+    data = dataset(Z, Z + Y[:, None], 0.001)
     path = tmp_path / "pairs.csv"
     write_dataset(data, path)
     return str(path)
@@ -309,8 +309,8 @@ class TestSimulateCommand:
 
 
 class TestEstimateCommand:
-    def test_report_written(self, tmp_path):
-        data_path = _cauchy_dataset(tmp_path)
+    def test_report_written(self, dataset, tmp_path):
+        data_path = _cauchy_dataset(dataset, tmp_path)
         report_path = tmp_path / "report.json"
         code = main(["estimate", data_path,
                      "--est-config", _est_config(tmp_path),
@@ -367,8 +367,8 @@ class TestEstimateCommand:
         for name, files in zip(runs, outputs):
             assert files == outputs[0], name
 
-    def test_report_reserialization_byte_identical(self, tmp_path):
-        data_path = _cauchy_dataset(tmp_path)
+    def test_report_reserialization_byte_identical(self, dataset, tmp_path):
+        data_path = _cauchy_dataset(dataset, tmp_path)
         report_path = tmp_path / "report.json"
         main(["estimate", data_path, "--est-config", _est_config(tmp_path),
               "--report", str(report_path)])
@@ -376,9 +376,9 @@ class TestEstimateCommand:
         write_report(read_report(report_path), report_path)
         assert report_path.read_bytes() == blob
 
-    def test_insufficient_rows_exits_4(self, tmp_path):
+    def test_insufficient_rows_exits_4(self, dataset, tmp_path):
         Y = np.linspace(2.0, 3.0, 5)
-        data = DatasetPair.from_arrays(np.zeros((5, 1)), Y[:, None], 0.001)
+        data = dataset(np.zeros((5, 1)), Y[:, None], 0.001)
         path = tmp_path / "tiny.csv"
         write_dataset(data, path)
         code = main(["estimate", str(path),
@@ -386,8 +386,8 @@ class TestEstimateCommand:
                      "--report", str(tmp_path / "r.json")])
         assert code == 4
 
-    def test_bad_est_config_exits_2(self, tmp_path):
-        data_path = _cauchy_dataset(tmp_path)
+    def test_bad_est_config_exits_2(self, dataset, tmp_path):
+        data_path = _cauchy_dataset(dataset, tmp_path)
         bad = _write_json(tmp_path / "est.json", {"m": 5.0, "N": 1,
                                                   "dictionary": "poly:1"})
         assert main(["estimate", data_path, "--est-config", bad,
@@ -399,8 +399,8 @@ class TestEstimateCommand:
         ("N", math.inf), ("N", 2.7), ("N", True), ("N", "2"), ("N", 1e30),
         ("N", 10**9), ("epsilon", True), ("epsilon", "1.0"), ("m", "5"),
         ("cube_epsilon", True)])
-    def test_non_finite_est_config_exits_2(self, tmp_path, capsys, field, value):
-        data_path = _cauchy_dataset(tmp_path, M=2000)
+    def test_non_finite_est_config_exits_2(self, dataset, tmp_path, capsys, field, value):
+        data_path = _cauchy_dataset(dataset, tmp_path, M=2000)
         report = tmp_path / "r.json"
         assert main(["estimate", data_path,
                      "--est-config", _est_config(tmp_path, **{field: value}),
@@ -424,12 +424,12 @@ class TestEstimateCommand:
     # huge-z: x1^2 = 1e200, so the Gram sum of x1^4 is inf
     @pytest.mark.parametrize("h,big_rows", [(1e-160, []), (0.001, [10, 200, 390])],
                              ids=["tiny-h", "huge-z"])
-    def test_overflowing_sums_exit_5(self, tmp_path, capsys, h, big_rows):
+    def test_overflowing_sums_exit_5(self, dataset, tmp_path, capsys, h, big_rows):
         Y = sample_stable(1.0, 0.0, 1.0, 400, stream_key(77))
         Z = np.linspace(-1.0, 1.0, 400)[:, None]
         Z[big_rows] = 1e100
         path = tmp_path / "pairs.bin"
-        write_dataset(DatasetPair.from_arrays(Z, Z + Y[:, None], h), path)
+        write_dataset(dataset(Z, Z + Y[:, None], h), path)
         report = tmp_path / "r.json"
         assert main(["estimate", str(path),
                      "--est-config", _est_config(tmp_path, dictionary="poly:2"),
@@ -478,6 +478,7 @@ MALFORMED = {
     "csv-non-ascii": lambda: _CSV.replace("0.5", "0\u00b75").encode("utf-8"),
     "csv-h-nan": lambda: _CSV.replace("h=0.001", "h=nan").encode(),
     "csv-h-inf": lambda: _CSV.replace("h=0.001", "h=inf").encode(),
+    "csv-comment-in-row": lambda: _CSV.replace("0.5,0.6", "0.5,0.6#,9").encode(),
 }
 
 
@@ -534,43 +535,48 @@ def _lorenz_data(tmp_path):
 
 
 class TestBinaryFileSource:
-    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    @pytest.mark.parametrize("workers", ["1", "2", "5", pytest.param(None, id="unset")])
     def test_report_matches_in_memory(self, tmp_path, monkeypatch, workers):
-        # 8000 rows in 16 blocks of 500; the text copy loads into memory
+        # 8000 rows in 16 blocks of 500; the text copy is parsed into an
+        # unnamed binary file, and gives the binary file's report
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
-        monkeypatch.setenv("LEVYSID_WORKERS", workers)
+        if workers is None:
+            monkeypatch.delenv("LEVYSID_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("LEVYSID_WORKERS", workers)
         path, est = _lorenz_data(tmp_path)
         text = tmp_path / "pairs.csv"
         write_dataset(read_dataset(path), text)
-        assert isinstance(read_dataset(text), DatasetPair)
-        for source, report in ((path, "r_file.json"), (text, "r_memory.json")):
+        assert isinstance(read_dataset(text), DatasetFile)
+        for source, report in ((path, "r_file.json"), (text, "r_text.json")):
             assert main(["estimate", str(source), "--est-config", est,
                          "--report", str(tmp_path / report)]) == 0
         assert (tmp_path / "r_file.json").read_bytes() == (
-            tmp_path / "r_memory.json").read_bytes()
+            tmp_path / "r_text.json").read_bytes()
 
     def test_read_only_pairs_give_the_same_report(self, tmp_path, monkeypatch):
-        # a text dataset's blocks are views of the one parsed array: no pass
-        # writes into a block, so a read-only array gives the same report
+        # no pass writes into a block it reads: read-only blocks of the
+        # text copy give the binary file's report
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
         monkeypatch.setenv("LEVYSID_WORKERS", "2")
         path, est = _lorenz_data(tmp_path)
         text = tmp_path / "pairs.csv"
         write_dataset(read_dataset(path), text)
-        held = []
+        assert main(["estimate", str(path), "--est-config", est,
+                     "--report", str(tmp_path / "r_file.json")]) == 0
+        read_block = DatasetFile.block
+        reads = []
 
-        def read_only(source):
-            data = read_dataset(source)
-            if isinstance(data, DatasetPair):
-                data.pairs.flags.writeable = False
-                held.append(data)
-            return data
+        def read_only(self, start, stop):
+            block = read_block(self, start, stop)
+            block.flags.writeable = False
+            reads.append(stop - start)
+            return block
 
-        monkeypatch.setattr(levysid.cli, "read_dataset", read_only)
-        for source, report in ((path, "r_file.json"), (text, "r_held.json")):
-            assert main(["estimate", str(source), "--est-config", est,
-                         "--report", str(tmp_path / report)]) == 0
-        assert len(held) == 1 and not held[0].pairs.flags.writeable
+        monkeypatch.setattr(DatasetFile, "block", read_only)
+        assert main(["estimate", str(text), "--est-config", est,
+                     "--report", str(tmp_path / "r_held.json")]) == 0
+        assert sum(reads) >= 2 * 8000
         assert (tmp_path / "r_file.json").read_bytes() == (
             tmp_path / "r_held.json").read_bytes()
 
@@ -625,6 +631,103 @@ class TestBinaryFileSource:
         # bin counts, and the cube filter's mask; the survivors are read
         # on the calling thread
         assert pools == [2, 2]
+
+
+def _estimate_process(path, tmp_path, env=None):
+    """``levysid estimate`` of the dataset at ``path`` in a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "levysid.cli", "estimate", str(path),
+         "--est-config", _est_config(tmp_path), "--report", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestTextDatasets:
+    """A text dataset is parsed one CHUNK_ROWS block at a time into an
+    unnamed temporary file, whose DatasetFile the estimate reads."""
+
+    def test_comment_character_is_a_malformed_row(self, tmp_path):
+        # '#' starts no comment: the row is damaged, not cut short
+        path = tmp_path / "pairs.csv"
+        path.write_text(_CSV.replace("0.5,0.6", "0.5,0.6#,9"))
+        with pytest.raises(DataFormatError, match="malformed data row"):
+            read_dataset(path)
+        proc = _estimate_process(path, tmp_path)
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error category=data: {path}: malformed data row")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_blank_lines_are_skipped_silently(self, tmp_path, dataset):
+        # blank lines among the rows, inside a block and at its ends, are
+        # skipped as a whole-file parse skips them, with no parser warning
+        plain = _cauchy_dataset(dataset, tmp_path, M=2000)
+        with open(plain) as fh:
+            lines = fh.read().split("\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines[:2] + [""] + lines[2:900] + ["", ""]
+                                   + lines[900:]) + "\n")
+        reports = []
+        for path in (plain, blank):
+            proc = _estimate_process(path, tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            reports.append((tmp_path / "r.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.fixture
+    def tmpdir_files(self, tmp_path, monkeypatch):
+        """An empty directory that tempfile makes its files in, and the
+        temporary files made in this test."""
+        home = tmp_path / "tmp"
+        home.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(home))
+        made = []
+        make = tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        return home, made
+
+    def test_no_temporary_file_after_success(self, tmp_path, dataset, tmpdir_files):
+        home, made = tmpdir_files
+        path = _cauchy_dataset(dataset, tmp_path, M=2000)
+        source = read_dataset(path)
+        # the copy has no name, even while it is open
+        assert len(made) == 1 and list(home.iterdir()) == []
+        assert source.file is made[0] and source.path == path
+        assert main(["estimate", path, "--est-config", _est_config(tmp_path),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert len(made) == 2 and list(home.iterdir()) == []
+
+    def test_no_temporary_file_after_malformed_rows(self, tmp_path, tmpdir_files):
+        home, made = tmpdir_files
+        path = tmp_path / "pairs.csv"
+        path.write_text(_CSV + "0.9,1.0\n")
+        assert main(["estimate", str(path), "--est-config", _est_config(tmp_path),
+                     "--report", str(tmp_path / "r.json")]) == 3
+        assert len(made) == 1 and made[0].closed and list(home.iterdir()) == []
+
+    def test_no_temporary_file_after_interrupt(self, tmp_path, dataset, monkeypatch,
+                                               tmpdir_files):
+        # Ctrl-C while the second block is parsed
+        home, made = tmpdir_files
+        monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 500)
+        path = _cauchy_dataset(dataset, tmp_path, M=2000)
+        loadtxt = np.loadtxt
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            read_dataset(path)
+        assert len(made) == 1 and made[0].closed and list(home.iterdir()) == []
 
 
 def _v1_report(kind, names, drift, diffusion):

@@ -22,7 +22,6 @@ from levysid import (
     correction_R,
     correction_S,
     cube_filter,
-    DatasetPair,
     design_matrix,
     estimate_alpha,
     estimate_beta,
@@ -47,12 +46,12 @@ def _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=None):
     return EstimationConfig(epsilon, m, N, cube_epsilon)
 
 
-def _pair_from_increments(Y, h=0.001):
+def _pair_from_increments(dataset, Y, h=0.001):
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
     Z = np.zeros_like(Y)
-    return DatasetPair.from_arrays(Z, Y, h)
+    return dataset(Z, Y, h)
 
 
 class TestBinCounts:
@@ -232,40 +231,38 @@ class TestEstimateSigma:
 
 
 class TestCubeFilter:
-    def test_large_width_keeps_all(self):
+    def test_large_width_keeps_all(self, dataset):
         rng = np.random.default_rng(2)
         Z = rng.uniform(-1, 1, (40, 2))
         X = Z + rng.uniform(-0.1, 0.1, (40, 2))
-        data = DatasetPair.from_arrays(Z, X, 0.001)
+        data = dataset(Z, X, 0.001)
         kept, fraction = cube_filter(data, 1e12)
         assert kept.M == 40 and fraction == 1.0
 
-    def test_single_row_dropped(self):
-        data = DatasetPair.from_arrays(np.zeros((1, 2)),
-                                       np.array([[0.5, 2.0]]), 0.001)
+    def test_single_row_dropped(self, dataset):
+        data = dataset(np.zeros((1, 2)), np.array([[0.5, 2.0]]), 0.001)
         with pytest.raises(InsufficientDataError):
             cube_filter(data, 1.0)
 
-    def test_boundary_row_kept(self):
+    def test_boundary_row_kept(self, dataset):
         # closed cube: max |x - z| = half_width survives
-        data = DatasetPair.from_arrays(np.zeros((2, 1)),
-                                       np.array([[1.0], [1.00001]]), 0.001)
+        data = dataset(np.zeros((2, 1)), np.array([[1.0], [1.00001]]), 0.001)
         kept, fraction = cube_filter(data, 1.0)
         assert kept.M == 1
         assert fraction == 0.5
         assert kept.rows(0, 1)[1][0, 0] == 1.0
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, dataset):
         Z = np.zeros((4, 1))
         X = np.array([[0.1], [5.0], [0.3], [0.2]])
-        data = DatasetPair.from_arrays(Z, X, 0.001)
+        data = dataset(Z, X, 0.001)
         kept, fraction = cube_filter(data, 1.0)
         np.testing.assert_array_equal(kept.rows(0, 3)[1][:, 0], [0.1, 0.3, 0.2])
         assert fraction == 0.75
 
     @pytest.mark.parametrize("half_width", [np.nan, np.inf])
-    def test_half_width_must_be_positive_and_finite(self, half_width):
-        data = DatasetPair.from_arrays(np.zeros((2, 1)), np.ones((2, 1)), 0.001)
+    def test_half_width_must_be_positive_and_finite(self, dataset, half_width):
+        data = dataset(np.zeros((2, 1)), np.ones((2, 1)), 0.001)
         with pytest.raises(DomainError, match="half_width must be positive and finite"):
             cube_filter(data, half_width)
 
@@ -313,49 +310,48 @@ class TestEstConfigFuzz:
 class TestBlockwisePasses:
     """estimate_levy and cube_filter read CHUNK_ROWS blocks; the results must
     equal whole-array references for any block size and worker count, from
-    an in-memory pair and from a binary dataset file alike."""
+    a binary and a text dataset file alike."""
 
     @staticmethod
-    def _data():
+    def _arrays():
         rng = np.random.default_rng(8)
         Z = rng.uniform(-1.0, 1.0, (500, 3))
         X = Z + 0.3 * rng.standard_cauchy((500, 3))
-        return DatasetPair.from_arrays(Z, X, 0.001)
+        return Z, X
 
     @classmethod
-    def _sources(cls, tmp_path):
-        """The in-memory pair, and the same pair as a binary dataset file."""
-        data = cls._data()
-        path = tmp_path / "pairs.bin"
-        write_dataset(data, path)
-        return data, read_dataset(path)
+    def _sources(cls, tmp_path, dataset):
+        """Z and X, and their rows read from a binary and a text file."""
+        Z, X = cls._arrays()
+        data = dataset(Z, X, 0.001)
+        write_dataset(data, tmp_path / "pairs.csv")
+        return (Z, X), (data, read_dataset(tmp_path / "pairs.csv"))
 
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
-    def test_cube_filter_matches_whole_mask(self, monkeypatch, tmp_path, workers):
-        sources = self._sources(tmp_path)
-        data = sources[0]
-        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
+    def test_cube_filter_matches_whole_mask(self, monkeypatch, tmp_path, dataset,
+                                            workers):
+        (Zw, Xw), sources = self._sources(tmp_path, dataset)
+        keep = np.max(np.abs(Xw - Zw), axis=1) <= 0.5
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         for source in sources:
             kept, fraction = cube_filter(source, 0.5)
             assert kept.M == int(keep.sum()) and fraction == keep.sum() / 500
             Z, X = kept.rows(0, kept.M)
-            np.testing.assert_array_equal(Z, data.Z[keep])
-            np.testing.assert_array_equal(X, data.X[keep])
+            np.testing.assert_array_equal(Z, Zw[keep])
+            np.testing.assert_array_equal(X, Xw[keep])
 
     @pytest.mark.parametrize("workers", ["1", "2", "5"])
     def test_levy_counts_match_whole_increments(self, monkeypatch, tmp_path,
-                                                workers):
-        sources = self._sources(tmp_path)
-        data = sources[0]
+                                                dataset, workers):
+        (Z, X), sources = self._sources(tmp_path, dataset)
         config = _config(epsilon=0.2, m=3.0, N=2)
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 7)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         for source in sources:
             for est in estimate_levy(source, config):
-                Y = data.X[:, est.component - 1] - data.Z[:, est.component - 1]
-                want = bin_counts(Y, config, h=data.h)
+                Y = X[:, est.component - 1] - Z[:, est.component - 1]
+                want = bin_counts(Y, config, h=0.001)
                 np.testing.assert_array_equal(est.counts.pos, want.pos)
                 np.testing.assert_array_equal(est.counts.neg, want.neg)
                 assert (est.counts.M, est.counts.h) == (500, 0.001)
@@ -363,14 +359,13 @@ class TestBlockwisePasses:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_mask_decoded_once_per_pass(self, monkeypatch, tmp_path,
-                                             workers):
+                                             dataset, workers):
         # the regression reads the survivors 50 at a time, most reads
         # across a boundary of the 50-row blocks, and the reads below 4 at
         # a time, several per block; each block's mask is decoded on its
         # first read only, and the reads give the kept rows
-        sources = self._sources(tmp_path)
-        data = sources[0]
-        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
+        (Z, X), sources = self._sources(tmp_path, dataset)
+        keep = np.max(np.abs(X - Z), axis=1) <= 0.5
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 50)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         unpackbits = np.unpackbits
@@ -393,16 +388,17 @@ class TestBlockwisePasses:
                     for lo in range(0, kept.M, 4)]
             assert len(decoded) == 10
             np.testing.assert_array_equal(
-                np.concatenate(read), np.hstack([data.Z, data.X])[keep])
+                np.concatenate(read), np.hstack([Z, X])[keep])
 
 
-    def test_threads_share_decoded_masks(self, monkeypatch):
+    def test_threads_share_decoded_masks(self, monkeypatch, dataset):
         # more threads than cores read one Survivors in different orders;
         # the kept (block, indices) pair is replaced whole, so every read
         # gives the kept rows whichever block another thread decoded last
-        data = self._data()
-        keep = np.max(np.abs(data.X - data.Z), axis=1) <= 0.5
-        want = np.hstack([data.Z, data.X])[keep]
+        Z, X = self._arrays()
+        data = dataset(Z, X, 0.001)
+        keep = np.max(np.abs(X - Z), axis=1) <= 0.5
+        want = np.hstack([Z, X])[keep]
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", 20)
         kept, _ = cube_filter(data, 0.5)
         errors = []
@@ -430,7 +426,7 @@ class TestBlockwisePasses:
 
 
 class TestDimensionalIndependence:
-    def test_exact_equality(self):
+    def test_exact_equality(self, dataset):
         import warnings as w
 
         rng = np.random.default_rng(5)
@@ -440,8 +436,8 @@ class TestDimensionalIndependence:
         with w.catch_warnings():
             # uniform values have no stable tail; clamp warnings expected
             w.simplefilter("ignore", EstimationWarning)
-            one = estimate_levy(_pair_from_increments(Y), config)[0]
-            stacked = _pair_from_increments(np.column_stack([Y, junk]))
+            one = estimate_levy(_pair_from_increments(dataset, Y), config)[0]
+            stacked = _pair_from_increments(dataset, np.column_stack([Y, junk]))
             two = estimate_levy(stacked, config)[0]
         assert (one.alpha, one.beta, one.sigma) == (two.alpha, two.beta,
                                                     two.sigma)
@@ -450,7 +446,7 @@ class TestDimensionalIndependence:
 
 
 class TestExactRecovery:
-    def test_drift_exact(self):
+    def test_drift_exact(self, dataset):
         # increments are exactly h * (A @ c); h binary so h*v/h round-trips
         rng = np.random.default_rng(7)
         n, h = 2, 0.25
@@ -460,7 +456,7 @@ class TestExactRecovery:
         c_true = np.array([[1.5, -2.0, 0.5, 0.25, 0.0, 1.0],
                            [0.0, 3.0, -1.0, 0.0, 0.5, -0.5]])
         X = Z + h * (A @ c_true.T)
-        data = DatasetPair.from_arrays(Z, X, h)
+        data = dataset(Z, X, h)
         table = regression_tables(data, 1.0, dictionary, None, _config())
         np.testing.assert_allclose(table.drift, c_true, rtol=0, atol=1e-10)
         # residuals come from the Gram identity c'Gc - 2c'C + |B|^2, whose
@@ -469,7 +465,7 @@ class TestExactRecovery:
             floor = 1e-7 * np.linalg.norm(A @ c_true[i])
             assert table.drift_residuals[i] <= floor
 
-    def test_diffusion_exact_rank_one(self):
+    def test_diffusion_exact_rank_one(self, dataset):
         # increments sqrt(h) * v_i make every target a_ij = v_i v_j constant
         n, h = 3, 0.25
         dictionary = polynomial_dictionary(n, 1)
@@ -477,7 +473,7 @@ class TestExactRecovery:
         Z = rng.uniform(-2, 2, (400, n))
         v = np.array([0.7, -1.3, 0.4])
         X = Z + np.sqrt(h) * v
-        data = DatasetPair.from_arrays(Z, X, h)
+        data = dataset(Z, X, h)
         table = regression_tables(data, 1.0, dictionary, None, _config())
         for i in range(1, n + 1):
             for j in range(i, n + 1):
@@ -486,23 +482,23 @@ class TestExactRecovery:
                 np.testing.assert_allclose(table.diffusion[(i, j)], want,
                                            rtol=0, atol=1e-10)
 
-    def test_insufficient_rows(self):
+    def test_insufficient_rows(self, dataset):
         dictionary = polynomial_dictionary(2, 2)
         Z = np.zeros((3, 2))
-        data = DatasetPair.from_arrays(Z, Z + 0.1, 0.25)
+        data = dataset(Z, Z + 0.1, 0.25)
         with pytest.raises(InsufficientDataError):
             regression_tables(data, 1.0, dictionary, None, _config())
 
 
 class TestRegressionOracle:
-    def test_matches_dense_lstsq(self):
+    def test_matches_dense_lstsq(self, dataset):
         rng = np.random.default_rng(10)
         n, h, fraction = 2, 0.001, 0.97
         dictionary = polynomial_dictionary(n, 3)  # K = 10
         M = 4000
         Z = rng.uniform(-2, 2, (M, n))
         X = Z + 0.05 * rng.standard_normal((M, n))
-        data = DatasetPair.from_arrays(Z, X, h)
+        data = dataset(Z, X, h)
         levy = [StableParams(1.5, -0.5, 0.5), StableParams(0.8, 0.3, 1.2)]
         config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.5)
 
@@ -536,8 +532,8 @@ class TestRegressionOracle:
         n = data.n
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         scale = fraction / data.h
-        Z = data.Z[start:stop]
-        D = data.X[start:stop] - Z
+        Z, X = data.rows(start, min(stop, data.M))
+        D = X - Z
         A = design_matrix(dictionary, Z)
         B = np.empty((len(Z), n + len(pairs)))
         for i in range(n):
@@ -582,7 +578,7 @@ class TestRegressionOracle:
 
     @pytest.mark.parametrize("chunk_rows", [16, 24, None])
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_reused_buffers_match_fresh_blocks(self, workers, chunk_rows,
+    def test_reused_buffers_match_fresh_blocks(self, dataset, workers, chunk_rows,
                                                monkeypatch):
         # 197 rows through the cube filter, whose masks are CHUNK_ROWS
         # blocks: the 179 survivors fill 16- or 24-row blocks and a partial
@@ -592,7 +588,7 @@ class TestRegressionOracle:
         n, h, M = 2, 0.001, 197
         Z = rng.uniform(-2, 2, (M, n))
         X = Z + 0.05 * rng.standard_normal((M, n))
-        data = DatasetPair.from_arrays(Z, X, h)
+        data = dataset(Z, X, h)
         dictionary = polynomial_dictionary(n, 2)
         levy = [StableParams(1.5, -0.5, 0.5), StableParams(0.7, 0.3, 1.2)]
         config = _config(epsilon=1.0, m=5.0, N=1, cube_epsilon=0.1)
@@ -600,7 +596,7 @@ class TestRegressionOracle:
             monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", chunk_rows)
         monkeypatch.setenv("LEVYSID_WORKERS", workers)
         keep = np.max(np.abs(X - Z), axis=1) <= config.cube_half_width
-        survivors = DatasetPair.from_arrays(Z[keep], X[keep], h)
+        survivors = dataset(Z[keep], X[keep], h)
         want = self._fresh_block_reference(
             survivors, keep.sum() / M, dictionary, levy,
             config.cube_half_width, levysid.simulate.CHUNK_ROWS)
@@ -610,7 +606,7 @@ class TestRegressionOracle:
         self._assert_table_is(regression_tables(
             kept, fraction, dictionary, levy, config), *want)
 
-    def test_example2_blocks_match_fresh_blocks(self, monkeypatch):
+    def test_example2_blocks_match_fresh_blocks(self, dataset, monkeypatch):
         # the layout contract at K = 19: eight full CHUNK_ROWS blocks and a
         # partial one, each filled into the columns of one reused scratch,
         # give the bits of a fresh C-order W per block, at any worker
@@ -621,7 +617,7 @@ class TestRegressionOracle:
         rng = np.random.default_rng(22)
         Z = rng.uniform(0.0, 5.0, (M, 1))
         X = Z + 0.05 * rng.standard_normal((M, 1))
-        data = DatasetPair.from_arrays(Z, X, 0.001)
+        data = dataset(Z, X, 0.001)
         dictionary = example2_dictionary()
         levy = [StableParams(1.5, -0.5, 0.5)]
         config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
@@ -635,7 +631,7 @@ class TestRegressionOracle:
 
     @pytest.mark.parametrize("n,dictionary", [
         (1, example2_dictionary()), (3, polynomial_dictionary(3, 2))])
-    def test_block_sums_match_row_major_products(self, n, dictionary,
+    def test_block_sums_match_row_major_products(self, dataset, n, dictionary,
                                                  monkeypatch):
         # one CHUNK_ROWS block of genereg1d's (K = 19) and lorenz3d's
         # (K = 10) shape: the parts of W @ W.T are the row-major products
@@ -643,8 +639,7 @@ class TestRegressionOracle:
         rows = levysid.simulate.CHUNK_ROWS
         rng = np.random.default_rng(23)
         Z = rng.uniform(0.0, 5.0, (rows, n))
-        data = DatasetPair.from_arrays(
-            Z, Z + 0.05 * rng.standard_normal(Z.shape), 0.001)
+        data = dataset(Z, Z + 0.05 * rng.standard_normal(Z.shape), 0.001)
         levy = [StableParams(1.5, -0.5, 0.5)] * n
         config = _config(epsilon=1.0, m=5.0, N=2, cube_epsilon=0.5)
         seen = {}
@@ -671,15 +666,14 @@ class TestRegressionOracle:
 
 
 class TestRegressionMemory:
-    def test_peak_flat_in_worker_count(self, monkeypatch):
+    def test_peak_flat_in_worker_count(self, dataset, monkeypatch):
         # numpy reports its data allocations to tracemalloc. Four full
         # blocks of lorenz3d's shape (n = 3, poly:2, K = 10): one set of
         # chunk buffers per call keeps 4 workers within one A buffer of 1
         rows = levysid.simulate.CHUNK_ROWS
         rng = np.random.default_rng(13)
         Z = rng.uniform(-2, 2, (4 * rows, 3))
-        data = DatasetPair.from_arrays(
-            Z, Z + 0.01 * rng.standard_normal(Z.shape), 0.001)
+        data = dataset(Z, Z + 0.01 * rng.standard_normal(Z.shape), 0.001)
         dictionary = polynomial_dictionary(3, 2)
         levy = [StableParams(1.5, -0.5, 0.5)] * 3
         config = _config(cube_epsilon=0.5)
@@ -694,7 +688,7 @@ class TestRegressionMemory:
                 tracemalloc.stop()
         assert peaks[4] - peaks[1] < rows * dictionary.K * 8, peaks
 
-    def test_survivors_read_through_the_file(self, tmp_path, monkeypatch):
+    def test_survivors_read_through_the_file(self, dataset, monkeypatch):
         # 32 blocks of lorenz3d's shape in a binary file: the filter
         # keeps a mask bit per row, and the regression reads the
         # survivors from the file one block at a time
@@ -702,10 +696,7 @@ class TestRegressionMemory:
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
         rng = np.random.default_rng(14)
         Z = rng.uniform(-2, 2, (32 * rows, 3))
-        path = tmp_path / "pairs.bin"
-        write_dataset(DatasetPair.from_arrays(
-            Z, Z + 0.2 * rng.standard_normal(Z.shape), 0.001), path)
-        source = read_dataset(path)
+        source = dataset(Z, Z + 0.2 * rng.standard_normal(Z.shape), 0.001)
         dictionary = polynomial_dictionary(3, 2)
         levy = [StableParams(1.5, -0.5, 0.5)] * 3
         tracemalloc.start()
@@ -721,22 +712,22 @@ class TestRegressionMemory:
 
 
 class TestCoefficientTableEvaluation:
-    def test_drift_value_evaluates_fit(self):
+    def test_drift_value_evaluates_fit(self, dataset):
         dictionary = polynomial_dictionary(1, 1)
         Z = np.linspace(0, 4, 200)[:, None]
         X = Z + 0.25 * (2.0 + 3.0 * Z)  # increments h*(2+3z) with h=0.25
-        data = DatasetPair.from_arrays(Z, X, 0.25)
+        data = dataset(Z, X, 0.25)
         table = regression_tables(data, 1.0, dictionary, None, _config())
         got = design_matrix(dictionary, np.array([[1.0], [2.0]])) @ table.drift[0]
         np.testing.assert_allclose(got, [5.0, 8.0], rtol=0, atol=1e-9)
 
-    def test_diffusion_value_at_point(self):
+    def test_diffusion_value_at_point(self, dataset):
         n = 2
         dictionary = polynomial_dictionary(n, 1)
         rng = np.random.default_rng(13)
         Z = rng.uniform(-1, 1, (200, n))
         X = Z + 0.5 * np.array([1.0, -0.5])  # sqrt(h)=0.5 rank-one increments
-        data = DatasetPair.from_arrays(Z, X, 0.25)
+        data = dataset(Z, X, 0.25)
         table = regression_tables(data, 1.0, dictionary, None, _config())
         point = np.array([[0.3, -0.7]])
         A = design_matrix(dictionary, point)

@@ -1,6 +1,7 @@
 """Grid generation and one-step Euler pair simulation."""
 
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 from levysid import (
     ConfigError,
-    DatasetPair,
+    DataFormatError,
     DomainError,
     EvaluationDomainError,
     GridSizeError,
@@ -18,6 +19,7 @@ from levysid import (
     generate_grid,
     model_from_config,
     builtin_model,
+    read_dataset,
     simulate_pairs,
     write_dataset,
 )
@@ -188,64 +190,86 @@ class TestGrid:
             Grid([[0.0, 1.0]], [5])[::2]
 
 
+_TEXT_HEAD = "#levy-sid-pairs v1 n=2 M=4 h=0.5\n"
+_BINARY_HEAD = b"LSID" + struct.pack("<BIQd", 1, 2, 4, 0.5)
+
+
 class TestDatasetPair:
-    def test_from_arrays(self):
+    """Pairs as the tests hold them: the ``dataset`` fixture writes Z beside
+    X as a binary file and read_dataset reads it back, so every check on
+    them is the reader's, as it is for a file in either encoding."""
+
+    def test_from_arrays(self, dataset):
         Z = np.zeros((4, 2))
         X = np.ones((4, 2))
-        d = DatasetPair.from_arrays(Z, X, 0.5)
+        d = dataset(Z, X, 0.5)
         assert d.M == 4 and d.n == 2 and d.h == 0.5
-        np.testing.assert_array_equal(d.pairs, np.hstack([Z, X]))
+        np.testing.assert_array_equal(d.block(0, 4), np.hstack([Z, X]))
 
-    def test_one_dim_arrays_are_one_column(self):
-        d = DatasetPair.from_arrays([1.0, 2.0], [3, 4], 0.5)
-        assert d.n == 1 and d.pairs.dtype == np.float64
-        np.testing.assert_array_equal(d.pairs, [[1.0, 3.0], [2.0, 4.0]])
+    def test_one_dim_arrays_are_one_column(self, dataset):
+        d = dataset([1.0, 2.0], [3, 4], 0.5)
+        block = d.block(0, 2)
+        assert d.n == 1 and block.dtype == np.float64
+        np.testing.assert_array_equal(block, [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            DatasetPair.from_arrays(np.zeros((4, 2)), np.ones((3, 2)), 0.5)
+    def test_shape_mismatch(self, tmp_path):
+        # fewer or more text rows than the header promises
+        path = tmp_path / "pairs.csv"
+        for rows, found in ((3, "3"), (5, "more")):
+            path.write_text(_TEXT_HEAD + "0,0,1,1\n" * rows)
+            with pytest.raises(DataFormatError, match=f"promises 4 rows, found {found}$"):
+                read_dataset(path)
 
-    @pytest.mark.parametrize("pairs", [
-        np.zeros((4, 3)), np.zeros((3, 4)), np.zeros((4, 4), np.float32),
-        np.zeros((4, 4, 1)), [[0.0] * 4] * 4,
+    @pytest.mark.parametrize("body", [
+        (_TEXT_HEAD + "0,0,1\n" * 4).encode(),
+        _BINARY_HEAD + np.zeros((3, 4)).tobytes(),
+        _BINARY_HEAD + np.zeros((4, 4), np.float32).tobytes(),
+        _BINARY_HEAD + np.zeros((4, 4, 2)).tobytes(),
+        (_TEXT_HEAD + "[0.0, 0.0, 1.0, 1.0]\n" * 4).encode(),
     ], ids=["odd-columns", "short", "float32", "3-d", "list"])
-    def test_constructor_shape_rejected(self, pairs):
-        with pytest.raises(DomainError):
-            DatasetPair(2, 4, 0.5, pairs)
+    def test_constructor_shape_rejected(self, tmp_path, body):
+        # anything but M rows of 2n float64 values, in either encoding
+        path = tmp_path / "pairs"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError):
+            read_dataset(path)
 
-    def test_bad_h(self):
-        with pytest.raises(DomainError):
-            DatasetPair.from_arrays(np.zeros((4, 2)), np.ones((4, 2)), 0.0)
+    def test_bad_h(self, tmp_path, dataset):
+        path = tmp_path / "pairs.csv"
         for h in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(DomainError):
-                DatasetPair(2, 4, h, np.zeros((4, 4)))
+            with pytest.raises(DataFormatError, match="h must be positive"):
+                dataset(np.zeros((4, 2)), np.ones((4, 2)), h)
+            path.write_text(_TEXT_HEAD.replace("0.5", repr(h)) + "0,0,1,1\n" * 4)
+            with pytest.raises(DataFormatError, match="h must be positive"):
+                read_dataset(path)
 
-    def test_nonfinite_rejected(self):
-        X = np.ones((4, 2))
-        X[2, 1] = np.inf
-        with pytest.raises(DomainError):
-            DatasetPair.from_arrays(np.zeros((4, 2)), X, 0.5)
+    def test_nonfinite_rejected(self, tmp_path, dataset):
+        # a binary file's block that holds the value is rejected when it is
+        # read, a text file as it is read
+        path = tmp_path / "pairs.csv"
         for value in (np.nan, np.inf, -np.inf):
-            pairs = np.zeros((4, 4))
-            pairs[3, 0] = value
-            with pytest.raises(DomainError, match="finite"):
-                DatasetPair(2, 4, 0.5, pairs)
+            X = np.ones((4, 2))
+            X[2, 1] = value
+            d = dataset(np.zeros((4, 2)), X, 0.5)
+            d.block(0, 2)
+            with pytest.raises(DataFormatError, match="finite"):
+                d.block(2, 4)
+            path.write_text(_TEXT_HEAD + "0,0,1,1\n" * 3 + f"0,0,1,{value!r}\n")
+            with pytest.raises(DataFormatError, match="finite"):
+                read_dataset(path)
 
-    @pytest.mark.parametrize("writeable", [True, False])
-    def test_blocks_are_read_only_views(self, writeable):
-        # the rows are held once: blocks, Z and X are views of the caller's
-        # array, and its flags stay as they were
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_blocks_are_buffers_of_their_own(self, tmp_path, dataset, fmt):
+        # a block is the caller's to write into; the next read is unchanged
         pairs = np.arange(40.0).reshape(10, 4)
-        pairs.flags.writeable = writeable
-        d = DatasetPair(2, 10, 0.5, pairs)
-        assert d.pairs is pairs and pairs.flags.writeable is writeable
+        d = dataset(pairs[:, :2], pairs[:, 2:], 0.5)
+        if fmt == "csv":
+            write_dataset(d, tmp_path / "pairs.csv")
+            d = read_dataset(tmp_path / "pairs.csv")
         block = d.block(3, 7)
         np.testing.assert_array_equal(block, pairs[3:7])
-        for view in (block, *d.rows(3, 7), d.Z, d.X):
-            assert np.shares_memory(view, pairs) and not view.flags.writeable
-        np.testing.assert_array_equal(d.Z, pairs[:, :2])
-        np.testing.assert_array_equal(d.X, pairs[:, 2:])
-        assert pairs.flags.writeable is writeable
+        block[:] = -1.0
+        np.testing.assert_array_equal(d.block(3, 7), pairs[3:7])
         with pytest.raises(DomainError):
             d.block(8, 11)
 
