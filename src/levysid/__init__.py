@@ -13,25 +13,28 @@ a = Lambda Lambda^T, via nonlocal Kramers-Moyal estimators.
 import os as _os
 import sys as _sys
 
-# This is the one place that sets the OpenBLAS thread count: levysid runs
-# OpenBLAS on one thread from import on. Its worker pool is the only
-# parallelism, and a long curve's product can round differently on two
-# threads than on one, which would change the curve. If numpy is imported
-# here first, it loads OpenBLAS with one thread, so no idle BLAS thread
-# spin-waits on the pool's cores; the variable is gone again before any
-# child process could inherit it. Where numpy came first, or the caller set
-# OPENBLAS_NUM_THREADS, the count is lowered to one before this import
-# returns, and the threads started at load stay.
+# This is the one place that sets the process up, once, at import. levysid
+# runs OpenBLAS on one thread: its worker pool is the only parallelism, and
+# a long curve's product can round differently on two threads than on one,
+# which would change the curve. If numpy is imported here first, it loads
+# OpenBLAS with one thread, so no idle BLAS thread spin-waits on the pool's
+# cores; the variable is gone again before any child process could inherit
+# it. Where numpy came first, or the caller set OPENBLAS_NUM_THREADS, the
+# count is lowered to one through the setter numpy's own extension resolves,
+# and the threads started at load stay. Then glibc's malloc is fixed, so
+# every pass, and any caller that imports levysid, runs the same allocator.
 if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         __import__("numpy")
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+    from . import simulate as _simulate
 else:
     from . import simulate as _simulate
 
     _simulate._cap_blas_threads()
+_simulate._cap_malloc_arenas()
 
 from .basis import BasisDictionary, design_matrix, example2_dictionary, polynomial_dictionary
 from .errors import (

@@ -87,18 +87,16 @@ def build_report(data, config, dict_spec, levy, table, warning_messages,
 
 
 def _estimate(data, config, spec, dictionary, seed, report_path):
-    """Run the estimator chain and write its report; (report, seconds)."""
-    t0 = time.perf_counter()
+    """Run the estimator chain, write its report and return it."""
     with _warnings.catch_warnings(record=True) as records:
         _warnings.simplefilter("always")
         levy = estimate_levy(data, config)
         table = regression_tables(*cube_filter(data, config.cube_half_width),
                                   dictionary, [e.params for e in levy], config)
-    seconds = time.perf_counter() - t0
     caught = [str(r.message) for r in records if isinstance(r.message, UserWarning)]
     report = build_report(data, config, spec, levy, table, caught, seed=seed)
     write_report(report, report_path)
-    return report, seconds
+    return report
 
 
 def _print_levy(levy):
@@ -121,9 +119,11 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    t0 = time.perf_counter()
     data = read_dataset(args.data)
     config, spec, dictionary = _estimation_inputs(args.est_config, data.n)
-    report, dt = _estimate(data, config, spec, dictionary, args.seed, args.report)
+    report = _estimate(data, config, spec, dictionary, args.seed, args.report)
+    dt = time.perf_counter() - t0
     _print_levy(report.levy)
     print(f"survival fraction {report.table.fraction:.6f}; estimated in {dt:.2f}s")
     return 0
@@ -243,13 +243,15 @@ def cmd_pipeline(args):
     t_sim = time.perf_counter() - t0
     # estimate from the page-cached file, block by block, as estimate does;
     # this process wrote its header, so read_dataset is not needed
+    t0 = time.perf_counter()
     data = DatasetFile(open(path, "rb"), str(path), data.n, data.M, data.h)
-    report_path = workdir / "report.json"
-    t_est = _estimate(data, config, spec, dictionary, args.seed, report_path)[1]
+    report = _estimate(data, config, spec, dictionary, args.seed,
+                       workdir / "report.json")
+    t_est = time.perf_counter() - t0
 
-    # plot-data's curves of each b<i> and a<i><i> along axis i, read from
-    # the report just written, with the other coordinates mid-grid
-    report = read_report(report_path)
+    # plot-data's curves of each b<i> and a<i><i> along axis i, with the
+    # other coordinates mid-grid: the report's floats survive its JSON
+    # exactly, so these are the curves plot-data draws from report.json
     middle = _grid_middle(bounds)
     for i, (lo, hi) in enumerate(bounds, start=1):
         xs = np.linspace(float(lo), float(hi), 501)

@@ -12,7 +12,8 @@ functions differently, and with them the last bits of some rows.
 from __future__ import annotations
 
 import collections
-import functools
+import ctypes
+import importlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -73,9 +74,8 @@ def worker_count() -> int:
     return workers
 
 
-@functools.cache
 def _cap_malloc_arenas():
-    """Fix glibc's malloc for the chunked passes, once per process.
+    """Fix glibc's malloc for the chunked passes.
 
     Every thread gets glibc's one main malloc arena; otherwise each worker
     thread gets an arena of its own, and the temporaries it frees stay
@@ -83,12 +83,10 @@ def _cap_malloc_arenas():
     The mmap and trim thresholds are fixed: with glibc's moving defaults,
     the block buffers of a pass were mapped, or the heap top they left
     was trimmed, and then faulted back for the next block.
-    ``map_chunks`` calls it before its first call, at any worker count; it
-    holds for the whole process. Where libc has no ``mallopt`` this does
-    nothing.
+    ``levysid/__init__.py`` calls it once, at import, so every pass, and
+    everything else the process does after ``import levysid``, runs this
+    allocator. Where libc has no ``mallopt`` this does nothing.
     """
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -103,30 +101,18 @@ def _cap_malloc_arenas():
 
 
 def _openblas():
-    """``(library, setter name)`` for the first OpenBLAS this process loaded
-    that exports one of ``BLAS_SETTERS``, in the order of
-    ``/proc/self/maps``, else numpy's bundled copy. None if there is none.
+    """``(library, setter name)`` for the OpenBLAS numpy runs on: the first
+    of ``BLAS_SETTERS`` that numpy's ``_multiarray_umath`` extension
+    resolves, through the libraries it links. None if there is none.
 
-    Other libraries may bring an OpenBLAS of their own: scipy's wheels map
-    an LP64 build that exports none of these names.
+    Another library's OpenBLAS, such as the LP64 build scipy's wheels map,
+    is not numpy's, and is left as it is.
     """
-    import ctypes
-    import glob
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except (OSError, ValueError):  # no /proc, or a path that is not UTF-8
-        fields = []
-    paths = [f[5].strip() for f in fields
-             if len(f) == 6 and "openblas" in os.path.basename(f[5])]
-    if not paths:
-        libs = os.path.dirname(os.path.dirname(np.__file__))
-        paths = sorted(glob.glob(os.path.join(libs, "numpy.libs", "*openblas*")))
-    for path in dict.fromkeys(paths):
+    for module in ("numpy._core._multiarray_umath",  # numpy 2
+                   "numpy.core._multiarray_umath"):  # numpy 1.x
         try:
-            lib = ctypes.CDLL(path)
-        except OSError:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):  # absent, or not a shared library
             continue
         for name in BLAS_SETTERS:
             if hasattr(lib, name):
@@ -137,16 +123,14 @@ def _openblas():
 def _cap_blas_threads():
     """Run OpenBLAS on one thread.
 
-    ``levysid/__init__.py`` calls it once, when numpy was imported before
-    levysid or ``OPENBLAS_NUM_THREADS`` was set, so ``map_chunks``' pool is
-    the only parallelism and the products do not depend on the count
-    OpenBLAS was loaded with. On two threads, a curve's long matrix-vector
-    product can round differently than on one. This only lowers the count:
-    the threads OpenBLAS started at load stay. Where no OpenBLAS with one
-    of ``BLAS_SETTERS`` is found this does nothing.
+    ``levysid/__init__.py`` calls it once, at import, when numpy was
+    imported before levysid or ``OPENBLAS_NUM_THREADS`` was set, so
+    ``map_chunks``' pool is the only parallelism and the products do not
+    depend on the count OpenBLAS was loaded with. On two threads, a curve's
+    long matrix-vector product can round differently than on one. This
+    only lowers the count: the threads OpenBLAS started at load stay.
+    Where ``_openblas()`` finds no setter this does nothing.
     """
-    import ctypes
-
     found = _openblas()
     if found is None:
         return
@@ -332,14 +316,14 @@ def map_chunks(fn, M):
     block and return small results, or, in the binary writer, place its
     rows in the file themselves, so each worker holds one block and the
     caller only drains the results. The blocks do not depend on the worker
-    count, so neither do the results.
+    count, so neither do the results. It sets nothing up: ``import
+    levysid`` fixed malloc and OpenBLAS's thread count before any call.
     """
     starts = range(0, M, CHUNK_ROWS)
     stops = [min(start + CHUNK_ROWS, M) for start in starts]
     # read before any call, even for one block, so a malformed
     # LEVYSID_WORKERS always fails here
     workers = worker_count()
-    _cap_malloc_arenas()
     if workers <= 1 or len(starts) <= 1:
         return map(fn, starts, stops)
     return _pooled(fn, zip(starts, stops), workers)

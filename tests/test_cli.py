@@ -328,6 +328,25 @@ class TestEstimateCommand:
         assert len(report["drift"]) == 1
         assert report["diffusion"][0]["i"] == 1
 
+    def test_summary_times_reading(self, tmp_path, capsys, monkeypatch):
+        # the seconds estimate prints cover reading the dataset, which
+        # parses the whole of a text file
+        def slow_read(path):
+            time.sleep(0.2)
+            return read_dataset(path)
+
+        data = str(tmp_path / "pairs.bin")
+        assert main(["simulate", "--config", _small_lorenz(tmp_path, mesh=5),
+                     "--out", data]) == 0
+        monkeypatch.setattr(levysid.cli, "read_dataset", slow_read)
+        est = _est_config(tmp_path, epsilon=0.05, m=3.0, N=2,
+                          cube_epsilon=0.5, dictionary="poly:2")
+        capsys.readouterr()
+        assert main(["estimate", data, "--est-config", est,
+                     "--report", str(tmp_path / "report.json")]) == 0
+        seconds = re.search(r"estimated in (\d+\.\d+)s", capsys.readouterr().out)
+        assert float(seconds.group(1)) >= 0.2
+
     def test_report_bytes_independent_of_blas_threads(self, tmp_path):
         # a lorenz3d poly:4 (K = 35) report and its 40001-row curves, made
         # in one process per way of loading OpenBLAS. A curve's product

@@ -511,40 +511,30 @@ class TestOneSubBlockPerPass:
         np.testing.assert_array_equal(X, Xw[keep])
 
 
-class TestTextHeldOnce:
-    def test_read_peaks_below_one_and_a_half_pairs(self, tmp_path):
-        # 2^18 lorenz3d rows, 16 blocks, parsed one block at a time into a
-        # temporary file: the read holds one parsed block and the parser's
-        # buffers, never the pairs (TestTextInBlocks bounds it by rows)
-        grid = levysid.simulate.Grid([[-2, 2]] * 3, [64] * 3)
-        path = tmp_path / "pairs.csv"
-        write_dataset(simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=4),
-                      path)
-        pairs = grid.M * 2 * 3 * 8
-        peak = _peak(read_dataset, path)
-        assert peak < 1.5 * pairs, peak / pairs
-
-
 class TestTextInBlocks:
     def test_estimate_peak_flat_in_rows(self, tmp_path, monkeypatch):
         # lorenz3d text datasets of 4 and of 16 blocks: the rows are parsed
-        # a block at a time into a temporary file, so estimating the longer
-        # one holds less than one block more
+        # a block at a time into a temporary file, so reading either holds
+        # one parsed block and the parser's buffers (2.8-3.1 blocks), never
+        # the pairs, and estimating the longer one holds less than one
+        # block more
         rows = 1024
         monkeypatch.setattr(levysid.simulate, "CHUNK_ROWS", rows)
         monkeypatch.setenv("LEVYSID_WORKERS", "1")
         est = tmp_path / "est.json"
         est.write_text(json.dumps({"epsilon": 0.02, "m": 3.0, "N": 2,
                                    "cube_epsilon": 0.5, "dictionary": "poly:2"}))
-        peaks = []
+        reads, peaks = [], []
         for blocks in (4, 16):
             grid = levysid.simulate.Grid([[-2, 2]] * 3, [blocks * 16, 8, 8])
             path = tmp_path / f"pairs{blocks}.csv"
             write_dataset(simulate_pairs(builtin_model("lorenz3d"), grid, 0.001,
                                          seed=4), path)
+            reads.append(_peak(read_dataset, path))
             peaks.append(_peak(main, ["estimate", str(path), "--est-config", str(est),
                                       "--report", str(tmp_path / "r.json")]))
         block = rows * 2 * 3 * 8
+        assert max(reads) < 4 * block, [r / block for r in reads]
         assert abs(peaks[1] - peaks[0]) < block, [p / block for p in peaks]
 
 

@@ -1,5 +1,8 @@
 """Grid generation and one-step Euler pair simulation."""
 
+import builtins
+import ctypes
+import glob
 import os
 import struct
 import subprocess
@@ -471,17 +474,6 @@ class TestMapChunks:
             sys.setswitchinterval(interval)
         assert sorted(started) == list(range(100))
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_malloc_fixed_before_the_first_call(self, workers, monkeypatch):
-        # glibc's malloc is fixed before the pass's first call allocates,
-        # also on one worker and for a single block, where no pool starts
-        monkeypatch.setenv("LEVYSID_WORKERS", workers)
-        order = []
-        monkeypatch.setattr(levysid.simulate, "_cap_malloc_arenas",
-                            lambda: order.append("malloc"))
-        list(map_chunks(lambda start, stop: order.append("call"), 10))
-        assert order == ["malloc", "call"]
-
 
 class TestGridMemory:
     def test_no_axis_held(self):
@@ -528,8 +520,6 @@ def openblas():
     """(set, get, procs) for the OpenBLAS thread count that levysid caps,
     through the same symbols; skips where there are none. The count is
     restored afterwards."""
-    import ctypes
-
     found = levysid.simulate._openblas()
     if found is None:
         pytest.skip("no OpenBLAS thread-count setter found")
@@ -583,11 +573,31 @@ class TestBlasThreadCap:
     def test_nothing_found_is_harmless(self, missing, monkeypatch):
         if missing == "library":
             monkeypatch.setattr(levysid.simulate, "_openblas", lambda: None)
-        else:  # the real scan, for a name no library exports
+        else:  # the real lookup, for a name numpy's extension cannot resolve
             monkeypatch.setattr(levysid.simulate, "BLAS_SETTERS",
                                 ("no_such_set_num_threads",))
             assert levysid.simulate._openblas() is None
         assert levysid.simulate._cap_blas_threads() is None
+
+    def test_found_without_proc(self, openblas, monkeypatch):
+        # numpy's extension names its OpenBLAS: no /proc/self/maps to read
+        # and no library file found by name takes the setter away
+        real_open = builtins.open
+
+        def no_proc(file, *args, **kwargs):
+            if str(file).startswith("/proc"):
+                raise OSError(f"no {file}")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_proc)
+        monkeypatch.setattr(glob, "glob", lambda *args, **kwargs: [])
+        found = levysid.simulate._openblas()
+        assert found is not None
+        lib, name = found
+        set_threads, _, _ = openblas
+        assert name in levysid.simulate.BLAS_SETTERS
+        assert (ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+                == ctypes.cast(set_threads, ctypes.c_void_p).value)
 
     def test_gram_products_same_bytes_at_one_thread(self, openblas):
         # one full block of genereg1d's regression, the example2 design
@@ -634,6 +644,31 @@ class TestBlasThreadsAtImport:
 
     def test_callers_value_wins(self):
         assert _threads_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "2"]
+
+
+class TestMallocAtImport:
+    def test_block_buffers_come_from_the_heap(self):
+        # right after ``import levysid``, before any pass, an 8 MiB buffer
+        # comes from the heap: glibc's default mmap threshold (128 KiB)
+        # would map it, and mallinfo2's mapped bytes (hblkhd) would grow
+        try:
+            ctypes.CDLL(None).mallinfo2
+        except (OSError, AttributeError, TypeError):
+            pytest.skip("libc has no mallinfo2")
+        code = (
+            "import ctypes, levysid, numpy as np\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks',"
+            " 'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',"
+            " 'fordblks', 'keepcost')]\n"
+            "info = ctypes.CDLL(None).mallinfo2\n"
+            "info.restype = Info\n"
+            "before = info().hblkhd\n"
+            "ones = np.ones(1 << 20)\n"
+            "print(info().hblkhd - before)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert int(proc.stdout) == 0
 
 
 class TestSingleStepMatchesBatch:
