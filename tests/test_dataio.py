@@ -511,6 +511,20 @@ class TestOneSubBlockPerPass:
         np.testing.assert_array_equal(X, Xw[keep])
 
 
+class TestTextHeldOnce:
+    def test_read_peaks_below_one_and_a_half_pairs(self, tmp_path):
+        # 2^18 lorenz3d rows, 16 blocks, parsed one block at a time into a
+        # temporary file: the read holds one parsed block and the parser's
+        # buffers, never the pairs (TestTextInBlocks bounds it by rows)
+        grid = levysid.simulate.Grid([[-2, 2]] * 3, [64] * 3)
+        path = tmp_path / "pairs.csv"
+        write_dataset(simulate_pairs(builtin_model("lorenz3d"), grid, 0.001, seed=4),
+                      path)
+        pairs = grid.M * 2 * 3 * 8
+        peak = _peak(read_dataset, path)
+        assert peak < 1.5 * pairs, peak / pairs
+
+
 class TestTextInBlocks:
     def test_estimate_peak_flat_in_rows(self, tmp_path, monkeypatch):
         # lorenz3d text datasets of 4 and of 16 blocks: the rows are parsed

@@ -474,6 +474,20 @@ class TestMapChunks:
             sys.setswitchinterval(interval)
         assert sorted(started) == list(range(100))
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malloc_fixed_before_the_first_call(self, workers):
+        # glibc's malloc is fixed before the pass's first call allocates,
+        # also on one worker and for a single block, where no pool starts:
+        # an 8 MiB buffer comes from the heap, not from a mapping of its own
+        out = _after_import(
+            "def fn(start, stop):\n"
+            "    before = mapped()\n"
+            "    ones = np.ones(1 << 20)\n"
+            "    return mapped() - before\n"
+            "print(*levysid.simulate.map_chunks(fn, 10))\n",
+            LEVYSID_WORKERS=workers)
+        assert out.split() == ["0"]
+
 
 class TestGridMemory:
     def test_no_axis_held(self):
@@ -646,29 +660,42 @@ class TestBlasThreadsAtImport:
         assert _threads_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "2"]
 
 
+def _after_import(body, **env):
+    """The output of a new interpreter that runs ``body`` right after
+    ``import levysid``, with ``env`` added, where ``mapped()`` returns
+    glibc's ``mallinfo2().hblkhd``: the bytes malloc has mapped one
+    allocation at a time, which glibc's default mmap threshold (128 KiB)
+    grows by any 8 MiB buffer. A new interpreter, since glibc raises that
+    threshold to the size of each mapped buffer it frees. Skips where libc
+    has no mallinfo2."""
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError, TypeError):
+        pytest.skip("libc has no mallinfo2")
+    code = (
+        "import ctypes, levysid, numpy as np\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks',"
+        " 'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',"
+        " 'fordblks', 'keepcost')]\n"
+        "info = ctypes.CDLL(None).mallinfo2\n"
+        "info.restype = Info\n"
+        "def mapped():\n"
+        "    return info().hblkhd\n" + body)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **env),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
 class TestMallocAtImport:
     def test_block_buffers_come_from_the_heap(self):
         # right after ``import levysid``, before any pass, an 8 MiB buffer
         # comes from the heap: glibc's default mmap threshold (128 KiB)
         # would map it, and mallinfo2's mapped bytes (hblkhd) would grow
-        try:
-            ctypes.CDLL(None).mallinfo2
-        except (OSError, AttributeError, TypeError):
-            pytest.skip("libc has no mallinfo2")
-        code = (
-            "import ctypes, levysid, numpy as np\n"
-            "class Info(ctypes.Structure):\n"
-            "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks',"
-            " 'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',"
-            " 'fordblks', 'keepcost')]\n"
-            "info = ctypes.CDLL(None).mallinfo2\n"
-            "info.restype = Info\n"
-            "before = info().hblkhd\n"
-            "ones = np.ones(1 << 20)\n"
-            "print(info().hblkhd - before)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert int(proc.stdout) == 0
+        out = _after_import("before = mapped()\n"
+                            "ones = np.ones(1 << 20)\n"
+                            "print(mapped() - before)\n")
+        assert int(out) == 0
 
 
 class TestSingleStepMatchesBatch:
